@@ -4,7 +4,8 @@ Four allocation strategies over seeded Rayleigh/shadowing channel draws:
 a low-SNR single-channel concentration method and a high-SNR equal-split
 method (both assignment-based), exhaustive-search water-filling, and a
 greedy max-select baseline. A sweep harness compares their exact sum rates
-against per-link power budget.
+against per-link power budget. Everything else is importable from its
+submodule (`allocators`, `assignment`, `channel`, `harness`, `power`).
 """
 
 from .allocators import (
@@ -14,101 +15,32 @@ from .allocators import (
     OPTIMAL,
     STRATEGY_ORDER,
     Allocation,
-    RateReport,
     allocate,
-    enumerate_partitions,
     exact_sum_rate,
-    high_snr_allocate,
-    linear_approx_rate,
-    log_approx_rate,
-    low_snr_allocate,
-    max_select_allocate,
-    optimal_allocate,
-    partition_count,
-    validate_allocation,
 )
-from .assignment import (
-    AssignmentResult,
-    CostMatrix,
-    brute_force_assignment,
-    replicate_rows,
-    solve_assignment,
-)
-from .channel import (
-    ChannelParams,
-    ChannelRealization,
-    normalized_gain,
-    realization_from_squared_gains,
-    sample_realization,
-    trial_rng,
-)
+from .channel import ChannelParams, sample_realization, trial_rng
 from .errors import AllocationError, GuardError, InfeasibleError, ValidationError
-from .harness import (
-    BenchRow,
-    SweepConfig,
-    SweepRow,
-    SweepSamples,
-    collect_rates,
-    dump_instance,
-    run_sweep,
-    scaling_bench,
-    sweep_rows_to_csv,
-    write_sweep_csv,
-)
-from .power import (
-    WaterFillResult,
-    concentrate_on_best,
-    equal_split,
-    water_fill,
-)
+from .harness import SweepConfig, collect_rates, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
     "AllocationError",
-    "AssignmentResult",
-    "BenchRow",
     "ChannelParams",
-    "ChannelRealization",
-    "CostMatrix",
     "GuardError",
     "HIGH_SNR",
     "InfeasibleError",
     "LOW_SNR",
     "MAX_SELECT",
     "OPTIMAL",
-    "RateReport",
     "STRATEGY_ORDER",
     "SweepConfig",
-    "SweepRow",
-    "SweepSamples",
     "ValidationError",
-    "WaterFillResult",
     "allocate",
-    "brute_force_assignment",
     "collect_rates",
-    "concentrate_on_best",
-    "dump_instance",
-    "enumerate_partitions",
-    "equal_split",
     "exact_sum_rate",
-    "high_snr_allocate",
-    "linear_approx_rate",
-    "log_approx_rate",
-    "low_snr_allocate",
-    "max_select_allocate",
-    "normalized_gain",
-    "optimal_allocate",
-    "partition_count",
-    "realization_from_squared_gains",
     "run_sweep",
     "sample_realization",
-    "scaling_bench",
-    "solve_assignment",
-    "sweep_rows_to_csv",
     "trial_rng",
-    "validate_allocation",
-    "water_fill",
-    "write_sweep_csv",
 ]

@@ -1,9 +1,21 @@
 """End-to-end sub-channel/power allocation strategies and the exact scorer.
 
-Every strategy maps a channel realization to an Allocation assigning exactly
-floor(N/K) sub-channels per link (surplus sub-channels stay idle when K does
-not divide N). All strategies are scored with the same exact sum-rate
-formula; their regime approximations only drive assignment and power choice.
+Every strategy is a set selection followed by a named power rule. The
+selection maps a channel realization to exactly floor(N/K) sub-channels per
+link (surplus sub-channels stay idle when K does not divide N); the rule
+splits each link's budget over its set:
+
+- low_snr: one-per-link assignment on P*H, then `concentrate`;
+- high_snr: quota-replicated assignment on ln H, then `equal_split`;
+- optimal: the best water-filled partition, then `water_fill`;
+- max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
+
+A selection is a function (params, chan) -> (sets, trace); the trace keeps
+the assignment a Hungarian selection solved, for instance dumps. The
+low_snr selection lists each link's assigned sub-channel first, which is
+where `concentrate` puts the budget. All strategies are scored with the
+same exact sum-rate formula; their regime approximations only drive the
+selections.
 """
 
 from __future__ import annotations
@@ -26,7 +38,9 @@ __all__ = [
     "OPTIMAL",
     "MAX_SELECT",
     "STRATEGY_ORDER",
+    "APPROX_RATES",
     "Allocation",
+    "AssignmentTrace",
     "RateReport",
     "validate_allocation",
     "exact_sum_rate",
@@ -51,10 +65,25 @@ MAX_SELECT = "max_select"
 STRATEGY_ORDER = (LOW_SNR, HIGH_SNR, OPTIMAL, MAX_SELECT)
 
 DEFAULT_PARTITION_GUARD = 10**6
-POWER_RULES = ("water_fill", "equal_split")
+# The named power rules; max_select may use either of POWER_RULES.
+CONCENTRATE, EQUAL_SPLIT, WATER_FILL = "concentrate", "equal_split", "water_fill"
+POWER_RULES = (WATER_FILL, EQUAL_SPLIT)
 _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 _CACHED_PARTITION_LIMIT = 20_000
+
+
+@dataclass(frozen=True)
+class AssignmentTrace:
+    """The assignment a Hungarian strategy solved: its per-link cost matrix
+    (before row replication), a label for its entries, and the column of
+    each solver row. Row r is link r, or link r // copies if rows were
+    replicated."""
+
+    label: str
+    cost: CostMatrix
+    column_of_row: tuple[int, ...]
+    copies: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,12 +92,14 @@ class Allocation:
 
     `subchannels_of_link[k]` is the sorted, pairwise-disjoint set assigned to
     link k (size floor(N/K)); `powers` is the K x N matrix of transmit powers
-    in W, zero outside the assigned sets.
+    in W, zero outside the assigned sets. `trace` holds the assignment the
+    strategy solved, if it solved one.
     """
 
     subchannels_of_link: tuple[tuple[int, ...], ...]
     powers: np.ndarray
     strategy_tag: str
+    trace: AssignmentTrace | None = None
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=float)
@@ -90,7 +121,11 @@ class RateReport:
 
 
 def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
-    """Check every Allocation invariant, naming the first violated constraint."""
+    """Check every Allocation invariant, naming the first violated constraint.
+
+    A link's power sum may exceed its budget by 1e-9 of max(1, budget), the
+    rounding a closed-form water-fill leaves at large budgets.
+    """
     k_links = params.num_links
     n_sub = params.num_subchannels
     quota = params.quota
@@ -116,32 +151,31 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
         k, n = np.argwhere(powers < 0)[0]
         raise ValidationError(f"link {k}: negative power on sub-channel {n}")
     for k, subset in enumerate(sets):
-        outside = np.ones(n_sub, dtype=bool)
-        outside[list(subset)] = False
-        if (powers[k, outside] != 0).any():
-            n = int(np.flatnonzero(outside & (powers[k] != 0))[0])
-            raise ValidationError(f"link {k}: positive power on unassigned sub-channel {n}")
+        stray = [n for n in np.flatnonzero(powers[k]) if n not in subset]
+        if stray:
+            raise ValidationError(f"link {k}: positive power on unassigned sub-channel {stray[0]}")
         total = float(powers[k].sum())
-        if total > params.power_budgets[k] + _BUDGET_SLACK:
-            raise ValidationError(
-                f"link {k}: power sum {total!r} exceeds budget {params.power_budgets[k]!r}"
-            )
+        budget = params.power_budgets[k]
+        if total > budget + _BUDGET_SLACK * max(1.0, budget):
+            raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
-def _link_rate(bw: float, gains_row: np.ndarray, powers_row: np.ndarray, subset) -> float:
-    total = 0.0
-    for n in subset:
-        total += math.log1p(powers_row[n] * gains_row[n]) / _LN2
-    return bw * total
-
-
-def _rate_of(params: ChannelParams, chan: ChannelRealization, sets, powers: np.ndarray) -> float:
+def _score(params: ChannelParams, h: np.ndarray, sets, powers: np.ndarray):
+    """Exact per-link rates and their total. Each link sums log2(1 + p*H)
+    in set order and scales by B/N; the total adds links in index order, so
+    every caller gets bit-identical scores for equal allocations."""
     bw = params.subchannel_bandwidth
-    h = chan.normalized_gains
+    per_link = []
     total = 0.0
     for k, subset in enumerate(sets):
-        total += _link_rate(bw, h[k], powers[k], subset)
-    return total
+        p_row, h_row = powers[k], h[k]
+        link = 0.0
+        for n in subset:
+            link += math.log1p(p_row[n] * h_row[n]) / _LN2
+        rate = bw * link
+        per_link.append(rate)
+        total += rate
+    return tuple(per_link), total
 
 
 def exact_sum_rate(
@@ -154,16 +188,7 @@ def exact_sum_rate(
     validated first.
     """
     validate_allocation(params, alloc)
-    bw = params.subchannel_bandwidth
-    h = chan.normalized_gains
-    per_link = tuple(
-        _link_rate(bw, h[k], alloc.powers[k], subset)
-        for k, subset in enumerate(alloc.subchannels_of_link)
-    )
-    total = 0.0
-    for r in per_link:
-        total += r
-    return RateReport(per_link_rate=per_link, total_rate=total)
+    return RateReport(*_score(params, chan.normalized_gains, alloc.subchannels_of_link, alloc.powers))
 
 
 def linear_approx_rate(
@@ -190,6 +215,39 @@ def log_approx_rate(params: ChannelParams, chan: ChannelRealization, alloc: Allo
         return params.subchannel_bandwidth * float(np.log2(x).sum())
 
 
+# The regime objective each strategy's selection optimizes; the others
+# optimize the exact objective only.
+APPROX_RATES = {LOW_SNR: linear_approx_rate, HIGH_SNR: log_approx_rate}
+
+
+def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.ndarray:
+    """K x N powers from one named rule applied to every link's set.
+
+    "concentrate" puts the whole budget on the first sub-channel of the set,
+    the one its selection ranked first; "equal_split" spreads it evenly;
+    "water_fill" water-fills it, and leaves a set with no positive gain
+    unpowered (its rate is zero either way).
+    """
+    powers = np.zeros((params.num_links, params.num_subchannels))
+    for k, subset in enumerate(sets):
+        budget = params.power_budgets[k]
+        if rule == CONCENTRATE:
+            powers[k, subset[0]] = budget
+        elif rule == EQUAL_SPLIT:
+            powers[k, subset] = equal_split(len(subset), budget)
+        else:
+            gains = h[k, subset]
+            if (gains > 0).any():
+                powers[k, subset] = water_fill(gains, budget).powers
+    return powers
+
+
+def _allocation(tag: str, rule: str, params, chan, sets, trace) -> Allocation:
+    """Power the selected sets with `rule` and package them, sorted."""
+    powers = _apply_power(rule, params, chan.normalized_gains, sets)
+    return Allocation(tuple(tuple(sorted(s)) for s in sets), powers, tag, trace)
+
+
 def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
     budgets = np.asarray(params.power_budgets)[:, None]
@@ -204,16 +262,9 @@ def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cos
     return CostMatrix(values=values, orientation="maximize", forbidden=~usable)
 
 
-def low_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
-    """Low-SNR strategy: one powered sub-channel per link via the assignment solver.
-
-    The solver maximizes sum of P_k * H over one-sub-channel-per-link
-    assignments; the full budget lands on the assigned sub-channel. The
-    remaining quota slots are filled with zero-power sub-channels,
-    round-robin over links in index order, each taking its highest-gain
-    unassigned sub-channel (ties to the lowest index).
-    """
-    result = solve_assignment(low_snr_cost_matrix(params, chan))
+def _low_snr_sets(params: ChannelParams, chan: ChannelRealization):
+    cost = low_snr_cost_matrix(params, chan)
+    result = solve_assignment(cost)
     h = chan.normalized_gains
     n_sub = params.num_subchannels
     sets = [[c] for c in result.column_of_row]
@@ -224,18 +275,22 @@ def low_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocat
             pick = avail[int(np.argmax(h[k, avail]))]
             sets[k].append(pick)
             taken.add(pick)
-    powers = np.zeros((params.num_links, n_sub))
-    for k, col in enumerate(result.column_of_row):
-        powers[k, col] = params.power_budgets[k]
-    return Allocation(
-        subchannels_of_link=tuple(tuple(sorted(s)) for s in sets),
-        powers=powers,
-        strategy_tag=LOW_SNR,
-    )
+    return sets, AssignmentTrace("maximize, P*H", cost, result.column_of_row)
 
 
-def high_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
-    """High-SNR strategy: quota-replicated log-gain assignment, equal power split."""
+def low_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
+    """Low-SNR strategy: one powered sub-channel per link via the assignment solver.
+
+    The solver maximizes sum of P_k * H over one-sub-channel-per-link
+    assignments; the full budget lands on the assigned sub-channel. The
+    remaining quota slots are filled with zero-power sub-channels,
+    round-robin over links in index order, each taking its highest-gain
+    unassigned sub-channel (ties to the lowest index).
+    """
+    return _allocation(LOW_SNR, CONCENTRATE, params, chan, *_low_snr_sets(params, chan))
+
+
+def _high_snr_sets(params: ChannelParams, chan: ChannelRealization):
     quota = params.quota
     usable_counts = (chan.normalized_gains > 0).sum(axis=1)
     short = np.flatnonzero(usable_counts < quota)
@@ -244,30 +299,24 @@ def high_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Alloca
         raise InfeasibleError(
             f"link {k} has only {int(usable_counts[k])} usable sub-channels; quota is {quota}"
         )
-    replicated = replicate_rows(high_snr_cost_matrix(params, chan), quota)
-    result = solve_assignment(replicated)
+    cost = high_snr_cost_matrix(params, chan)
+    result = solve_assignment(replicate_rows(cost, quota))
     sets: list[list[int]] = [[] for _ in range(params.num_links)]
     for row, col in enumerate(result.column_of_row):
         sets[row // quota].append(col)
-    powers = np.zeros((params.num_links, params.num_subchannels))
-    for k, subset in enumerate(sets):
-        powers[k, subset] = equal_split(quota, params.power_budgets[k])
-    return Allocation(
-        subchannels_of_link=tuple(tuple(sorted(s)) for s in sets),
-        powers=powers,
-        strategy_tag=HIGH_SNR,
-    )
+    label = "maximize, ln H; forbidden cells printed as 0"
+    return sets, AssignmentTrace(label, cost, result.column_of_row, quota)
+
+
+def high_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
+    """High-SNR strategy: quota-replicated log-gain assignment, equal power split."""
+    return _allocation(HIGH_SNR, EQUAL_SPLIT, params, chan, *_high_snr_sets(params, chan))
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:
     """Number of ordered partitions into quota-sized disjoint link sets."""
     quota = num_subchannels // num_links
-    count = 1
-    remaining = num_subchannels
-    for _ in range(num_links):
-        count *= math.comb(remaining, quota)
-        remaining -= quota
-    return count
+    return math.prod(math.comb(num_subchannels - k * quota, quota) for k in range(num_links))
 
 
 def enumerate_partitions(num_subchannels: int, num_links: int):
@@ -294,16 +343,7 @@ def _partition_table(num_subchannels: int, num_links: int) -> tuple:
     return tuple(enumerate_partitions(num_subchannels, num_links))
 
 
-def optimal_allocate(
-    params: ChannelParams,
-    chan: ChannelRealization,
-    partition_guard: int = DEFAULT_PARTITION_GUARD,
-) -> Allocation:
-    """Brute-force optimum: best water-filled rate over every quota partition.
-
-    A link whose candidate set has no positive gain keeps zero power (its
-    rate contribution is zero either way).
-    """
+def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
     n_sub = params.num_subchannels
     k_links = params.num_links
     count = partition_count(n_sub, k_links)
@@ -318,25 +358,49 @@ def optimal_allocate(
         candidates = enumerate_partitions(n_sub, k_links)
 
     h = chan.normalized_gains
-    best_rate = -math.inf
-    best_sets = None
-    best_powers = None
+    best_rate, best_sets = -math.inf, None
     for cand in candidates:
-        powers = np.zeros((k_links, n_sub))
-        for k, subset in enumerate(cand):
-            gains = h[k, list(subset)]
-            if (gains > 0).any():
-                powers[k, list(subset)] = water_fill(gains, params.power_budgets[k]).powers
-        rate = _rate_of(params, chan, cand, powers)
+        rate = _score(params, h, cand, _apply_power(WATER_FILL, params, h, cand))[1]
         if rate > best_rate:
-            best_rate = rate
-            best_sets = cand
-            best_powers = powers
-    return Allocation(
-        subchannels_of_link=best_sets,
-        powers=best_powers,
-        strategy_tag=OPTIMAL,
+            best_rate, best_sets = rate, cand
+    return best_sets, None
+
+
+def optimal_allocate(
+    params: ChannelParams,
+    chan: ChannelRealization,
+    partition_guard: int = DEFAULT_PARTITION_GUARD,
+) -> Allocation:
+    """Brute-force optimum: best water-filled rate over every quota partition.
+
+    The first partition with the highest rate wins, in enumeration order. A
+    link whose set has no positive gain keeps zero power (its rate
+    contribution is zero either way).
+    """
+    return _allocation(
+        OPTIMAL, WATER_FILL, params, chan, *_optimal_sets(params, chan, partition_guard)
     )
+
+
+def _max_select_sets(params: ChannelParams, chan: ChannelRealization):
+    h = chan.normalized_gains
+    n_sub = params.num_subchannels
+    quota = params.quota
+    # Stable argsort of the flattened gains keeps ties in (link, sub-channel)
+    # order, which makes the walk identical to repeated global argmax.
+    order = np.argsort(-h, axis=None, kind="stable")
+    sets: list[list[int]] = [[] for _ in range(params.num_links)]
+    taken = np.zeros(n_sub, dtype=bool)
+    unfilled = params.num_links * quota
+    for flat in order:
+        k, n = divmod(int(flat), n_sub)
+        if len(sets[k]) < quota and not taken[n]:
+            sets[k].append(n)
+            taken[n] = True
+            unfilled -= 1
+            if unfilled == 0:
+                break
+    return sets, None
 
 
 def max_select_allocate(
@@ -353,39 +417,7 @@ def max_select_allocate(
     """
     if power_rule not in POWER_RULES:
         raise ValidationError(f"power_rule must be one of {POWER_RULES}")
-    h = chan.normalized_gains
-    k_links = params.num_links
-    n_sub = params.num_subchannels
-    quota = params.quota
-
-    # Stable argsort of the flattened gains keeps ties in (link, sub-channel)
-    # order, which makes the walk identical to repeated global argmax.
-    order = np.argsort(-h, axis=None, kind="stable")
-    sets: list[list[int]] = [[] for _ in range(k_links)]
-    taken = np.zeros(n_sub, dtype=bool)
-    unfilled = k_links * quota
-    for flat in order:
-        k, n = divmod(int(flat), n_sub)
-        if len(sets[k]) < quota and not taken[n]:
-            sets[k].append(n)
-            taken[n] = True
-            unfilled -= 1
-            if unfilled == 0:
-                break
-
-    powers = np.zeros((k_links, n_sub))
-    for k, subset in enumerate(sets):
-        subset.sort()
-        gains = h[k, subset]
-        if power_rule == "equal_split":
-            powers[k, subset] = equal_split(quota, params.power_budgets[k])
-        elif (gains > 0).any():
-            powers[k, subset] = water_fill(gains, params.power_budgets[k]).powers
-    return Allocation(
-        subchannels_of_link=tuple(tuple(s) for s in sets),
-        powers=powers,
-        strategy_tag=MAX_SELECT,
-    )
+    return _allocation(MAX_SELECT, power_rule, params, chan, *_max_select_sets(params, chan))
 
 
 def allocate(

@@ -1,9 +1,8 @@
 """Rectangular linear assignment.
 
 A Hungarian (augmenting-path, dual-potential) solver handles minimize or
-maximize cost matrices with R rows <= C columns, plus a permutation
-enumeration oracle used to validate it. Forbidden cells are excluded via a
-large finite sentinel instead of non-finite arithmetic.
+maximize cost matrices with R rows <= C columns. Forbidden cells are
+excluded via a large finite sentinel instead of non-finite arithmetic.
 """
 
 from __future__ import annotations
@@ -12,19 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardError, InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError
 
 __all__ = [
     "CostMatrix",
     "AssignmentResult",
     "solve_assignment",
     "replicate_rows",
-    "brute_force_assignment",
 ]
 
 ORIENTATIONS = ("minimize", "maximize")
-
-_ENUM_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -219,51 +215,3 @@ def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:
         forbidden=np.repeat(cost.forbidden, copies, axis=0),
     )
 
-
-def _enumerate_injections(num_cols: int, num_rows: int) -> np.ndarray:
-    """All ordered choices of `num_rows` distinct columns, lexicographic."""
-    prefixes = np.zeros((1, 0), dtype=np.int16)
-    avail = np.ones((1, num_cols), dtype=bool)
-    all_cols = np.arange(num_cols, dtype=np.int16)
-    for depth in range(num_rows):
-        m = prefixes.shape[0]
-        parent = np.repeat(np.arange(m), num_cols - depth)
-        chosen = np.broadcast_to(all_cols, (m, num_cols))[avail]
-        prefixes = np.concatenate([prefixes[parent], chosen[:, None]], axis=1)
-        avail = avail[parent]
-        avail[np.arange(avail.shape[0]), chosen] = False
-    return prefixes
-
-
-def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> AssignmentResult:
-    """Exhaustive assignment oracle: evaluates every injection of rows into columns.
-
-    Same contract as :func:`solve_assignment`; intended for validation only.
-    The candidate count is C! / (C-R)!, so matrices wider than `max_columns`
-    are rejected.
-    """
-    if cost.num_cols > max_columns:
-        raise GuardError(
-            f"oracle size guard: {cost.num_cols} columns exceed the limit of {max_columns}"
-        )
-    work = _effective_min_matrix(cost)
-    rows, _ = work.shape
-    perms = _enumerate_injections(cost.num_cols, rows)
-    row_idx = np.arange(rows)[None, :]
-
-    best_val = np.inf
-    best_cols = None
-    for start in range(0, perms.shape[0], _ENUM_CHUNK):
-        block = perms[start : start + _ENUM_CHUNK].astype(np.int64)
-        totals = work[row_idx, block].sum(axis=1)
-        pos = int(np.argmin(totals))
-        if totals[pos] < best_val:
-            best_val = float(totals[pos])
-            best_cols = block[pos]
-
-    if cost.forbidden[np.arange(rows), best_cols].any():
-        raise InfeasibleError("no complete assignment avoids the forbidden cells")
-    return AssignmentResult(
-        column_of_row=tuple(int(c) for c in best_cols),
-        objective_value=_selection_value(cost.values, best_cols),
-    )

@@ -7,7 +7,7 @@ the normalized gains used by every allocation strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "ChannelRealization",
     "trial_rng",
     "sample_realization",
-    "normalized_gain",
     "realization_from_squared_gains",
 ]
 
@@ -62,10 +61,10 @@ class ChannelParams:
             raise ValidationError(
                 "num_subchannels must be >= num_links (per-link quota would be zero)"
             )
-        if not (self.total_bandwidth > 0.0):
-            raise ValidationError("total_bandwidth must be > 0")
-        if not (self.noise_psd > 0.0):
-            raise ValidationError("noise_psd must be > 0")
+        if not (0.0 < self.total_bandwidth < np.inf):
+            raise ValidationError("total_bandwidth must be finite and > 0")
+        if not (0.0 < self.noise_psd < np.inf):
+            raise ValidationError("noise_psd must be finite and > 0")
         if not (0.0 <= self.shadow_prob <= 1.0):
             raise ValidationError("shadow_prob must lie in [0, 1]")
         if not (self.shadow_attenuation >= 0.0):
@@ -94,15 +93,7 @@ class ChannelParams:
 
     def with_uniform_budget(self, budget: float) -> "ChannelParams":
         """Copy of the params with the same budget applied to all links."""
-        return ChannelParams(
-            num_links=self.num_links,
-            num_subchannels=self.num_subchannels,
-            total_bandwidth=self.total_bandwidth,
-            noise_psd=self.noise_psd,
-            shadow_prob=self.shadow_prob,
-            power_budgets=(float(budget),) * self.num_links,
-            shadow_attenuation=self.shadow_attenuation,
-        )
+        return replace(self, power_budgets=(float(budget),) * self.num_links)
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent deterministic random stream for one Monte Carlo trial.
 
     The stream is a pure function of (seed, trial), so serial and parallel
-    executions of a sweep see identical draws.
+    executions of a sweep see identical draws. The seed must be >= 0.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
@@ -174,13 +167,6 @@ def sample_realization(params: ChannelParams, rng: np.random.Generator) -> Chann
         normalized_gains=normalized,
         shadow_mask=mask,
     )
-
-
-def normalized_gain(params: ChannelParams, squared_gain: float) -> float:
-    """Normalize one squared gain by the per-sub-channel noise power N0 * B/N."""
-    if not (squared_gain >= 0.0) or not np.isfinite(squared_gain):
-        raise ValidationError("squared_gain must be finite and >= 0")
-    return float(squared_gain) / params.noise_per_subchannel
 
 
 def realization_from_squared_gains(

@@ -7,12 +7,14 @@ enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import allocators, harness
-from .allocators import DEFAULT_PARTITION_GUARD, POWER_RULES, STRATEGY_ORDER
+from .allocators import DEFAULT_PARTITION_GUARD, POWER_RULES
 from .channel import ChannelParams
 from .errors import AllocationError, ValidationError
 
@@ -25,41 +27,37 @@ STRATEGY_SHORT = {
     "maxsel": allocators.MAX_SELECT,
 }
 
-SWEEP_DEFAULTS = {
-    "links": 2,
-    "subchannels": 4,
-    "bandwidth": 4.0,
-    "noise_psd": 1.0,
-    "shadow_prob": 0.02,
-    "shadow_atten": 0.0,
-    "budgets": "1e-3:1e3:7log",
-    "trials": 200,
-    "seed": 0,
-    "strategies": "low,high,opt,maxsel",
-    "out": None,
-    "score": "exact",
-    "workers": 1,
-    "guard": DEFAULT_PARTITION_GUARD,
-    "maxsel_power": "water_fill",
-}
 
-_SWEEP_TYPES = {
-    "links": int,
-    "subchannels": int,
-    "bandwidth": float,
-    "noise_psd": float,
-    "shadow_prob": float,
-    "shadow_atten": float,
-    "budgets": str,
-    "trials": int,
-    "seed": int,
-    "strategies": str,
-    "out": str,
-    "score": str,
-    "workers": int,
-    "guard": int,
-    "maxsel_power": str,
+class Flag(NamedTuple):
+    """One sweep flag: value type (also applied to config-file values),
+    default, help text and, if restricted, its allowed values."""
+
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every sweep flag, in --help order. The table drives the sweep parser, the
+# config-file keys and their types, and the channel flags dump shares.
+SWEEP_FLAGS = {
+    "links": Flag(int, 2, "number of links K"),
+    "subchannels": Flag(int, 4, "number of sub-channels N"),
+    "bandwidth": Flag(float, 4.0, "total bandwidth B in Hz"),
+    "noise_psd": Flag(float, 1.0, "noise PSD N0 in W/Hz"),
+    "shadow_prob": Flag(float, 0.02, "per-entry shadowing probability"),
+    "shadow_atten": Flag(float, 0.0, "squared-gain multiplier for shadowed entries"),
+    "budgets": Flag(str, "1e-3:1e3:7log", "per-link budget grid LO:HI:POINTS[log|lin] (default log)"),
+    "trials": Flag(int, 200, "Monte Carlo trials per budget point"),
+    "seed": Flag(int, 0, "base RNG seed"),
+    "strategies": Flag(str, "low,high,opt,maxsel", "comma list from: low,high,opt,maxsel"),
+    "out": Flag(str, None, "output CSV path (default: stdout)"),
+    "score": Flag(str, "exact", "'both' adds the regime strategies' own approximate objectives", harness.SCORE_MODES),
+    "workers": Flag(int, 1, "parallel trial workers (default 1)"),
+    "guard": Flag(int, DEFAULT_PARTITION_GUARD, "partition-count guard for the optimal strategy"),
+    "maxsel_power": Flag(str, "water_fill", "max_select power rule", POWER_RULES),
 }
+CHANNEL_FLAGS = ("links", "subchannels", "bandwidth", "noise_psd", "shadow_prob", "shadow_atten")
 
 
 def parse_budget_grid(text: str) -> tuple[float, ...]:
@@ -140,7 +138,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key not in SWEEP_DEFAULTS:
+                if key not in SWEEP_FLAGS:
                     raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
     except OSError as err:
@@ -152,28 +150,30 @@ def _resolve_sweep_settings(args: argparse.Namespace) -> dict:
     """Merge per-flag precedence: command line > config file > defaults."""
     config = read_config_file(args.config) if args.config else {}
     settings = {}
-    for key, default in SWEEP_DEFAULTS.items():
+    for key, flag in SWEEP_FLAGS.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
         elif key in config:
             try:
-                settings[key] = _SWEEP_TYPES[key](config[key])
+                settings[key] = flag.type(config[key])
             except ValueError as err:
                 raise ValidationError(f"config key {key}: {err}") from None
         else:
-            settings[key] = default
+            settings[key] = flag.default
     return settings
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
-    d = SWEEP_DEFAULTS if with_defaults else {k: None for k in SWEEP_DEFAULTS}
-    parser.add_argument("--links", type=int, default=d["links"], help="number of links K")
-    parser.add_argument("--subchannels", type=int, default=d["subchannels"], help="number of sub-channels N")
-    parser.add_argument("--bandwidth", type=float, default=d["bandwidth"], help="total bandwidth B in Hz")
-    parser.add_argument("--noise-psd", dest="noise_psd", type=float, default=d["noise_psd"], help="noise PSD N0 in W/Hz")
-    parser.add_argument("--shadow-prob", dest="shadow_prob", type=float, default=d["shadow_prob"], help="per-entry shadowing probability")
-    parser.add_argument("--shadow-atten", dest="shadow_atten", type=float, default=d["shadow_atten"], help="squared-gain multiplier for shadowed entries")
+def _add_flags(parser: argparse.ArgumentParser, names, with_defaults: bool) -> None:
+    for name in names:
+        flag = SWEEP_FLAGS[name]
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=flag.type,
+            default=flag.default if with_defaults else None,
+            choices=flag.choices,
+            help=flag.help,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,20 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sum-rate vs power budget sweep (CSV)")
-    _add_channel_flags(sweep, with_defaults=False)
-    sweep.add_argument("--budgets", help="per-link budget grid LO:HI:POINTS[log|lin] (default log)")
-    sweep.add_argument("--trials", type=int, help="Monte Carlo trials per budget point")
-    sweep.add_argument("--seed", type=int, help="base RNG seed")
-    sweep.add_argument("--strategies", help="comma list from: low,high,opt,maxsel")
-    sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    sweep.add_argument("--score", choices=harness.SCORE_MODES, help="'both' adds the regime strategies' own approximate objectives")
-    sweep.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
-    sweep.add_argument("--guard", type=int, help="partition-count guard for the optimal strategy")
-    sweep.add_argument("--maxsel-power", dest="maxsel_power", choices=POWER_RULES, help="max_select power rule")
+    sweep.set_defaults(run=_run_sweep)
+    _add_flags(sweep, SWEEP_FLAGS, with_defaults=False)
     sweep.add_argument("--config", help="flat key=value file mirroring sweep flags; flags override")
 
     dump = sub.add_parser("dump", help="allocate one seeded instance and print the full report")
-    _add_channel_flags(dump, with_defaults=True)
+    dump.set_defaults(run=_run_dump)
+    _add_flags(dump, CHANNEL_FLAGS, with_defaults=True)
     dump.add_argument("--budget", type=float, default=1.0, help="per-link power budget in W")
     dump.add_argument("--seed", type=int, default=0, help="RNG seed")
     dump.add_argument(
@@ -210,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--out", help="output path (default: stdout)")
 
     bench = sub.add_parser("bench", help="solver scaling micro-benchmark (CSV)")
+    bench.set_defaults(run=_run_bench)
     bench.add_argument("--dims", default="2:8,2:12,2:16,4:16,8:32", help="comma list of K:N pairs")
     bench.add_argument(
         "--methods",
@@ -223,27 +217,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_path: str | None) -> None:
+    """Fail before any work runs if the output directory is missing or read-only."""
+    if out_path is not None and not os.access(os.path.dirname(out_path) or ".", os.W_OK):
+        raise ValidationError(f"cannot write --out {out_path}: no writable directory")
+
+
+def _channel_params(flags: dict, budget: float) -> ChannelParams:
+    return ChannelParams(
+        num_links=flags["links"],
+        num_subchannels=flags["subchannels"],
+        total_bandwidth=flags["bandwidth"],
+        noise_psd=flags["noise_psd"],
+        shadow_prob=flags["shadow_prob"],
+        shadow_attenuation=flags["shadow_atten"],
+        power_budgets=(budget,) * flags["links"],
+    )
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ValidationError(f"cannot write --out {out_path}: {err.strerror}") from None
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
     s = _resolve_sweep_settings(args)
-    params = ChannelParams(
-        num_links=s["links"],
-        num_subchannels=s["subchannels"],
-        total_bandwidth=s["bandwidth"],
-        noise_psd=s["noise_psd"],
-        shadow_prob=s["shadow_prob"],
-        shadow_attenuation=s["shadow_atten"],
-        power_budgets=(1.0,) * s["links"],
-    )
+    _check_out(s["out"])
     config = harness.SweepConfig(
-        channel_params=params,
+        channel_params=_channel_params(s, 1.0),
         budget_grid=parse_budget_grid(s["budgets"]),
         trials=s["trials"],
         seed=s["seed"],
@@ -258,17 +265,9 @@ def _run_sweep(args: argparse.Namespace) -> None:
 
 
 def _run_dump(args: argparse.Namespace) -> None:
-    params = ChannelParams(
-        num_links=args.links,
-        num_subchannels=args.subchannels,
-        total_bandwidth=args.bandwidth,
-        noise_psd=args.noise_psd,
-        shadow_prob=args.shadow_prob,
-        shadow_attenuation=args.shadow_atten,
-        power_budgets=(args.budget,) * args.links,
-    )
+    _check_out(args.out)
     report = harness.dump_instance(
-        params,
+        _channel_params(vars(args), args.budget),
         args.seed,
         STRATEGY_SHORT[args.strategy],
         max_select_power_rule=args.maxsel_power,
@@ -277,6 +276,7 @@ def _run_dump(args: argparse.Namespace) -> None:
 
 
 def _run_bench(args: argparse.Namespace) -> None:
+    _check_out(args.out)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     rows = harness.scaling_bench(
         parse_dims(args.dims),
@@ -295,12 +295,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            _run_sweep(args)
-        elif args.command == "dump":
-            _run_dump(args)
-        else:
-            _run_bench(args)
+        args.run(args)
     except AllocationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

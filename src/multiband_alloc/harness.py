@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocators
-from .allocators import STRATEGY_ORDER, allocate, exact_sum_rate
-from .assignment import solve_assignment, replicate_rows
-from .channel import ChannelParams, ChannelRealization, sample_realization, trial_rng
-from .errors import GuardError, ValidationError
+from .allocators import APPROX_RATES, STRATEGY_ORDER, allocate, exact_sum_rate
+from .assignment import replicate_rows, solve_assignment
+from .channel import ChannelParams, sample_realization, trial_rng
+from .errors import ValidationError
 
 __all__ = [
     "SweepConfig",
@@ -124,10 +124,7 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     config, trial, sampler = args
     params = config.channel_params
     rng = trial_rng(config.seed, trial)
-    if sampler is None:
-        chan = sample_realization(params, rng)
-    else:
-        chan = sampler(params, rng, trial)
+    chan = sample_realization(params, rng) if sampler is None else sampler(params, rng, trial)
     budgets, strategies = config.budget_grid, config.strategies
     n_b, n_s = len(budgets), len(strategies)
     exact = np.zeros((n_b, n_s))
@@ -143,11 +140,8 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
                 max_select_power_rule=config.max_select_power_rule,
             )
             exact[bi, si] = exact_sum_rate(point, chan, alloc).total_rate
-            if approx is not None:
-                if strategy == allocators.LOW_SNR:
-                    approx[bi, si] = allocators.linear_approx_rate(point, chan, alloc)
-                elif strategy == allocators.HIGH_SNR:
-                    approx[bi, si] = allocators.log_approx_rate(point, chan, alloc)
+            if approx is not None and strategy in APPROX_RATES:
+                approx[bi, si] = APPROX_RATES[strategy](point, chan, alloc)
     return exact, approx
 
 
@@ -165,9 +159,7 @@ def collect_rates(config: SweepConfig, sampler=None) -> SweepSamples:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_trial_worker, jobs))
     exact = np.stack([r[0] for r in results], axis=2)
-    approx = None
-    if config.score_mode == "both":
-        approx = np.stack([r[1] for r in results], axis=2)
+    approx = np.stack([r[1] for r in results], axis=2) if config.score_mode == "both" else None
     return SweepSamples(
         budgets=config.budget_grid,
         strategies=config.strategies,
@@ -192,10 +184,7 @@ def run_sweep(config: SweepConfig, sampler=None) -> list[SweepRow]:
                     gaps = np.where(opt_rates > 0, (opt_rates - rates) / opt_rates, 0.0)
                 gap = float(gaps.mean())
             approx = None
-            if samples.approx is not None and strategy in (
-                allocators.LOW_SNR,
-                allocators.HIGH_SNR,
-            ):
+            if samples.approx is not None and strategy in APPROX_RATES:
                 approx = float(samples.approx[bi, si].mean())
             rows.append(
                 SweepRow(
@@ -256,11 +245,12 @@ def dump_instance(
 ) -> str:
     """Text report of one seeded instance under one strategy.
 
-    Floats are printed with 17 significant digits so rates recomputed from
-    the printed gains and powers reproduce the printed rate.
+    For the two Hungarian strategies the cost matrix and assignment are the
+    ones the allocator solved. Floats are printed with 17 significant digits
+    so rates recomputed from the printed gains and powers reproduce the
+    printed rate.
     """
-    rng = trial_rng(seed, 0)
-    chan = sample_realization(params, rng)
+    chan = sample_realization(params, trial_rng(seed, 0))
     alloc = allocate(strategy, params, chan, max_select_power_rule=max_select_power_rule)
     report = exact_sum_rate(params, chan, alloc)
 
@@ -278,29 +268,16 @@ def dump_instance(
         "power_budgets: " + " ".join(format(p, ".17g") for p in params.power_budgets),
     ]
     lines += _matrix_lines("normalized_gains", chan.normalized_gains)
-    lines.append("shadow_mask:")
-    for row in chan.shadow_mask:
-        lines.append("  " + " ".join("1" if m else "0" for m in row))
+    lines += _matrix_lines("shadow_mask", chan.shadow_mask.astype(int), "d")
 
-    if strategy == allocators.LOW_SNR:
-        cost = allocators.low_snr_cost_matrix(params, chan)
-        lines += _matrix_lines("cost_matrix (maximize, P*H)", cost.values)
-        result = solve_assignment(cost)
-        lines.append(
-            "assignment: "
-            + " ".join(f"{k}->{c}" for k, c in enumerate(result.column_of_row))
+    trace = alloc.trace
+    if trace is not None:
+        lines += _matrix_lines(f"cost_matrix ({trace.label})", trace.cost.values)
+        pairs = (
+            f"{r}->{c}" if trace.copies is None else f"{r}(link {r // trace.copies})->{c}"
+            for r, c in enumerate(trace.column_of_row)
         )
-    elif strategy == allocators.HIGH_SNR:
-        cost = allocators.high_snr_cost_matrix(params, chan)
-        lines += _matrix_lines("cost_matrix (maximize, ln H; forbidden cells printed as 0)", cost.values)
-        result = solve_assignment(replicate_rows(cost, params.quota))
-        lines.append(
-            "assignment: "
-            + " ".join(
-                f"{r}(link {r // params.quota})->{c}"
-                for r, c in enumerate(result.column_of_row)
-            )
-        )
+        lines.append("assignment: " + " ".join(pairs))
 
     lines.append("subchannels_of_link:")
     for k, subset in enumerate(alloc.subchannels_of_link):
@@ -326,19 +303,6 @@ class BenchRow:
     status: str
 
 
-def _bench_instance(num_links: int, num_subchannels: int, seed: int):
-    params = ChannelParams(
-        num_links=num_links,
-        num_subchannels=num_subchannels,
-        total_bandwidth=float(num_subchannels),
-        noise_psd=1.0,
-        shadow_prob=0.0,
-        power_budgets=(1.0,) * num_links,
-    )
-    chan = sample_realization(params, trial_rng(seed, 0))
-    return params, chan
-
-
 def scaling_bench(
     dims: list[tuple[int, int]],
     methods: tuple[str, ...] = BENCH_METHODS,
@@ -359,7 +323,15 @@ def scaling_bench(
         raise ValidationError(f"unknown bench methods: {sorted(unknown)}")
     rows = []
     for num_links, num_subchannels in dims:
-        params, chan = _bench_instance(num_links, num_subchannels, seed)
+        params = ChannelParams(
+            num_links=num_links,
+            num_subchannels=num_subchannels,
+            total_bandwidth=float(num_subchannels),
+            noise_psd=1.0,
+            shadow_prob=0.0,
+            power_budgets=(1.0,) * num_links,
+        )
+        chan = sample_realization(params, trial_rng(seed, 0))
         for method in BENCH_METHODS:
             if method not in methods:
                 continue
@@ -399,17 +371,7 @@ def scaling_bench(
 def bench_rows_to_csv(rows: list[BenchRow]) -> str:
     lines = ["method,links,subchannels,reps,median_seconds,partition_count,status"]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    str(r.num_links),
-                    str(r.num_subchannels),
-                    str(r.reps),
-                    "" if r.median_seconds is None else format(r.median_seconds, ".6g"),
-                    "" if r.partition_count is None else str(r.partition_count),
-                    r.status,
-                ]
-            )
-        )
+        seconds = "" if r.median_seconds is None else format(r.median_seconds, ".6g")
+        count = "" if r.partition_count is None else str(r.partition_count)
+        lines.append(f"{r.method},{r.num_links},{r.num_subchannels},{r.reps},{seconds},{count},{r.status}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ __all__ = [
     "WaterFillResult",
     "water_fill",
     "equal_split",
-    "concentrate_on_best",
 ]
 
 
@@ -100,12 +99,3 @@ def equal_split(set_size: int, budget: float) -> np.ndarray:
         raise ValidationError("budget must be finite and >= 0")
     return np.full(set_size, budget / set_size)
 
-
-def concentrate_on_best(gains, budget: float) -> np.ndarray:
-    """All budget on the highest-gain channel; ties go to the lowest index."""
-    g = _as_gain_array(gains)
-    if not np.isfinite(budget) or budget < 0.0:
-        raise ValidationError("budget must be finite and >= 0")
-    powers = np.zeros(g.size)
-    powers[int(np.argmax(g))] = budget
-    return powers

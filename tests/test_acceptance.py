@@ -18,11 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from multiband_alloc.assignment import (
-    CostMatrix,
-    brute_force_assignment,
-    solve_assignment,
-)
+from multiband_alloc.assignment import CostMatrix, solve_assignment
 from multiband_alloc.channel import ChannelParams
 from multiband_alloc.harness import (
     SweepConfig,
@@ -32,7 +28,8 @@ from multiband_alloc.harness import (
     sweep_rows_to_csv,
 )
 from multiband_alloc.allocators import enumerate_partitions, partition_count
-from multiband_alloc.power import concentrate_on_best, equal_split, water_fill
+from multiband_alloc.power import equal_split, water_fill
+from oracles import brute_force_assignment, concentrate_on_best
 
 LOW, HIGH, OPT, MAXSEL = 0, 1, 2, 3  # strategy indices in canonical order
 

@@ -106,6 +106,27 @@ class TestValidateAllocation:
         with pytest.raises(ValidationError, match=message):
             validate_allocation(params, self.make(sets, powers))
 
+    def test_budget_slack_scales_with_budget(self):
+        # At a 3.16e7 W budget a water-filled sum lands one ulp (3.7e-9 W)
+        # above the budget, more than an absolute 1e-9 slack allows.
+        budget = float(np.geomspace(1e6, 1e9, 7)[3])
+        params = ChannelParams(
+            num_links=3,
+            num_subchannels=6,
+            total_bandwidth=6.0,
+            noise_psd=1.0,
+            shadow_prob=0.02,
+            shadow_attenuation=1e-3,
+            power_budgets=(budget,) * 3,
+        )
+        chan = sample_realization(params, trial_rng(0, 0))
+        for tag in (OPTIMAL, MAX_SELECT):
+            validate_allocation(params, allocate(tag, params, chan))
+        powers = np.zeros((3, 6))
+        powers[0, 0] = budget * (1 + 1e-8)
+        with pytest.raises(ValidationError, match="exceeds budget"):
+            validate_allocation(params, self.make(((0, 1), (2, 3), (4, 5)), powers))
+
 
 class TestExactSumRate:
     def test_all_zero_powers_give_zero_rate(self):

@@ -6,11 +6,11 @@ import pytest
 from multiband_alloc.assignment import (
     AssignmentResult,
     CostMatrix,
-    brute_force_assignment,
     replicate_rows,
     solve_assignment,
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
+from oracles import brute_force_assignment
 
 
 def feasible_forbidden_mask(rng, rows, cols, density=0.4):

@@ -8,7 +8,6 @@ import pytest
 from multiband_alloc.channel import (
     ChannelParams,
     ChannelRealization,
-    normalized_gain,
     realization_from_squared_gains,
     sample_realization,
     trial_rng,
@@ -66,6 +65,8 @@ class TestChannelParams:
             dict(power_budgets=(1.0, -2.0)),
             dict(power_budgets=(1.0, float("inf"))),
             dict(shadow_attenuation=-0.5),
+            dict(total_bandwidth=float("inf")),
+            dict(noise_psd=float("inf")),
         ],
     )
     def test_rejects_invalid_params(self, overrides):
@@ -76,19 +77,6 @@ class TestChannelParams:
         p = make_params()
         with pytest.raises(AttributeError):
             p.num_links = 3
-
-
-class TestNormalizedGain:
-    def test_zero_gain(self):
-        assert normalized_gain(make_params(), 0.0) == 0.0
-
-    def test_unit_normalization(self):
-        # B/N = 1 and N0 = 1 leave the squared gain unchanged.
-        assert normalized_gain(make_params(), 3.5) == 3.5
-
-    def test_general_denominator(self):
-        p = make_params(total_bandwidth=8.0, noise_psd=2.0)
-        assert normalized_gain(p, 4.0) == 1.0
 
 
 class TestSampling:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from multiband_alloc import cli
+from multiband_alloc import allocators, cli, harness
 from multiband_alloc.allocators import HIGH_SNR, LOW_SNR, MAX_SELECT, OPTIMAL
+from multiband_alloc.assignment import solve_assignment
 from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
 from multiband_alloc.errors import ValidationError
 from multiband_alloc.harness import (
@@ -224,6 +225,20 @@ class TestDumpInstance:
         assert "cost_matrix" in high and "assignment:" in high
         assert "cost_matrix" not in other
 
+    @pytest.mark.parametrize("strategy", [LOW_SNR, HIGH_SNR])
+    def test_reads_the_allocators_own_solve(self, strategy, monkeypatch):
+        calls = []
+
+        def counting(cost):
+            calls.append(cost)
+            return solve_assignment(cost)
+
+        for module in (allocators, harness):
+            monkeypatch.setattr(module, "solve_assignment", counting, raising=False)
+        report = dump_instance(small_params(), seed=2, strategy=strategy)
+        assert len(calls) == 1
+        assert "assignment:" in report
+
 
 class TestScalingBench:
     def test_rows_and_counts(self):
@@ -357,10 +372,35 @@ class TestCliMain:
         assert code == 0
         assert out.read_text().startswith("method,")
 
-    def test_validation_error_exit_code(self, tmp_path):
+    def test_validation_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        args = self.sweep_args(out, extra=["--links", "4", "--subchannels", "2"])
-        assert cli.main(args) == 2
+        bad = (["--seed", "-1"], ["--noise-psd", "inf"], ["--bandwidth", "inf"])
+        runs = [self.sweep_args(out, extra=["--links", "4", "--subchannels", "2"])]
+        runs += [self.sweep_args(out, extra=extra) for extra in bad]
+        runs += [["dump", "--strategy", "low", *extra] for extra in bad]
+        for args in runs:
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,stage",
+        [
+            (["sweep", "--trials", "1"], "run_sweep"),
+            (["dump", "--strategy", "low"], "dump_instance"),
+            (["bench", "--dims", "2:4", "--reps", "1"], "scaling_bench"),
+        ],
+    )
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch, command, stage):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(harness, stage, must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "x.csv"

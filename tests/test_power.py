@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from multiband_alloc.errors import InfeasibleError, ValidationError
-from multiband_alloc.power import (
-    WaterFillResult,
-    concentrate_on_best,
-    equal_split,
-    water_fill,
-)
+from multiband_alloc.power import WaterFillResult, equal_split, water_fill
+from oracles import concentrate_on_best
 
 
 def bisect_water_level(gains, budget, iters=200):
