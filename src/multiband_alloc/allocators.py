@@ -251,7 +251,13 @@ def _allocation(tag: str, rule: str, params, chan, sets, trace) -> Allocation:
 def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
     budgets = np.asarray(params.power_budgets)[:, None]
-    return CostMatrix(values=budgets * chan.normalized_gains, orientation="maximize")
+    with np.errstate(over="ignore"):
+        values = budgets * chan.normalized_gains
+    if np.isinf(values).any():
+        raise ValidationError(
+            f"power budget {max(params.power_budgets):g} W times a normalized gain overflows"
+        )
+    return CostMatrix(values=values, orientation="maximize")
 
 
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:

@@ -110,19 +110,19 @@ def _effective_min_matrix(cost: CostMatrix) -> np.ndarray:
     return np.where(allowed, work, sentinel)
 
 
-def _hungarian_min_square(a: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost perfect matching on a square matrix.
+def _hungarian_min(a: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost matching of every row of an R x C matrix, R <= C.
 
     Augmenting-path Hungarian with row/column potentials; one alternating
-    tree per row, column index n acting as the virtual root. Inner scans are
-    vectorized over columns, giving O(n^3) total work.
+    tree per row, column index C acting as the virtual root. Inner scans are
+    vectorized over columns, giving O(R^2 C) total work.
     """
-    n = a.shape[0]
-    u = np.zeros(n)
+    rows, n = a.shape
+    u = np.zeros(rows)
     v = np.zeros(n + 1)
     assigned_row = np.full(n + 1, -1, dtype=np.int64)
 
-    for i in range(n):
+    for i in range(rows):
         assigned_row[n] = i
         j0 = n
         min_slack = np.full(n, np.inf)
@@ -162,19 +162,18 @@ def _hungarian_min_square(a: np.ndarray) -> np.ndarray:
             assigned_row[j0] = assigned_row[jprev]
             j0 = jprev
 
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        col_of_row[assigned_row[j]] = j
+    taken = np.flatnonzero(assigned_row[:n] >= 0)
+    col_of_row = np.empty(rows, dtype=np.int64)
+    col_of_row[assigned_row[taken]] = taken
     return col_of_row
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Solve the assignment problem exactly for either orientation.
 
-    Rectangular inputs are padded to square with zero-cost dummy rows, whose
-    assignments are dropped. Maximization runs through the minimizing core on
-    the negated matrix; the reported objective is always the sum of the
-    selected cells of the original matrix.
+    Maximization runs through the minimizing core on the negated matrix; the
+    reported objective is always the sum of the selected cells of the
+    original matrix.
 
     Raises
     ------
@@ -182,12 +181,8 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         If some row has all cells forbidden, or no complete assignment can
         avoid forbidden cells.
     """
-    work = _effective_min_matrix(cost)
-    rows, cols = work.shape
-    if rows < cols:
-        work = np.vstack([work, np.zeros((cols - rows, cols))])
-    col_of_row = _hungarian_min_square(work)[:rows]
-    if cost.forbidden[np.arange(rows), col_of_row].any():
+    col_of_row = _hungarian_min(_effective_min_matrix(cost))
+    if cost.forbidden[np.arange(cost.num_rows), col_of_row].any():
         raise InfeasibleError("no complete assignment avoids the forbidden cells")
     return AssignmentResult(
         column_of_row=tuple(int(c) for c in col_of_row),

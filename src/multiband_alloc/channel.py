@@ -67,8 +67,8 @@ class ChannelParams:
             raise ValidationError("noise_psd must be finite and > 0")
         if not (0.0 <= self.shadow_prob <= 1.0):
             raise ValidationError("shadow_prob must lie in [0, 1]")
-        if not (self.shadow_attenuation >= 0.0):
-            raise ValidationError("shadow_attenuation must be >= 0")
+        if not (0.0 <= self.shadow_attenuation < np.inf):
+            raise ValidationError("shadow_attenuation must be finite and >= 0")
         budgets = tuple(float(p) for p in self.power_budgets)
         if len(budgets) != self.num_links:
             raise ValidationError("power_budgets must list one budget per link")
@@ -100,27 +100,22 @@ class ChannelParams:
 class ChannelRealization:
     """One sampled channel state.
 
-    `squared_gains[k, n]` is |h|^2 for link k on sub-channel n (after
-    shadowing), `normalized_gains` divides it by the sub-channel noise power
-    N0 * B/N, and `shadow_mask` marks the entries that were shadowed.
+    `normalized_gains[k, n]` is |h|^2 for link k on sub-channel n (after
+    shadowing) divided by the sub-channel noise power N0 * B/N, and
+    `shadow_mask` marks the entries that were shadowed.
     """
 
-    squared_gains: np.ndarray
     normalized_gains: np.ndarray
     shadow_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("squared_gains", "normalized_gains", "shadow_mask"):
+        for name in ("normalized_gains", "shadow_mask"):
             arr = getattr(self, name)
             if arr.ndim != 2:
                 raise ValidationError(f"{name} must be a 2-D matrix")
             arr.setflags(write=False)
-        if self.squared_gains.shape != self.normalized_gains.shape or (
-            self.squared_gains.shape != self.shadow_mask.shape
-        ):
-            raise ValidationError("gain matrices and shadow mask must share one shape")
-        if not np.isfinite(self.squared_gains).all() or (self.squared_gains < 0).any():
-            raise ValidationError("squared_gains must be finite and >= 0")
+        if self.normalized_gains.shape != self.shadow_mask.shape:
+            raise ValidationError("gain matrix and shadow mask must share one shape")
         if not np.isfinite(self.normalized_gains).all() or (self.normalized_gains < 0).any():
             raise ValidationError("normalized_gains must be finite and >= 0")
 
@@ -160,13 +155,26 @@ def sample_realization(params: ChannelParams, rng: np.random.Generator) -> Chann
     squared = rng.exponential(1.0, size=shape)
     mask = rng.random(size=shape) < params.shadow_prob
     if mask.any():
-        squared = np.where(mask, squared * params.shadow_attenuation, squared)
-    normalized = squared / params.noise_per_subchannel
-    return ChannelRealization(
-        squared_gains=squared,
-        normalized_gains=normalized,
-        shadow_mask=mask,
-    )
+        # np.where keeps only the shadowed products; an overflow elsewhere is dropped.
+        with np.errstate(over="ignore"):
+            squared = np.where(mask, squared * params.shadow_attenuation, squared)
+        if np.isinf(squared).any():
+            raise ValidationError(
+                f"shadow_attenuation {params.shadow_attenuation:g} overflows a shadowed squared gain"
+            )
+    return ChannelRealization(normalized_gains=_normalize(params, squared), shadow_mask=mask)
+
+
+def _normalize(params: ChannelParams, squared: np.ndarray) -> np.ndarray:
+    """Squared gains over the sub-channel noise power; overflow is a parameter error."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        normalized = squared / params.noise_per_subchannel
+    if not np.isfinite(normalized).all():
+        raise ValidationError(
+            f"noise_psd * bandwidth / subchannels = {params.noise_per_subchannel:g} W "
+            "is too small: normalized gains overflow"
+        )
+    return normalized
 
 
 def realization_from_squared_gains(
@@ -178,12 +186,10 @@ def realization_from_squared_gains(
     squared = np.array(squared_gains, dtype=float)
     if squared.shape != (params.num_links, params.num_subchannels):
         raise ValidationError("squared_gains shape must be (num_links, num_subchannels)")
+    if not np.isfinite(squared).all() or (squared < 0).any():
+        raise ValidationError("squared_gains must be finite and >= 0")
     if shadow_mask is None:
         mask = np.zeros(squared.shape, dtype=bool)
     else:
         mask = np.array(shadow_mask, dtype=bool)
-    return ChannelRealization(
-        squared_gains=squared,
-        normalized_gains=squared / params.noise_per_subchannel,
-        shadow_mask=mask,
-    )
+    return ChannelRealization(normalized_gains=_normalize(params, squared), shadow_mask=mask)

@@ -84,6 +84,8 @@ def parse_budget_grid(text: str) -> tuple[float, ...]:
         return (lo,)
     if not lo < hi:
         raise ValidationError("budget grid needs LO < HI")
+    if not (0.0 <= lo and hi < np.inf):
+        raise ValidationError("budgets must be finite and >= 0")
     if spacing == "log":
         if lo <= 0:
             raise ValidationError("log-spaced budget grid needs LO > 0")

@@ -27,7 +27,6 @@ __all__ = [
     "collect_rates",
     "run_sweep",
     "sweep_rows_to_csv",
-    "write_sweep_csv",
     "dump_instance",
     "BenchRow",
     "scaling_bench",
@@ -121,10 +120,9 @@ class SweepSamples:
 
 
 def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
-    config, trial, sampler = args
+    config, trial = args
     params = config.channel_params
-    rng = trial_rng(config.seed, trial)
-    chan = sample_realization(params, rng) if sampler is None else sampler(params, rng, trial)
+    chan = sample_realization(params, trial_rng(config.seed, trial))
     budgets, strategies = config.budget_grid, config.strategies
     n_b, n_s = len(budgets), len(strategies)
     exact = np.zeros((n_b, n_s))
@@ -145,14 +143,9 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     return exact, approx
 
 
-def collect_rates(config: SweepConfig, sampler=None) -> SweepSamples:
-    """Evaluate all (budget, strategy, trial) cells; trials may run in parallel.
-
-    `sampler(params, rng, trial)`, when given, replaces the fading model
-    (useful for synthetic gain matrices); it must be a module-level function
-    if workers > 1.
-    """
-    jobs = [(config, trial, sampler) for trial in range(config.trials)]
+def collect_rates(config: SweepConfig) -> SweepSamples:
+    """Evaluate all (budget, strategy, trial) cells; trials may run in parallel."""
+    jobs = [(config, trial) for trial in range(config.trials)]
     if config.workers == 1:
         results = [_trial_worker(job) for job in jobs]
     else:
@@ -168,9 +161,9 @@ def collect_rates(config: SweepConfig, sampler=None) -> SweepSamples:
     )
 
 
-def run_sweep(config: SweepConfig, sampler=None) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Aggregate a sweep into rows, budget-major then strategy order."""
-    samples = collect_rates(config, sampler=sampler)
+    samples = collect_rates(config)
     has_optimal = allocators.OPTIMAL in config.strategies
     opt_idx = config.strategies.index(allocators.OPTIMAL) if has_optimal else -1
     rows = []
@@ -222,11 +215,6 @@ def sweep_rows_to_csv(rows: list[SweepRow], score_mode: str = "exact") -> str:
             cells.append(_fmt(row.mean_approx_rate))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: list[SweepRow], path, score_mode: str = "exact") -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sweep_rows_to_csv(rows, score_mode))
 
 
 def _matrix_lines(label: str, matrix: np.ndarray, fmt: str = ".17g") -> list[str]:

@@ -72,6 +72,12 @@ class TestKnownSolutions:
         assert sorted(res.column_of_row) == [0, 1, 2, 3, 4]
         assert res.objective_value == 15.0
 
+    def test_all_equal_rectangular_matrix(self):
+        # The low_snr tie at budget 0: every row takes the lowest free column.
+        res = solve_assignment(CostMatrix(np.zeros((3, 7)), "maximize"))
+        assert res.column_of_row == (0, 1, 2)
+        assert res.objective_value == 0.0
+
     def test_one_by_one(self):
         res = solve_assignment(CostMatrix(np.array([[7.0]]), "minimize"))
         assert res == AssignmentResult(column_of_row=(0,), objective_value=7.0)
@@ -214,7 +220,7 @@ class TestInfeasibility:
 
 
 class TestScipyCrossCheck:
-    @pytest.mark.parametrize("shape", [(30, 40), (50, 60)])
+    @pytest.mark.parametrize("shape", [(30, 40), (50, 60), (8, 32), (2, 16), (1, 9)])
     @pytest.mark.parametrize("orientation", ["minimize", "maximize"])
     def test_large_matrices_match_scipy(self, shape, orientation):
         scipy_opt = pytest.importorskip("scipy.optimize")

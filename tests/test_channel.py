@@ -67,6 +67,7 @@ class TestChannelParams:
             dict(shadow_attenuation=-0.5),
             dict(total_bandwidth=float("inf")),
             dict(noise_psd=float("inf")),
+            dict(shadow_attenuation=float("inf")),
         ],
     )
     def test_rejects_invalid_params(self, overrides):
@@ -84,18 +85,20 @@ class TestSampling:
         p = make_params(shadow_prob=0.0)
         chan = sample_realization(p, trial_rng(123, 0))
         assert not chan.shadow_mask.any()
-        assert np.isfinite(chan.squared_gains).all()
-        assert (chan.squared_gains > 0).all()
+        assert np.isfinite(chan.normalized_gains).all()
+        assert (chan.normalized_gains > 0).all()
 
     def test_unit_denominator_gives_h_equal_to_squared_gain(self):
+        # N0 * B/N = 1, so the normalized gains are the (shadowed) exponential draws.
         chan = sample_realization(make_params(), trial_rng(5, 0))
-        assert np.array_equal(chan.normalized_gains, chan.squared_gains)
+        draws = trial_rng(5, 0).exponential(1.0, size=(2, 4))
+        assert np.array_equal(chan.normalized_gains, np.where(chan.shadow_mask, 0.0, draws))
 
     def test_bit_reproducible(self):
         p = make_params()
         a = sample_realization(p, trial_rng(99, 7))
         b = sample_realization(p, trial_rng(99, 7))
-        assert np.array_equal(a.squared_gains, b.squared_gains)
+        assert np.array_equal(a.normalized_gains, b.normalized_gains)
         assert np.array_equal(a.shadow_mask, b.shadow_mask)
 
     def test_trials_are_distinct_substreams(self):
@@ -103,15 +106,14 @@ class TestSampling:
         a = sample_realization(p, trial_rng(99, 0))
         b = sample_realization(p, trial_rng(99, 1))
         c = sample_realization(p, trial_rng(100, 0))
-        assert not np.array_equal(a.squared_gains, b.squared_gains)
-        assert not np.array_equal(a.squared_gains, c.squared_gains)
+        assert not np.array_equal(a.normalized_gains, b.normalized_gains)
+        assert not np.array_equal(a.normalized_gains, c.normalized_gains)
 
     def test_doubling_noise_halves_h_exactly(self):
         p1 = make_params(shadow_prob=0.0)
         p2 = make_params(shadow_prob=0.0, noise_psd=2.0)
         a = sample_realization(p1, trial_rng(11, 3))
         b = sample_realization(p2, trial_rng(11, 3))
-        assert np.array_equal(a.squared_gains, b.squared_gains)
         assert np.array_equal(b.normalized_gains, a.normalized_gains / 2.0)
 
     def test_shadow_attenuation_multiplies_squared_gain(self):
@@ -122,20 +124,19 @@ class TestSampling:
             make_params(shadow_prob=1.0, shadow_attenuation=0.25), trial_rng(4, 2)
         )
         assert dimmed.shadow_mask.all()
-        assert np.array_equal(dimmed.squared_gains, clear.squared_gains * 0.25)
+        assert np.array_equal(dimmed.normalized_gains, clear.normalized_gains * 0.25)
 
     def test_full_shadowing_with_zero_attenuation_blocks_everything(self):
         chan = sample_realization(make_params(shadow_prob=1.0), trial_rng(8, 0))
         assert chan.shadow_mask.all()
-        assert (chan.squared_gains == 0).all()
         assert (chan.normalized_gains == 0).all()
 
     def test_arrays_read_only(self):
         chan = sample_realization(make_params(), trial_rng(0, 0))
         with pytest.raises(ValueError):
-            chan.squared_gains[0, 0] = 5.0
-        with pytest.raises(ValueError):
             chan.normalized_gains[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            chan.shadow_mask[0, 0] = True
 
 
 class TestRealizationFromSquaredGains:
@@ -159,7 +160,6 @@ class TestRealizationFromSquaredGains:
     def test_direct_construction_validates(self):
         with pytest.raises(ValidationError):
             ChannelRealization(
-                squared_gains=np.ones((2, 4)),
                 normalized_gains=np.full((2, 4), np.nan),
                 shadow_mask=np.zeros((2, 4), dtype=bool),
             )
@@ -177,7 +177,7 @@ class TestStatistics:
             power_budgets=(1.0,) * 100,
         )
         chan = sample_realization(p, trial_rng(2024, 0))
-        g = chan.squared_gains
+        g = chan.normalized_gains
         assert g.size == 100_000
         assert abs(g.mean() - 1.0) < 0.01
         assert abs((g > 1.0).mean() - math.exp(-1.0)) < 0.01 * math.exp(-1.0)
@@ -196,4 +196,4 @@ class TestStatistics:
         n = chan.shadow_mask.size
         sigma = math.sqrt(pf * (1 - pf) / n)
         assert abs(chan.shadow_mask.mean() - pf) < 3 * sigma
-        assert np.array_equal(chan.squared_gains == 0, chan.shadow_mask)
+        assert np.array_equal(chan.normalized_gains == 0, chan.shadow_mask)

@@ -20,7 +20,6 @@ from multiband_alloc.harness import (
     run_sweep,
     scaling_bench,
     sweep_rows_to_csv,
-    write_sweep_csv,
 )
 
 
@@ -48,7 +47,7 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
-def constant_gain_sampler(params, rng, trial):
+def constant_gains(params, rng):
     gains = np.full((params.num_links, params.num_subchannels), 2.0)
     return realization_from_squared_gains(params, gains)
 
@@ -126,7 +125,7 @@ class TestRunSweep:
         rows = run_sweep(small_config(strategies=(LOW_SNR,)))
         assert all(r.mean_gap_vs_optimal is None for r in rows)
 
-    def test_symmetric_closed_form(self):
+    def test_symmetric_closed_form(self, monkeypatch):
         # All-equal gains: water-filling degenerates to an equal split, so the
         # optimum has the closed form K * quota * (B/N) * log2(1 + (P/quota) H).
         config = small_config(
@@ -135,7 +134,8 @@ class TestRunSweep:
             trials=3,
             channel_params=small_params(shadow_prob=0.0),
         )
-        rows = run_sweep(config, sampler=constant_gain_sampler)
+        monkeypatch.setattr(harness, "sample_realization", constant_gains)
+        rows = run_sweep(config)
         for row in rows:
             expected = 2 * 2 * 1.0 * math.log2(1.0 + (row.budget / 2.0) * 2.0)
             assert row.mean_rate == pytest.approx(expected, rel=1e-12)
@@ -180,12 +180,6 @@ class TestCsvFormat:
         assert by_strategy[HIGH_SNR][7] != ""
         assert by_strategy[OPTIMAL][7] == ""
         assert by_strategy[MAX_SELECT][7] == ""
-
-    def test_write_sweep_csv_round_trip(self, tmp_path):
-        rows = run_sweep(small_config(trials=2))
-        path = tmp_path / "out.csv"
-        write_sweep_csv(rows, path)
-        assert path.read_text() == sweep_rows_to_csv(rows)
 
 
 class TestDumpInstance:
@@ -374,14 +368,26 @@ class TestCliMain:
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        bad = (["--seed", "-1"], ["--noise-psd", "inf"], ["--bandwidth", "inf"])
-        runs = [self.sweep_args(out, extra=["--links", "4", "--subchannels", "2"])]
-        runs += [self.sweep_args(out, extra=extra) for extra in bad]
-        runs += [["dump", "--strategy", "low", *extra] for extra in bad]
-        for args in runs:
+        # (flags, the parameter the one-line error must name)
+        bad = [
+            (["--seed", "-1"], "seed"),
+            (["--noise-psd", "inf"], "noise_psd"),
+            (["--bandwidth", "inf"], "bandwidth"),
+            (["--shadow-atten", "inf"], "shadow_atten"),
+            (["--noise-psd", "1e-320"], "noise_psd"),
+            (["--bandwidth", "1e-320"], "bandwidth"),
+            (["--shadow-atten", "1e308", "--shadow-prob", "1"], "shadow_atten"),
+        ]
+        sweep_bad = [(["--budgets", "1e-3:1e400:3"], "budgets"), (["--budgets", "1e300:1e308:2"], "budget")]
+        runs = [(self.sweep_args(out, extra=["--links", "4", "--subchannels", "2"]), "subchannels")]
+        runs += [(self.sweep_args(out, extra=extra), name) for extra, name in bad + sweep_bad]
+        runs += [(["dump", "--strategy", "low", *extra], name) for extra, name in bad]
+        runs += [(["dump", "--strategy", "low", "--budget", "1e308"], "budget")]
+        for args, name in runs:
             assert cli.main(args) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert name in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
