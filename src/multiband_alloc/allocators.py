@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -70,7 +70,10 @@ CONCENTRATE, EQUAL_SPLIT, WATER_FILL = "concentrate", "equal_split", "water_fill
 POWER_RULES = (WATER_FILL, EQUAL_SPLIT)
 _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
+# Partition id tables up to this many rows are cached; larger instances
+# stream the same ids in chunks of _PARTITION_CHUNK rows.
 _CACHED_PARTITION_LIMIT = 20_000
+_PARTITION_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -160,22 +163,32 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
             raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
+def _link_rate(params: ChannelParams, k: int, p_row, h_row, subset) -> float:
+    """Exact rate of link k: (B/N) * sum over `subset` of log2(1 + p*H),
+    added in set order. The rows are lists of floats, so an overflowing
+    p*H gives inf, not a numpy warning, and is reported here."""
+    link = 0.0
+    for n in subset:
+        link += math.log1p(p_row[n] * h_row[n]) / _LN2
+    if not math.isfinite(link):
+        raise ValidationError(
+            f"power budget {params.power_budgets[k]:g} W times a normalized gain overflows"
+        )
+    return params.subchannel_bandwidth * link
+
+
 def _score(params: ChannelParams, h: np.ndarray, sets, powers: np.ndarray):
-    """Exact per-link rates and their total. Each link sums log2(1 + p*H)
-    in set order and scales by B/N; the total adds links in index order, so
-    every caller gets bit-identical scores for equal allocations."""
-    bw = params.subchannel_bandwidth
-    per_link = []
+    """Exact per-link rates and their total. Each link is scored by
+    `_link_rate`; the total adds links in index order, so every caller gets
+    bit-identical scores for equal allocations."""
+    p_rows, h_rows = powers.tolist(), h.tolist()
+    per_link = tuple(
+        _link_rate(params, k, p_rows[k], h_rows[k], subset) for k, subset in enumerate(sets)
+    )
     total = 0.0
-    for k, subset in enumerate(sets):
-        p_row, h_row = powers[k], h[k]
-        link = 0.0
-        for n in subset:
-            link += math.log1p(p_row[n] * h_row[n]) / _LN2
-        rate = bw * link
-        per_link.append(rate)
+    for rate in per_link:
         total += rate
-    return tuple(per_link), total
+    return per_link, total
 
 
 def exact_sum_rate(
@@ -220,13 +233,20 @@ def log_approx_rate(params: ChannelParams, chan: ChannelRealization, alloc: Allo
 APPROX_RATES = {LOW_SNR: linear_approx_rate, HIGH_SNR: log_approx_rate}
 
 
+def _water_filled(gains: np.ndarray, budget: float) -> np.ndarray:
+    """Water-filled powers over `gains`; a set with no positive gain stays
+    unpowered (its rate is zero either way)."""
+    if (gains > 0).any():
+        return water_fill(gains, budget).powers
+    return np.zeros(gains.size)
+
+
 def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.ndarray:
     """K x N powers from one named rule applied to every link's set.
 
     "concentrate" puts the whole budget on the first sub-channel of the set,
     the one its selection ranked first; "equal_split" spreads it evenly;
-    "water_fill" water-fills it, and leaves a set with no positive gain
-    unpowered (its rate is zero either way).
+    "water_fill" water-fills it.
     """
     powers = np.zeros((params.num_links, params.num_subchannels))
     for k, subset in enumerate(sets):
@@ -236,9 +256,7 @@ def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.nd
         elif rule == EQUAL_SPLIT:
             powers[k, subset] = equal_split(len(subset), budget)
         else:
-            gains = h[k, subset]
-            if (gains > 0).any():
-                powers[k, subset] = water_fill(gains, budget).powers
+            powers[k, subset] = _water_filled(h[k, subset], budget)
     return powers
 
 
@@ -344,9 +362,31 @@ def enumerate_partitions(num_subchannels: int, num_links: int):
     yield from recurse(tuple(range(num_subchannels)), 0, ())
 
 
+def _partition_ids(num_subchannels: int, num_links: int, subsets):
+    """Yield each partition of `enumerate_partitions`, in its order, as the
+    indices of its link sets in `subsets`."""
+    index = {subset: i for i, subset in enumerate(subsets)}
+    for part in enumerate_partitions(num_subchannels, num_links):
+        yield [index[subset] for subset in part]
+
+
 @lru_cache(maxsize=32)
-def _partition_table(num_subchannels: int, num_links: int) -> tuple:
-    return tuple(enumerate_partitions(num_subchannels, num_links))
+def _cached_partition_ids(num_subchannels: int, num_links: int, subsets) -> np.ndarray:
+    ids = np.array(list(_partition_ids(num_subchannels, num_links, subsets)))
+    ids.setflags(write=False)
+    return ids
+
+
+def _partition_id_chunks(num_subchannels: int, num_links: int, subsets, count: int):
+    """The (count, K) table of each partition's set indices in `subsets`,
+    in enumeration order: one cached chunk up to _CACHED_PARTITION_LIMIT
+    partitions, chunks of _PARTITION_CHUNK rows streamed above it."""
+    if count <= _CACHED_PARTITION_LIMIT:
+        yield _cached_partition_ids(num_subchannels, num_links, subsets)
+        return
+    rows = _partition_ids(num_subchannels, num_links, subsets)
+    while chunk := list(islice(rows, _PARTITION_CHUNK)):
+        yield np.array(chunk)
 
 
 def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
@@ -358,18 +398,30 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
             f"instance too large: {count} candidate partitions exceed the guard "
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
-    if count <= _CACHED_PARTITION_LIMIT:
-        candidates = _partition_table(n_sub, k_links)
-    else:
-        candidates = enumerate_partitions(n_sub, k_links)
+    subsets = tuple(combinations(range(n_sub), params.quota))
+    # The objective is separable by link: rates[k, i] is link k's
+    # water-filled rate on subsets[i], the same float the scorer gives that
+    # link in every partition that hands it that set.
+    columns = np.array(subsets)
+    positions = range(params.quota)
+    rates = np.empty((k_links, len(subsets)))
+    for k in range(k_links):
+        budget = params.power_budgets[k]
+        for i, gains in enumerate(chan.normalized_gains[k][columns]):
+            powers = _water_filled(gains, budget).tolist()
+            rates[k, i] = _link_rate(params, k, powers, gains.tolist(), positions)
 
-    h = chan.normalized_gains
-    best_rate, best_sets = -math.inf, None
-    for cand in candidates:
-        rate = _score(params, h, cand, _apply_power(WATER_FILL, params, h, cand))[1]
-        if rate > best_rate:
-            best_rate, best_sets = rate, cand
-    return best_sets, None
+    # Partition totals add the link rates in index order, as the scorer
+    # does; argmax and the strict > across chunks keep the first maximum.
+    best_total, best_ids = -math.inf, None
+    for ids in _partition_id_chunks(n_sub, k_links, subsets, count):
+        totals = np.zeros(len(ids))
+        for k in range(k_links):
+            totals += rates[k, ids[:, k]]
+        i = int(np.argmax(totals))
+        if totals[i] > best_total:
+            best_total, best_ids = totals[i], ids[i]
+    return [subsets[i] for i in best_ids], None
 
 
 def optimal_allocate(
@@ -377,11 +429,16 @@ def optimal_allocate(
     chan: ChannelRealization,
     partition_guard: int = DEFAULT_PARTITION_GUARD,
 ) -> Allocation:
-    """Brute-force optimum: best water-filled rate over every quota partition.
+    """Exact optimum: best water-filled rate over every quota partition.
 
-    The first partition with the highest rate wins, in enumeration order. A
-    link whose set has no positive gain keeps zero power (its rate
-    contribution is zero either way).
+    The search is exhaustive, but the objective is separable by link,
+    so it water-fills each (link, quota set) pair once, K * C(N, floor(N/K))
+    water-fills in all, and scores each partition by adding its links'
+    rates from that table. The first partition with the highest rate wins,
+    in enumeration order. The partition index table holds count x K
+    integers; it is cached up to 20,000 partitions and streamed in chunks
+    above that. A link whose set has no positive gain keeps zero power
+    (its rate contribution is zero either way).
     """
     return _allocation(
         OPTIMAL, WATER_FILL, params, chan, *_optimal_sets(params, chan, partition_guard)

@@ -301,8 +301,10 @@ def scaling_bench(
     """Median wall time per method per dimension over `reps` repetitions.
 
     "hungarian" times the quota-replicated assignment solve, "optimal" the
-    full partition enumeration (skipped when the guard trips), "max_select"
-    the greedy allocator. Rows are emitted per dimension, method order fixed.
+    exhaustive partition search (K * C(N, floor(N/K)) water-fills plus one
+    rate-table lookup per partition; skipped when the guard trips),
+    "max_select" the greedy allocator. Rows are emitted per dimension,
+    method order fixed.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")

@@ -1,12 +1,24 @@
 """Exhaustive oracles the tests check the package against.
 
 `brute_force_assignment` evaluates every injection of rows into columns;
+`optimal_by_enumeration` water-fills and scores every quota partition;
 `concentrate_on_best` is the single-channel power rule the water-filling
-dominance checks compare with. Neither is used by the package itself.
+dominance checks compare with. None is used by the package itself.
 """
+
+import math
 
 import numpy as np
 
+from multiband_alloc.allocators import (
+    OPTIMAL,
+    WATER_FILL,
+    Allocation,
+    _allocation,
+    _apply_power,
+    _score,
+    enumerate_partitions,
+)
 from multiband_alloc.assignment import (
     AssignmentResult,
     CostMatrix,
@@ -66,6 +78,18 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
         column_of_row=tuple(int(c) for c in best_cols),
         objective_value=_selection_value(cost.values, best_cols),
     )
+
+
+def optimal_by_enumeration(params, chan) -> Allocation:
+    """Exhaustive optimum oracle: water-fill and score every partition in
+    enumeration order; the first one with the strictly highest rate wins."""
+    h = chan.normalized_gains
+    best_rate, best_sets = -math.inf, None
+    for cand in enumerate_partitions(params.num_subchannels, params.num_links):
+        rate = _score(params, h, cand, _apply_power(WATER_FILL, params, h, cand))[1]
+        if rate > best_rate:
+            best_rate, best_sets = rate, cand
+    return _allocation(OPTIMAL, WATER_FILL, params, chan, best_sets, None)
 
 
 def concentrate_on_best(gains, budget: float) -> np.ndarray:

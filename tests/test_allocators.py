@@ -1,10 +1,12 @@
 """Strategy-level tests: hand-traced instances, enumeration oracles, fuzzing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from multiband_alloc import allocators
 from multiband_alloc.allocators import (
     HIGH_SNR,
     LOW_SNR,
@@ -35,6 +37,7 @@ from multiband_alloc.channel import (
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import water_fill
+from oracles import optimal_by_enumeration
 
 LOG2_5 = math.log2(5.0)
 LOG2_3 = math.log2(3.0)
@@ -297,6 +300,30 @@ class TestOptimal:
                     rate += np.log2(1.0 + powers * h[k, list(subset)]).sum()
                 best = max(best, rate)
             assert total == pytest.approx(best, rel=1e-12, abs=1e-9)
+
+    def test_bit_identical_to_enumeration(self, monkeypatch):
+        def cases(dims):
+            for k, n in dims:
+                for budget in (0.0, 1e-3, 1.0, 1e3):
+                    params = unit_params(k, n, (budget,) * k)
+                    yield params, inject(params, np.full((k, n), 1.7))
+                    # Full blocking, then 30 dB shadowing.
+                    for atten in (0.0, 1e-3):
+                        shadowed = replace(params, shadow_prob=0.3, shadow_attenuation=atten)
+                        for trial in range(1 if k * n > 20 else 3):
+                            yield shadowed, sample_realization(shadowed, trial_rng(7, trial))
+
+        def check(dims):
+            for params, chan in cases(dims):
+                fast, oracle = optimal_allocate(params, chan), optimal_by_enumeration(params, chan)
+                assert fast.subchannels_of_link == oracle.subchannels_of_link
+                assert np.array_equal(fast.powers, oracle.powers)
+
+        check([(2, 4), (3, 7), (4, 8), (1, 5)])
+        # The chunked path, with chunk boundaries inside the enumeration.
+        monkeypatch.setattr(allocators, "_CACHED_PARTITION_LIMIT", 0)
+        monkeypatch.setattr(allocators, "_PARTITION_CHUNK", 7)
+        check([(3, 7)])
 
     def test_all_equal_gains_ties_high_snr(self):
         params = unit_params(budgets=(2.0, 2.0))

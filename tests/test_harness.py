@@ -379,10 +379,19 @@ class TestCliMain:
             (["--shadow-atten", "1e308", "--shadow-prob", "1"], "shadow_atten"),
         ]
         sweep_bad = [(["--budgets", "1e-3:1e400:3"], "budgets"), (["--budgets", "1e300:1e308:2"], "budget")]
+        # The exact scorer's p*H overflows for every strategy but low_snr.
+        sweep_bad += [
+            (["--strategies", strategy, "--budgets", "1e307:1.7e308:2"], "budget")
+            for strategy in ("high", "opt", "maxsel")
+        ]
         runs = [(self.sweep_args(out, extra=["--links", "4", "--subchannels", "2"]), "subchannels")]
         runs += [(self.sweep_args(out, extra=extra), name) for extra, name in bad + sweep_bad]
         runs += [(["dump", "--strategy", "low", *extra], name) for extra, name in bad]
         runs += [(["dump", "--strategy", "low", "--budget", "1e308"], "budget")]
+        runs += [
+            (["dump", "--strategy", strategy, "--budget", "1.7e308"], "budget")
+            for strategy in ("high", "opt", "maxsel")
+        ]
         for args, name in runs:
             assert cli.main(args) == 2
             err = capsys.readouterr().err

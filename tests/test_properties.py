@@ -2,7 +2,8 @@
 
 Gain matrices have K <= 3 links and N <= 7 sub-channels (N need not be a
 multiple of K), with zero gains mixed in; budgets are log-uniform over
-1e-6 to 1e9 W per link.
+1e-6 to 1e9 W per link. `optimal` must also pick the partition that the
+enumeration oracle picks.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from multiband_alloc.allocators import (
 )
 from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
 from multiband_alloc.errors import InfeasibleError
+from oracles import optimal_by_enumeration
 
 REL_TOL = 1e-12
 
@@ -64,6 +66,9 @@ def test_strategies_valid_and_bounded_by_optimal(instance):
             continue
         validate_allocation(params, alloc)
         rates[tag] = exact_sum_rate(params, chan, alloc).total_rate
+        if tag == OPTIMAL:
+            oracle = optimal_by_enumeration(params, chan)
+            assert alloc.subchannels_of_link == oracle.subchannels_of_link
     # Relative slack with an absolute floor, as in the other sandwich checks:
     # the closed-form water level loses digits when 1/H dwarfs the budget,
     # which shifts optimal's rate by ~1e-17 bit/s at rates of ~1e-6 bit/s.
