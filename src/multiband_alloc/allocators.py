@@ -30,7 +30,7 @@ import numpy as np
 from .assignment import CostMatrix, replicate_rows, solve_assignment
 from .channel import ChannelParams, ChannelRealization
 from .errors import GuardError, InfeasibleError, ValidationError
-from .power import equal_split, water_fill
+from .power import water_fill
 
 __all__ = [
     "LOW_SNR",
@@ -163,13 +163,14 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
             raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
-def _link_rate(params: ChannelParams, k: int, p_row, h_row, subset) -> float:
-    """Exact rate of link k: (B/N) * sum over `subset` of log2(1 + p*H),
-    added in set order. The rows are lists of floats, so an overflowing
-    p*H gives inf, not a numpy warning, and is reported here."""
+def _link_rate(params: ChannelParams, k: int, powers, gains) -> float:
+    """Exact rate of link k over one set: (B/N) * sum of log2(1 + p*H) over
+    the paired entries of `powers` and `gains`, added in set order. Both
+    are lists of floats, so an overflowing p*H gives inf, not a numpy
+    warning, and is reported here."""
     link = 0.0
-    for n in subset:
-        link += math.log1p(p_row[n] * h_row[n]) / _LN2
+    for p, g in zip(powers, gains):
+        link += math.log1p(p * g) / _LN2
     if not math.isfinite(link):
         raise ValidationError(
             f"power budget {params.power_budgets[k]:g} W times a normalized gain overflows"
@@ -179,11 +180,12 @@ def _link_rate(params: ChannelParams, k: int, p_row, h_row, subset) -> float:
 
 def _score(params: ChannelParams, h: np.ndarray, sets, powers: np.ndarray):
     """Exact per-link rates and their total. Each link is scored by
-    `_link_rate`; the total adds links in index order, so every caller gets
-    bit-identical scores for equal allocations."""
+    `_link_rate` over its set; the total adds links in index order, so every
+    caller gets bit-identical scores for equal allocations."""
     p_rows, h_rows = powers.tolist(), h.tolist()
     per_link = tuple(
-        _link_rate(params, k, p_rows[k], h_rows[k], subset) for k, subset in enumerate(sets)
+        _link_rate(params, k, [p_rows[k][n] for n in subset], [h_rows[k][n] for n in subset])
+        for k, subset in enumerate(sets)
     )
     total = 0.0
     for rate in per_link:
@@ -233,30 +235,23 @@ def log_approx_rate(params: ChannelParams, chan: ChannelRealization, alloc: Allo
 APPROX_RATES = {LOW_SNR: linear_approx_rate, HIGH_SNR: log_approx_rate}
 
 
-def _water_filled(gains: np.ndarray, budget: float) -> np.ndarray:
-    """Water-filled powers over `gains`; a set with no positive gain stays
-    unpowered (its rate is zero either way)."""
-    if (gains > 0).any():
-        return water_fill(gains, budget).powers
-    return np.zeros(gains.size)
-
-
 def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.ndarray:
     """K x N powers from one named rule applied to every link's set.
 
     "concentrate" puts the whole budget on the first sub-channel of the set,
     the one its selection ranked first; "equal_split" spreads it evenly;
-    "water_fill" water-fills it.
+    "water_fill" water-fills it, and a set with no positive gain stays
+    unpowered (its rate is zero either way).
     """
+    links, columns = np.arange(params.num_links)[:, None], np.array(sets)
+    budgets = np.asarray(params.power_budgets)
     powers = np.zeros((params.num_links, params.num_subchannels))
-    for k, subset in enumerate(sets):
-        budget = params.power_budgets[k]
-        if rule == CONCENTRATE:
-            powers[k, subset[0]] = budget
-        elif rule == EQUAL_SPLIT:
-            powers[k, subset] = equal_split(len(subset), budget)
-        else:
-            powers[k, subset] = _water_filled(h[k, subset], budget)
+    if rule == CONCENTRATE:
+        powers[links[:, 0], columns[:, 0]] = budgets
+    elif rule == EQUAL_SPLIT:
+        powers[links, columns] = budgets[:, None] / columns.shape[1]
+    else:
+        powers[links, columns] = water_fill(h[links, columns], budgets).powers
     return powers
 
 
@@ -402,14 +397,15 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
     # The objective is separable by link: rates[k, i] is link k's
     # water-filled rate on subsets[i], the same float the scorer gives that
     # link in every partition that hands it that set.
-    columns = np.array(subsets)
-    positions = range(params.quota)
-    rates = np.empty((k_links, len(subsets)))
-    for k in range(k_links):
-        budget = params.power_budgets[k]
-        for i, gains in enumerate(chan.normalized_gains[k][columns]):
-            powers = _water_filled(gains, budget).tolist()
-            rates[k, i] = _link_rate(params, k, powers, gains.tolist(), positions)
+    gains = chan.normalized_gains[:, subsets]
+    budgets = np.asarray(params.power_budgets)[:, None]
+    powers = water_fill(gains, budgets).powers.tolist()
+    rates = np.array(
+        [
+            [_link_rate(params, k, *rows) for rows in zip(powers[k], gains_k)]
+            for k, gains_k in enumerate(gains.tolist())
+        ]
+    )
 
     # Partition totals add the link rates in index order, as the scorer
     # does; argmax and the strict > across chunks keep the first maximum.
@@ -432,13 +428,14 @@ def optimal_allocate(
     """Exact optimum: best water-filled rate over every quota partition.
 
     The search is exhaustive, but the objective is separable by link,
-    so it water-fills each (link, quota set) pair once, K * C(N, floor(N/K))
-    water-fills in all, and scores each partition by adding its links'
-    rates from that table. The first partition with the highest rate wins,
-    in enumeration order. The partition index table holds count x K
-    integers; it is cached up to 20,000 partitions and streamed in chunks
-    above that. A link whose set has no positive gain keeps zero power
-    (its rate contribution is zero either way).
+    so one water-fill call over the array of every (link, quota set) pair,
+    K * C(N, floor(N/K)) sets, builds a table of link rates, and each
+    partition is scored by adding its links' rates from that table. The
+    first partition with the highest rate wins, in enumeration order. The
+    partition index table holds count x K integers; it is cached up to
+    20,000 partitions and streamed in chunks above that. A link whose set
+    has no positive gain keeps zero power (its rate contribution is zero
+    either way).
     """
     return _allocation(
         OPTIMAL, WATER_FILL, params, chan, *_optimal_sets(params, chan, partition_guard)

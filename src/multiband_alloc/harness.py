@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +143,16 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def collect_rates(config: SweepConfig) -> SweepSamples:
-    """Evaluate all (budget, strategy, trial) cells; trials may run in parallel."""
+    """Evaluate all (budget, strategy, trial) cells; trials may run in
+    parallel, in at most one process per trial."""
     jobs = [(config, trial) for trial in range(config.trials)]
     if config.workers == 1:
         results = [_trial_worker(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # Imported here: serial sweeps, the default, skip the cost.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
             results = list(pool.map(_trial_worker, jobs))
     exact = np.stack([r[0] for r in results], axis=2)
     approx = np.stack([r[1] for r in results], axis=2) if config.score_mode == "both" else None
@@ -301,8 +304,9 @@ def scaling_bench(
     """Median wall time per method per dimension over `reps` repetitions.
 
     "hungarian" times the quota-replicated assignment solve, "optimal" the
-    exhaustive partition search (K * C(N, floor(N/K)) water-fills plus one
-    rate-table lookup per partition; skipped when the guard trips),
+    exhaustive partition search (one water-fill call over K * C(N, floor(N/K))
+    sets plus one rate-table lookup per partition; skipped when the guard
+    trips),
     "max_select" the greedy allocator. Rows are emitted per dimension,
     method order fixed.
     """

@@ -1,24 +1,19 @@
 """Exhaustive oracles the tests check the package against.
 
 `brute_force_assignment` evaluates every injection of rows into columns;
-`optimal_by_enumeration` water-fills and scores every quota partition;
-`concentrate_on_best` is the single-channel power rule the water-filling
-dominance checks compare with. None is used by the package itself.
+`water_fill_by_set` is the closed-form water-fill of one set at a time,
+which the package's array `water_fill` must match bit for bit;
+`optimal_by_enumeration` water-fills (through `water_fill_by_set`) and
+scores every quota partition; `equal_split` and `concentrate_on_best` are
+the simpler power rules the water-filling dominance checks compare with.
+None is used by the package itself.
 """
 
 import math
 
 import numpy as np
 
-from multiband_alloc.allocators import (
-    OPTIMAL,
-    WATER_FILL,
-    Allocation,
-    _allocation,
-    _apply_power,
-    _score,
-    enumerate_partitions,
-)
+from multiband_alloc.allocators import OPTIMAL, Allocation, _score, enumerate_partitions
 from multiband_alloc.assignment import (
     AssignmentResult,
     CostMatrix,
@@ -26,7 +21,7 @@ from multiband_alloc.assignment import (
     _selection_value,
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
-from multiband_alloc.power import _as_gain_array
+from multiband_alloc.power import WaterFillResult
 
 _ENUM_CHUNK = 1 << 18
 
@@ -80,21 +75,81 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
     )
 
 
+def _as_gain_set(gains) -> np.ndarray:
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValidationError("gains must be a non-empty 1-D list")
+    if not np.isfinite(g).all() or (g < 0).any():
+        raise ValidationError("gains must be finite and >= 0")
+    return g
+
+
+def water_fill_by_set(gains, budget: float) -> WaterFillResult:
+    """Closed-form water-fill of one set: admit channels in order of
+    decreasing gain while the level (budget + sum of admitted 1/H) /
+    #admitted clears the worst admitted channel. A set with no positive
+    gain gets zero powers and an infinite level."""
+    g = _as_gain_set(gains)
+    if not np.isfinite(budget) or budget < 0.0:
+        raise ValidationError("budget must be finite and >= 0")
+    usable = np.flatnonzero(g > 0)
+    if usable.size == 0:
+        return WaterFillResult(powers=np.zeros(g.size), water_level=math.inf)
+
+    inv = 1.0 / g[usable]
+    order = np.argsort(inv, kind="stable")
+    inv_sorted = inv[order]
+    prefix = np.cumsum(inv_sorted)
+    sizes = np.arange(1, inv_sorted.size + 1, dtype=float)
+
+    levels = (budget + prefix) / sizes
+    feasible = np.flatnonzero(levels > inv_sorted)
+    n_active = int(feasible[-1]) + 1 if feasible.size else 0
+
+    powers = np.zeros(g.size)
+    if n_active == 0:
+        mu = float(inv_sorted[0])
+    else:
+        mu = float(levels[n_active - 1])
+        chosen = usable[order[:n_active]]
+        powers[chosen] = mu - inv_sorted[:n_active]
+    return WaterFillResult(powers=powers, water_level=mu)
+
+
+def _water_filled_by_set(params, h, sets) -> np.ndarray:
+    powers = np.zeros((params.num_links, params.num_subchannels))
+    for k, subset in enumerate(sets):
+        subset = list(subset)
+        powers[k, subset] = water_fill_by_set(h[k, subset], params.power_budgets[k]).powers
+    return powers
+
+
 def optimal_by_enumeration(params, chan) -> Allocation:
-    """Exhaustive optimum oracle: water-fill and score every partition in
-    enumeration order; the first one with the strictly highest rate wins."""
+    """Exhaustive optimum oracle: water-fill each link's set one at a time
+    and score every partition in enumeration order; the first one with the
+    strictly highest rate wins."""
     h = chan.normalized_gains
-    best_rate, best_sets = -math.inf, None
+    best_rate, best = -math.inf, None
     for cand in enumerate_partitions(params.num_subchannels, params.num_links):
-        rate = _score(params, h, cand, _apply_power(WATER_FILL, params, h, cand))[1]
+        powers = _water_filled_by_set(params, h, cand)
+        rate = _score(params, h, cand, powers)[1]
         if rate > best_rate:
-            best_rate, best_sets = rate, cand
-    return _allocation(OPTIMAL, WATER_FILL, params, chan, best_sets, None)
+            best_rate, best = rate, (cand, powers)
+    return Allocation(*best, OPTIMAL)
+
+
+def equal_split(set_size: int, budget: float) -> np.ndarray:
+    """Uniform split of the budget across a set of `set_size` sub-channels."""
+    if not isinstance(set_size, int) or set_size < 1:
+        raise ValidationError("set_size must be a positive integer")
+    if not np.isfinite(budget) or budget < 0.0:
+        raise ValidationError("budget must be finite and >= 0")
+    return np.full(set_size, budget / set_size)
 
 
 def concentrate_on_best(gains, budget: float) -> np.ndarray:
     """All budget on the highest-gain channel; ties go to the lowest index."""
-    g = _as_gain_array(gains)
+    g = _as_gain_set(gains)
     if not np.isfinite(budget) or budget < 0.0:
         raise ValidationError("budget must be finite and >= 0")
     powers = np.zeros(g.size)

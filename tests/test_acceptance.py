@@ -28,8 +28,8 @@ from multiband_alloc.harness import (
     sweep_rows_to_csv,
 )
 from multiband_alloc.allocators import enumerate_partitions, partition_count
-from multiband_alloc.power import equal_split, water_fill
-from oracles import brute_force_assignment, concentrate_on_best
+from multiband_alloc.power import water_fill
+from oracles import brute_force_assignment, concentrate_on_best, equal_split
 
 LOW, HIGH, OPT, MAXSEL = 0, 1, 2, 3  # strategy indices in canonical order
 

@@ -1,6 +1,10 @@
 """Sweep harness, CSV schema, instance dumps, bench, and CLI plumbing."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +96,45 @@ class TestRunSweep:
         serial = sweep_rows_to_csv(run_sweep(small_config(trials=8)))
         parallel = sweep_rows_to_csv(run_sweep(small_config(trials=8, workers=3)))
         assert serial == parallel
+
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        # Patched at both names harness could bind, so no real pool starts.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool, raising=False)
+        pooled = sweep_rows_to_csv(run_sweep(small_config(trials=2, workers=64)))
+        assert started == [2]
+        assert pooled == sweep_rows_to_csv(run_sweep(small_config(trials=2)))
+
+    def test_serial_sweep_imports_no_process_pool(self):
+        code = (
+            "import sys, multiband_alloc.cli as cli\n"
+            "assert cli.main(['sweep', '--trials', '2', '--budgets', '1:2:2']) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
 
     def test_realizations_depend_only_on_seed_and_trial(self):
         full = run_sweep(small_config())

@@ -1,11 +1,12 @@
-"""Power rules: water-filling against a bisection oracle, KKT, dominance."""
+"""Power rules: water-filling against a bisection oracle and the per-set
+closed form, KKT, dominance, and the array contract."""
 
 import numpy as np
 import pytest
 
-from multiband_alloc.errors import InfeasibleError, ValidationError
-from multiband_alloc.power import WaterFillResult, equal_split, water_fill
-from oracles import concentrate_on_best
+from multiband_alloc.errors import ValidationError
+from multiband_alloc.power import WaterFillResult, water_fill
+from oracles import concentrate_on_best, equal_split, water_fill_by_set
 
 
 def bisect_water_level(gains, budget, iters=200):
@@ -69,10 +70,6 @@ class TestWaterFillExamples:
 
 
 class TestWaterFillValidation:
-    def test_all_zero_gains_rejected(self):
-        with pytest.raises(InfeasibleError):
-            water_fill([0.0, 0.0], 1.0)
-
     def test_negative_gain_rejected(self):
         with pytest.raises(ValidationError):
             water_fill([1.0, -0.5], 1.0)
@@ -89,6 +86,89 @@ class TestWaterFillValidation:
         res = water_fill([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             res.powers[0] = 3.0
+
+
+class TestWaterFillArrays:
+    def test_all_zero_set_gets_zero_powers_and_infinite_level(self):
+        res = water_fill([0.0, 0.0], 1.0)
+        assert np.array_equal(res.powers, [0.0, 0.0])
+        assert res.water_level == np.inf
+        assert res.active_set == ()
+        rows = np.array([[2.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        res = water_fill(rows, 2.0)
+        assert np.array_equal(res.powers[1], [0.0, 0.0])
+        assert res.water_level[1] == np.inf
+        for i in (0, 2):
+            alone = water_fill(rows[i], 2.0)
+            assert np.array_equal(res.powers[i], alone.powers)
+            assert res.water_level[i] == alone.water_level
+
+    def test_budget_per_row(self):
+        res = water_fill([[1.0, 1.0], [1.0, 1.0], [2.0, 0.5]], [2.0, 0.0, 1.0])
+        assert np.array_equal(res.powers, [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(res.water_level, [2.0, 1.0, 1.5])
+
+    def test_budget_broadcasts_over_leading_axes(self):
+        gains = np.arange(1.0, 13.0).reshape(2, 3, 2)
+        res = water_fill(gains, np.array([[1.0], [3.0]]))
+        for k, budget in enumerate((1.0, 3.0)):
+            for i in range(3):
+                assert np.array_equal(res.powers[k, i], water_fill(gains[k, i], budget).powers)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_bad_budget_in_one_row_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            water_fill(np.ones((3, 2)), [1.0, bad, 1.0])
+
+    def test_output_shape_equals_input_shape(self):
+        for shape in [(1,), (4,), (3, 2), (2, 5, 3)]:
+            res = water_fill(np.ones(shape), 1.0)
+            assert res.powers.shape == shape
+            assert np.shape(res.water_level) == shape[:-1]
+
+    def test_powers_and_levels_read_only(self):
+        res = water_fill(np.ones((2, 3)), 1.0)
+        with pytest.raises(ValueError):
+            res.powers[0, 0] = 3.0
+        with pytest.raises(ValueError):
+            res.water_level[0] = 3.0
+
+    def test_active_set_counts_powered_channels_of_an_array(self):
+        # Row 0 powers both channels, row 1 drops its weak one, row 2 none.
+        res = water_fill([[1.0, 1.0], [1.0, 0.5], [0.0, 0.0]], 1.0)
+        assert res.active_set == (0, 1, 2)
+        assert len(res.active_set) == int(np.count_nonzero(res.powers))
+
+
+class TestWaterFillAgainstPerSetReference:
+    """The array form must equal the per-set closed form row by row, bit for bit."""
+
+    @staticmethod
+    def check(gains, budgets):
+        res = water_fill(gains, budgets)
+        for row, budget, powers, level in zip(gains, budgets, res.powers, res.water_level):
+            ref = water_fill_by_set(row, float(budget))
+            assert np.array_equal(powers, ref.powers), (row, budget)
+            assert level == ref.water_level, (row, budget)
+
+    def test_random_arrays_match_reference(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(300):
+            m, q = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            if rng.random() < 0.3:
+                gains = rng.integers(0, 3, size=(m, q)).astype(float)
+            else:
+                gains = rng.exponential(1.0, size=(m, q))
+                gains[rng.random((m, q)) < 0.25] = 0.0
+            gains[rng.random(m) < 0.15] = 0.0
+            budgets = 10.0 ** rng.uniform(-6.0, 9.0, size=m)
+            budgets[rng.random(m) < 0.15] = 0.0
+            self.check(gains, budgets)
+
+    def test_budget_zero_and_all_zero_rows(self):
+        gains = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, 3.0, 0.0]])
+        self.check(gains, np.zeros(3))
+        self.check(gains, np.full(3, 1e9))
 
 
 class TestWaterFillAgainstBisection:
