@@ -10,17 +10,24 @@ splits each link's budget over its set:
 - optimal: the best water-filled partition, then `water_fill`;
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
-A selection is a function (params, chan) -> (sets, trace); the trace keeps
-the assignment a Hungarian selection solved, for instance dumps. The
-low_snr selection lists each link's assigned sub-channel first, which is
-where `concentrate` puts the budget. All strategies are scored with the
-same exact sum-rate formula; their regime approximations only drive the
+The table `STRATEGIES` says this once: for each tag it names the selection,
+a function (params, chan, partition_guard) -> (sets, trace), the power
+rule, and whether the selection reads the power budget. `low_snr` (on
+P*H) and `optimal` (water-filled rates) do; the `high_snr` and
+`max_select` selections read the channel alone, so a sweep runs them once
+per trial. `allocate` dispatches through the table and the four
+`*_allocate` functions are thin wrappers around it. The trace keeps the
+assignment a Hungarian selection solved, for instance dumps. The low_snr
+selection lists each link's assigned sub-channel first, which is where
+`concentrate` puts the budget. All strategies are scored with the same
+exact sum-rate formula; their regime approximations only drive the
 selections.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -52,7 +59,10 @@ __all__ = [
     "high_snr_allocate",
     "optimal_allocate",
     "max_select_allocate",
+    "Strategy",
+    "STRATEGIES",
     "allocate",
+    "power_selection",
     "partition_count",
     "enumerate_partitions",
     "POWER_RULES",
@@ -255,12 +265,6 @@ def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.nd
     return powers
 
 
-def _allocation(tag: str, rule: str, params, chan, sets, trace) -> Allocation:
-    """Power the selected sets with `rule` and package them, sorted."""
-    powers = _apply_power(rule, params, chan.normalized_gains, sets)
-    return Allocation(tuple(tuple(sorted(s)) for s in sets), powers, tag, trace)
-
-
 def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
     budgets = np.asarray(params.power_budgets)[:, None]
@@ -281,7 +285,7 @@ def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cos
     return CostMatrix(values=values, orientation="maximize", forbidden=~usable)
 
 
-def _low_snr_sets(params: ChannelParams, chan: ChannelRealization):
+def _low_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
     cost = low_snr_cost_matrix(params, chan)
     result = solve_assignment(cost)
     h = chan.normalized_gains
@@ -306,10 +310,10 @@ def low_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocat
     round-robin over links in index order, each taking its highest-gain
     unassigned sub-channel (ties to the lowest index).
     """
-    return _allocation(LOW_SNR, CONCENTRATE, params, chan, *_low_snr_sets(params, chan))
+    return allocate(LOW_SNR, params, chan)
 
 
-def _high_snr_sets(params: ChannelParams, chan: ChannelRealization):
+def _high_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
     quota = params.quota
     usable_counts = (chan.normalized_gains > 0).sum(axis=1)
     short = np.flatnonzero(usable_counts < quota)
@@ -329,7 +333,7 @@ def _high_snr_sets(params: ChannelParams, chan: ChannelRealization):
 
 def high_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
     """High-SNR strategy: quota-replicated log-gain assignment, equal power split."""
-    return _allocation(HIGH_SNR, EQUAL_SPLIT, params, chan, *_high_snr_sets(params, chan))
+    return allocate(HIGH_SNR, params, chan)
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:
@@ -437,12 +441,10 @@ def optimal_allocate(
     has no positive gain keeps zero power (its rate contribution is zero
     either way).
     """
-    return _allocation(
-        OPTIMAL, WATER_FILL, params, chan, *_optimal_sets(params, chan, partition_guard)
-    )
+    return allocate(OPTIMAL, params, chan, partition_guard=partition_guard)
 
 
-def _max_select_sets(params: ChannelParams, chan: ChannelRealization):
+def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
     h = chan.normalized_gains
     n_sub = params.num_subchannels
     quota = params.quota
@@ -475,9 +477,31 @@ def max_select_allocate(
     ties break toward the lowest (link, sub-channel) pair. Power over each
     final set follows `power_rule`: "water_fill" (default) or "equal_split".
     """
-    if power_rule not in POWER_RULES:
-        raise ValidationError(f"power_rule must be one of {POWER_RULES}")
-    return _allocation(MAX_SELECT, power_rule, params, chan, *_max_select_sets(params, chan))
+    return allocate(MAX_SELECT, params, chan, max_select_power_rule=power_rule)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One entry of `STRATEGIES`.
+
+    `select(params, chan, partition_guard)` returns (sets, trace); only
+    `optimal` reads the guard. `power_rule` is None where the caller names
+    the rule (max_select). `reads_budget` is False for a selection that
+    reads the channel alone, whose sets then hold for every budget of one
+    realization.
+    """
+
+    select: Callable
+    power_rule: str | None
+    reads_budget: bool
+
+
+STRATEGIES = {
+    LOW_SNR: Strategy(_low_snr_sets, CONCENTRATE, reads_budget=True),
+    HIGH_SNR: Strategy(_high_snr_sets, EQUAL_SPLIT, reads_budget=False),
+    OPTIMAL: Strategy(_optimal_sets, WATER_FILL, reads_budget=True),
+    MAX_SELECT: Strategy(_max_select_sets, None, reads_budget=False),
+}
 
 
 def allocate(
@@ -488,13 +512,27 @@ def allocate(
     partition_guard: int = DEFAULT_PARTITION_GUARD,
     max_select_power_rule: str = "water_fill",
 ) -> Allocation:
-    """Dispatch one strategy by tag."""
-    if strategy == LOW_SNR:
-        return low_snr_allocate(params, chan)
-    if strategy == HIGH_SNR:
-        return high_snr_allocate(params, chan)
-    if strategy == OPTIMAL:
-        return optimal_allocate(params, chan, partition_guard=partition_guard)
-    if strategy == MAX_SELECT:
-        return max_select_allocate(params, chan, power_rule=max_select_power_rule)
-    raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
+    """Select one strategy's sets and power them, dispatching by tag
+    through `STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
+    spec = STRATEGIES[strategy]
+    if spec.power_rule is None and max_select_power_rule not in POWER_RULES:
+        raise ValidationError(f"power_rule must be one of {POWER_RULES}")
+    selection = spec.select(params, chan, partition_guard)
+    return power_selection(strategy, params, chan, selection, max_select_power_rule)
+
+
+def power_selection(
+    strategy: str,
+    params: ChannelParams,
+    chan: ChannelRealization,
+    selection,
+    max_select_power_rule: str,
+) -> Allocation:
+    """Power one selection's (sets, trace) by the strategy's rule at the
+    budgets of `params`, and package the sets, sorted."""
+    sets, trace = selection
+    rule = STRATEGIES[strategy].power_rule or max_select_power_rule
+    powers = _apply_power(rule, params, chan.normalized_gains, sets)
+    return Allocation(tuple(tuple(sorted(s)) for s in sets), powers, strategy, trace)

@@ -2,11 +2,16 @@
 
 A sweep evaluates every enabled strategy on the SAME seeded realizations at
 each budget point (paired comparison); aggregates land in a schema-stable,
-byte-deterministic CSV.
+byte-deterministic CSV. A trial runs budget-major, then in strategy order,
+and reads `allocators.STRATEGIES`: a selection that does not read the budget
+(`high_snr`, `max_select`) runs once per trial, at its first use, and its
+sets are powered and scored at every budget; the others select per budget.
+Every cell's allocation is validated by the scorer.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -14,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocators
-from .allocators import APPROX_RATES, STRATEGY_ORDER, allocate, exact_sum_rate
+from .allocators import (
+    APPROX_RATES,
+    STRATEGIES,
+    STRATEGY_ORDER,
+    allocate,
+    exact_sum_rate,
+    power_selection,
+)
 from .assignment import replicate_rows, solve_assignment
 from .channel import ChannelParams, sample_realization, trial_rng
 from .errors import ValidationError
@@ -126,15 +138,21 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     n_b, n_s = len(budgets), len(strategies)
     exact = np.zeros((n_b, n_s))
     approx = np.full((n_b, n_s), np.nan) if config.score_mode == "both" else None
+    # Sets of the selections that ignore the budget. Each is made at its
+    # first use, so a selection that fails raises at the same cell as it
+    # would if it ran at every budget.
+    budget_free = {}
     for bi, budget in enumerate(budgets):
         point = params.with_uniform_budget(budget)
         for si, strategy in enumerate(strategies):
-            alloc = allocate(
-                strategy,
-                point,
-                chan,
-                partition_guard=config.partition_guard,
-                max_select_power_rule=config.max_select_power_rule,
+            spec = STRATEGIES[strategy]
+            selection = budget_free.get(strategy)
+            if selection is None:
+                selection = spec.select(point, chan, config.partition_guard)
+                if not spec.reads_budget:
+                    budget_free[strategy] = selection
+            alloc = power_selection(
+                strategy, point, chan, selection, config.max_select_power_rule
             )
             exact[bi, si] = exact_sum_rate(point, chan, alloc).total_rate
             if approx is not None and strategy in APPROX_RATES:
@@ -144,7 +162,9 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
 
 def collect_rates(config: SweepConfig) -> SweepSamples:
     """Evaluate all (budget, strategy, trial) cells; trials may run in
-    parallel, in at most one process per trial."""
+    parallel, in at most one process per trial. Workers take contiguous
+    chunks of trials, about four chunks per worker, rather than one
+    pickled job per trial."""
     jobs = [(config, trial) for trial in range(config.trials)]
     if config.workers == 1:
         results = [_trial_worker(job) for job in jobs]
@@ -152,8 +172,10 @@ def collect_rates(config: SweepConfig) -> SweepSamples:
         # Imported here: serial sweeps, the default, skip the cost.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
-            results = list(pool.map(_trial_worker, jobs))
+        workers = min(config.workers, config.trials)
+        chunksize = math.ceil(config.trials / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_trial_worker, jobs, chunksize=chunksize))
     exact = np.stack([r[0] for r in results], axis=2)
     approx = np.stack([r[1] for r in results], axis=2) if config.score_mode == "both" else None
     return SweepSamples(

@@ -1,0 +1,66 @@
+"""Byte-golden guard: CLI output must match files written by an earlier version.
+
+A change that means to alter output bytes regenerates the files and says so:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from multiband_alloc import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SHADOWED = ["--shadow-atten", "1e-3"]
+
+# name -> (argv, exit code). The golden file holds stdout on exit 0, else stderr.
+CASES = {
+    "sweep_k8_n32": (
+        ["sweep", "--links", "8", "--subchannels", "32", "--bandwidth", "32",
+         "--strategies", "low,high,maxsel", "--trials", "3", *SHADOWED],
+        0,
+    ),
+    "sweep_k4_n8_score_both": (
+        ["sweep", "--links", "4", "--subchannels", "8", "--bandwidth", "8",
+         "--shadow-prob", "0.3", "--score", "both", "--trials", "3", *SHADOWED],
+        0,
+    ),
+    "sweep_k3_n7_equal_split": (
+        ["sweep", "--links", "3", "--subchannels", "7", "--bandwidth", "7",
+         "--maxsel-power", "equal_split", "--trials", "20"],
+        0,
+    ),
+    "sweep_seed1_exit3": (["sweep", "--seed", "1"], 3),
+    **{
+        f"dump_{short}": (["dump", "--strategy", short, "--seed", "3", "--budget", "10"], 0)
+        for short in cli.STRATEGY_SHORT
+    },
+}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_golden(name):
+    argv, expected_code = CASES[name]
+    code, out, err = run(argv)
+    assert code == expected_code
+    text, other = (out, err) if code == 0 else (err, out)
+    assert other == ""
+    assert text.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, _) in CASES.items():
+        code, out, err = run(argv)
+        (GOLDEN / f"{name}.txt").write_bytes((out if code == 0 else err).encode())
+        print(name, code)

@@ -1,6 +1,7 @@
 """Sweep harness, CSV schema, instance dumps, bench, and CLI plumbing."""
 
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from multiband_alloc import allocators, cli, harness
-from multiband_alloc.allocators import HIGH_SNR, LOW_SNR, MAX_SELECT, OPTIMAL
+from multiband_alloc.allocators import HIGH_SNR, LOW_SNR, MAX_SELECT, OPTIMAL, STRATEGY_ORDER
 from multiband_alloc.assignment import solve_assignment
 from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
 from multiband_alloc.errors import ValidationError
@@ -98,7 +99,7 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_pool_capped_at_trial_count(self, monkeypatch):
-        started = []
+        started, chunks = [], []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -110,15 +111,25 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, jobs, chunksize=1):
+                # Run the chunks last first: the results must still come back in trial order.
+                jobs = list(jobs)
+                split = [jobs[i : i + chunksize] for i in range(0, len(jobs), chunksize)]
+                chunks.append([[trial for _, trial in chunk] for chunk in split])
+                done = {i: [fn(job) for job in split[i]] for i in reversed(range(len(split)))}
+                return [result for i in range(len(split)) for result in done[i]]
 
         # Patched at both names harness could bind, so no real pool starts.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool, raising=False)
-        pooled = sweep_rows_to_csv(run_sweep(small_config(trials=2, workers=64)))
-        assert started == [2]
-        assert pooled == sweep_rows_to_csv(run_sweep(small_config(trials=2)))
+        # (trials, workers, pool size, chunk size = ceil(trials / (4 * pool size)))
+        for trials, workers, pool_size, chunksize in [(2, 64, 2, 1), (9, 2, 2, 2), (25, 3, 3, 3)]:
+            pooled = sweep_rows_to_csv(run_sweep(small_config(trials=trials, workers=workers)))
+            assert started.pop() == pool_size
+            split = chunks.pop()
+            assert max(len(chunk) for chunk in split) == chunksize
+            assert [trial for chunk in split for trial in chunk] == list(range(trials))
+            assert pooled == sweep_rows_to_csv(run_sweep(small_config(trials=trials)))
 
     def test_serial_sweep_imports_no_process_pool(self):
         code = (
@@ -183,6 +194,52 @@ class TestRunSweep:
             expected = 2 * 2 * 1.0 * math.log2(1.0 + (row.budget / 2.0) * 2.0)
             assert row.mean_rate == pytest.approx(expected, rel=1e-12)
             assert row.std_rate == 0.0
+
+    def test_budget_free_selections_run_once_per_trial(self, monkeypatch):
+        selections = {tag: 0 for tag in allocators.STRATEGIES}
+        validations = []
+
+        def counting(tag, select):
+            def select_and_count(*args):
+                selections[tag] += 1
+                return select(*args)
+
+            return select_and_count
+
+        for tag, spec in list(allocators.STRATEGIES.items()):
+            counted = dataclasses.replace(spec, select=counting(tag, spec.select))
+            monkeypatch.setitem(allocators.STRATEGIES, tag, counted)
+        validate = allocators.validate_allocation
+        monkeypatch.setattr(
+            allocators, "validate_allocation", lambda *a: validations.append(1) or validate(*a)
+        )
+        trials, budgets = 5, (0.0, 0.1, 10.0)
+        run_sweep(small_config(trials=trials, budget_grid=budgets))
+        assert selections == {
+            LOW_SNR: trials * len(budgets),
+            HIGH_SNR: trials,
+            OPTIMAL: trials * len(budgets),
+            MAX_SELECT: trials,
+        }
+        assert len(validations) == trials * len(budgets) * len(STRATEGY_ORDER)
+
+    @pytest.mark.parametrize(
+        "budgets,code,message",
+        [
+            # low_snr's P*H overflows before high_snr, later in strategy
+            # order, finds link 0 short of usable sub-channels.
+            ("1e308:1e308:1", 2, "error: power budget 1e+308 W times a normalized gain overflows\n"),
+            ("1e-3:1e-3:1", 3, "error: link 0 has only 1 usable sub-channels; quota is 2\n"),
+        ],
+        ids=["overflow", "infeasible"],
+    )
+    def test_errors_raise_in_cell_order(self, monkeypatch, capsys, budgets, code, message):
+        def short_link(params, rng):
+            return realization_from_squared_gains(params, [[5.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+
+        monkeypatch.setattr(harness, "sample_realization", short_link)
+        assert cli.main(["sweep", "--trials", "2", "--budgets", budgets]) == code
+        assert capsys.readouterr().err == message
 
     def test_collect_rates_shapes(self):
         samples = collect_rates(small_config(trials=5))
