@@ -15,13 +15,12 @@ a function (params, chan, partition_guard) -> (sets, trace), the power
 rule, and whether the selection reads the power budget. `low_snr` (on
 P*H) and `optimal` (water-filled rates) do; the `high_snr` and
 `max_select` selections read the channel alone, so a sweep runs them once
-per trial. `allocate` dispatches through the table and the four
-`*_allocate` functions are thin wrappers around it. The trace keeps the
-assignment a Hungarian selection solved, for instance dumps. The low_snr
-selection lists each link's assigned sub-channel first, which is where
-`concentrate` puts the budget. All strategies are scored with the same
-exact sum-rate formula; their regime approximations only drive the
-selections.
+per trial. `allocate(tag, params, chan)` is the one entry point that runs a
+strategy: it dispatches through the table. The trace keeps the assignment
+a Hungarian selection solved, for instance dumps. The low_snr selection
+lists each link's assigned sub-channel first, which is where `concentrate`
+puts the budget. All strategies are scored with the same exact sum-rate
+formula; their regime approximations only drive the selections.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ __all__ = [
     "log_approx_rate",
     "low_snr_cost_matrix",
     "high_snr_cost_matrix",
-    "low_snr_allocate",
-    "high_snr_allocate",
-    "optimal_allocate",
-    "max_select_allocate",
     "Strategy",
     "STRATEGIES",
     "allocate",
@@ -66,6 +61,7 @@ __all__ = [
     "partition_count",
     "enumerate_partitions",
     "POWER_RULES",
+    "check_power_rule",
 ]
 
 LOW_SNR = "low_snr"
@@ -78,6 +74,7 @@ DEFAULT_PARTITION_GUARD = 10**6
 # The named power rules; max_select may use either of POWER_RULES.
 CONCENTRATE, EQUAL_SPLIT, WATER_FILL = "concentrate", "equal_split", "water_fill"
 POWER_RULES = (WATER_FILL, EQUAL_SPLIT)
+DEFAULT_MAX_SELECT_POWER_RULE = WATER_FILL
 _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 # Partition id tables up to this many rows are cached; larger instances
@@ -286,6 +283,10 @@ def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cos
 
 
 def _low_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+    """One sub-channel per link from the assignment maximizing the sum of
+    P_k * H over links, listed first in its set. The remaining quota slots
+    are padded round-robin over links in index order, each taking its
+    highest-gain unassigned sub-channel (ties to the lowest index)."""
     cost = low_snr_cost_matrix(params, chan)
     result = solve_assignment(cost)
     h = chan.normalized_gains
@@ -301,19 +302,9 @@ def _low_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
     return sets, AssignmentTrace("maximize, P*H", cost, result.column_of_row)
 
 
-def low_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
-    """Low-SNR strategy: one powered sub-channel per link via the assignment solver.
-
-    The solver maximizes sum of P_k * H over one-sub-channel-per-link
-    assignments; the full budget lands on the assigned sub-channel. The
-    remaining quota slots are filled with zero-power sub-channels,
-    round-robin over links in index order, each taking its highest-gain
-    unassigned sub-channel (ties to the lowest index).
-    """
-    return allocate(LOW_SNR, params, chan)
-
-
 def _high_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+    """Each link's quota from one assignment on ln H with every link's row
+    replicated quota times; zero-gain cells are forbidden."""
     quota = params.quota
     usable_counts = (chan.normalized_gains > 0).sum(axis=1)
     short = np.flatnonzero(usable_counts < quota)
@@ -329,11 +320,6 @@ def _high_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_gu
         sets[row // quota].append(col)
     label = "maximize, ln H; forbidden cells printed as 0"
     return sets, AssignmentTrace(label, cost, result.column_of_row, quota)
-
-
-def high_snr_allocate(params: ChannelParams, chan: ChannelRealization) -> Allocation:
-    """High-SNR strategy: quota-replicated log-gain assignment, equal power split."""
-    return allocate(HIGH_SNR, params, chan)
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:
@@ -389,6 +375,11 @@ def _partition_id_chunks(num_subchannels: int, num_links: int, subsets, count: i
 
 
 def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+    """The partition with the best water-filled rate: exhaustive search over
+    a table of K * C(N, floor(N/K)) link rates. The first partition with the
+    highest rate wins, in enumeration order. The partition index table holds
+    count x K integers; it is cached up to 20,000 partitions and streamed in
+    chunks above that."""
     n_sub = params.num_subchannels
     k_links = params.num_links
     count = partition_count(n_sub, k_links)
@@ -424,27 +415,11 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
     return [subsets[i] for i in best_ids], None
 
 
-def optimal_allocate(
-    params: ChannelParams,
-    chan: ChannelRealization,
-    partition_guard: int = DEFAULT_PARTITION_GUARD,
-) -> Allocation:
-    """Exact optimum: best water-filled rate over every quota partition.
-
-    The search is exhaustive, but the objective is separable by link,
-    so one water-fill call over the array of every (link, quota set) pair,
-    K * C(N, floor(N/K)) sets, builds a table of link rates, and each
-    partition is scored by adding its links' rates from that table. The
-    first partition with the highest rate wins, in enumeration order. The
-    partition index table holds count x K integers; it is cached up to
-    20,000 partitions and streamed in chunks above that. A link whose set
-    has no positive gain keeps zero power (its rate contribution is zero
-    either way).
-    """
-    return allocate(OPTIMAL, params, chan, partition_guard=partition_guard)
-
-
 def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+    """Greedy walk: repeatedly hand the globally strongest remaining gain to
+    its link until every quota is filled. Only links with unfilled quota
+    and still-unassigned sub-channels compete; ties break toward the lowest
+    (link, sub-channel) pair."""
     h = chan.normalized_gains
     n_sub = params.num_subchannels
     quota = params.quota
@@ -463,21 +438,6 @@ def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_
             if unfilled == 0:
                 break
     return sets, None
-
-
-def max_select_allocate(
-    params: ChannelParams,
-    chan: ChannelRealization,
-    power_rule: str = "water_fill",
-) -> Allocation:
-    """Greedy baseline: repeatedly hand the globally strongest remaining gain
-    to its link until every quota is filled.
-
-    Only links with unfilled quota and still-unassigned sub-channels compete;
-    ties break toward the lowest (link, sub-channel) pair. Power over each
-    final set follows `power_rule`: "water_fill" (default) or "equal_split".
-    """
-    return allocate(MAX_SELECT, params, chan, max_select_power_rule=power_rule)
 
 
 @dataclass(frozen=True)
@@ -504,22 +464,28 @@ STRATEGIES = {
 }
 
 
+def check_power_rule(rule: str) -> None:
+    """Reject a max_select power rule that is not one of POWER_RULES."""
+    if rule not in POWER_RULES:
+        raise ValidationError(f"max_select_power_rule must be one of {POWER_RULES}")
+
+
 def allocate(
     strategy: str,
     params: ChannelParams,
     chan: ChannelRealization,
     *,
     partition_guard: int = DEFAULT_PARTITION_GUARD,
-    max_select_power_rule: str = "water_fill",
+    max_select_power_rule: str = DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> Allocation:
     """Select one strategy's sets and power them, dispatching by tag
-    through `STRATEGIES`."""
+    through `STRATEGIES`. Only `optimal` reads `partition_guard` and only
+    `max_select` uses `max_select_power_rule`, but a bad rule is rejected
+    for every tag."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
-    spec = STRATEGIES[strategy]
-    if spec.power_rule is None and max_select_power_rule not in POWER_RULES:
-        raise ValidationError(f"power_rule must be one of {POWER_RULES}")
-    selection = spec.select(params, chan, partition_guard)
+    check_power_rule(max_select_power_rule)
+    selection = STRATEGIES[strategy].select(params, chan, partition_guard)
     return power_selection(strategy, params, chan, selection, max_select_power_rule)
 
 

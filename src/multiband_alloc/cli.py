@@ -14,11 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import allocators, harness
-from .allocators import DEFAULT_PARTITION_GUARD, POWER_RULES
+from .allocators import DEFAULT_MAX_SELECT_POWER_RULE, DEFAULT_PARTITION_GUARD, POWER_RULES
 from .channel import ChannelParams
 from .errors import AllocationError, ValidationError
 
-__all__ = ["main", "entrypoint", "parse_budget_grid", "parse_strategies", "parse_dims"]
+__all__ = ["main", "entrypoint", "parse_budget_grid", "parse_strategies", "parse_dims", "parse_methods"]
 
 STRATEGY_SHORT = {
     "low": allocators.LOW_SNR,
@@ -28,36 +28,49 @@ STRATEGY_SHORT = {
 }
 
 
-class Flag(NamedTuple):
-    """One sweep flag: value type (also applied to config-file values),
-    default, help text and, if restricted, its allowed values."""
+SWEEP, DUMP, BENCH = "sweep", "dump", "bench"
+_SHORT_NAMES, _METHODS = ",".join(STRATEGY_SHORT), ",".join(harness.BENCH_METHODS)
 
+
+class Flag(NamedTuple):
+    """One option: the subcommands that take it, value type (also applied
+    to config-file values), default, help text and, if restricted, its
+    allowed values."""
+
+    commands: tuple[str, ...]
     type: type
     default: object
     help: str
     choices: tuple[str, ...] | None = None
+    required: bool = False
 
 
-# Every sweep flag, in --help order. The table drives the sweep parser, the
-# config-file keys and their types, and the channel flags dump shares.
-SWEEP_FLAGS = {
-    "links": Flag(int, 2, "number of links K"),
-    "subchannels": Flag(int, 4, "number of sub-channels N"),
-    "bandwidth": Flag(float, 4.0, "total bandwidth B in Hz"),
-    "noise_psd": Flag(float, 1.0, "noise PSD N0 in W/Hz"),
-    "shadow_prob": Flag(float, 0.02, "per-entry shadowing probability"),
-    "shadow_atten": Flag(float, 0.0, "squared-gain multiplier for shadowed entries"),
-    "budgets": Flag(str, "1e-3:1e3:7log", "per-link budget grid LO:HI:POINTS[log|lin] (default log)"),
-    "trials": Flag(int, 200, "Monte Carlo trials per budget point"),
-    "seed": Flag(int, 0, "base RNG seed"),
-    "strategies": Flag(str, "low,high,opt,maxsel", "comma list from: low,high,opt,maxsel"),
-    "out": Flag(str, None, "output CSV path (default: stdout)"),
-    "score": Flag(str, "exact", "'both' adds the regime strategies' own approximate objectives", harness.SCORE_MODES),
-    "workers": Flag(int, 1, "parallel trial workers (default 1)"),
-    "guard": Flag(int, DEFAULT_PARTITION_GUARD, "partition-count guard for the optimal strategy"),
-    "maxsel_power": Flag(str, "water_fill", "max_select power rule", POWER_RULES),
+# Every option of every subcommand but -h and sweep's --config, in --help
+# order, except that dump and bench list --out last. The sweep's rows are
+# also its config-file keys.
+FLAGS = {
+    "links": Flag((SWEEP, DUMP), int, 2, "number of links K"),
+    "subchannels": Flag((SWEEP, DUMP), int, 4, "number of sub-channels N"),
+    "bandwidth": Flag((SWEEP, DUMP), float, 4.0, "total bandwidth B in Hz"),
+    "noise_psd": Flag((SWEEP, DUMP), float, 1.0, "noise PSD N0 in W/Hz"),
+    "shadow_prob": Flag((SWEEP, DUMP), float, 0.02, "per-entry shadowing probability"),
+    "shadow_atten": Flag((SWEEP, DUMP), float, 0.0, "squared-gain multiplier for shadowed entries"),
+    "budgets": Flag((SWEEP,), str, "1e-3:1e3:7log", "per-link budget grid LO:HI:POINTS[log|lin] (default log)"),
+    "budget": Flag((DUMP,), float, 1.0, "per-link power budget in W"),
+    "trials": Flag((SWEEP,), int, 200, "Monte Carlo trials per budget point"),
+    "dims": Flag((BENCH,), str, "2:8,2:12,2:16,4:16,8:32", "comma list of K:N pairs"),
+    "methods": Flag((BENCH,), str, _METHODS, "comma list from: " + _METHODS),
+    "reps": Flag((BENCH,), int, 20, "repetitions per cell (median reported)"),
+    "seed": Flag((SWEEP, DUMP, BENCH), int, 0, "base RNG seed"),
+    "strategies": Flag((SWEEP,), str, _SHORT_NAMES, "comma list from: " + _SHORT_NAMES),
+    "strategy": Flag((DUMP,), str, None, "strategy short name", tuple(sorted(STRATEGY_SHORT)), required=True),
+    "out": Flag((SWEEP, DUMP, BENCH), str, None, "output path (default: stdout)"),
+    "score": Flag((SWEEP,), str, "exact", "'both' adds the regime strategies' own approximate objectives", harness.SCORE_MODES),
+    "workers": Flag((SWEEP,), int, 1, "parallel trial workers (default 1)"),
+    "guard": Flag((SWEEP, BENCH), int, DEFAULT_PARTITION_GUARD, "partition-count guard for the optimal strategy"),
+    "maxsel_power": Flag((SWEEP, DUMP), str, DEFAULT_MAX_SELECT_POWER_RULE, "max_select power rule", POWER_RULES),
 }
-CHANNEL_FLAGS = ("links", "subchannels", "bandwidth", "noise_psd", "shadow_prob", "shadow_atten")
+SWEEP_FLAGS = {name: flag for name, flag in FLAGS.items() if SWEEP in flag.commands}
 
 
 def parse_budget_grid(text: str) -> tuple[float, ...]:
@@ -95,17 +108,20 @@ def parse_budget_grid(text: str) -> tuple[float, ...]:
     return tuple(float(b) for b in grid)
 
 
+def _comma_items(text: str) -> list[str]:
+    """The stripped, non-blank items of a comma list."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def parse_strategies(text: str) -> tuple[str, ...]:
     """Map comma-separated short names (low,high,opt,maxsel) to strategy tags."""
-    names = [s.strip() for s in text.split(",") if s.strip()]
+    names = _comma_items(text)
     if not names:
-        raise ValidationError("strategies must name at least one of " + ",".join(STRATEGY_SHORT))
+        raise ValidationError("strategies must name at least one of " + _SHORT_NAMES)
     tags = []
     for name in names:
         if name not in STRATEGY_SHORT:
-            raise ValidationError(
-                f"unknown strategy {name!r}; choose from {','.join(STRATEGY_SHORT)}"
-            )
+            raise ValidationError(f"unknown strategy {name!r}; choose from {_SHORT_NAMES}")
         tags.append(STRATEGY_SHORT[name])
     return tuple(tags)
 
@@ -113,10 +129,7 @@ def parse_strategies(text: str) -> tuple[str, ...]:
 def parse_dims(text: str) -> list[tuple[int, int]]:
     """Parse "K:N,K:N,..." bench dimensions."""
     dims = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _comma_items(text):
         try:
             k_s, n_s = item.split(":")
             dims.append((int(k_s), int(n_s)))
@@ -125,6 +138,14 @@ def parse_dims(text: str) -> list[tuple[int, int]]:
     if not dims:
         raise ValidationError("dims must contain at least one K:N pair")
     return dims
+
+
+def parse_methods(text: str) -> tuple[str, ...]:
+    """Split a comma list of bench methods; `scaling_bench` checks the names."""
+    methods = tuple(_comma_items(text))
+    if not methods:
+        raise ValidationError("methods must name at least one of " + _METHODS)
+    return methods
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -166,14 +187,19 @@ def _resolve_sweep_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _add_flags(parser: argparse.ArgumentParser, names, with_defaults: bool) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the FLAGS rows `command` takes; sweep defaults wait for its config file."""
+    names = [name for name, flag in FLAGS.items() if command in flag.commands]
+    if command != SWEEP:
+        names.sort(key=lambda name: name == "out")
     for name in names:
-        flag = SWEEP_FLAGS[name]
+        flag = FLAGS[name]
         parser.add_argument(
             "--" + name.replace("_", "-"),
             type=flag.type,
-            default=flag.default if with_defaults else None,
+            default=None if command == SWEEP else flag.default,
             choices=flag.choices,
+            required=flag.required,
             help=flag.help,
         )
 
@@ -184,38 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sub-channel and power allocation experiments for centralized multi-band networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="Monte Carlo sum-rate vs power budget sweep (CSV)")
-    sweep.set_defaults(run=_run_sweep)
-    _add_flags(sweep, SWEEP_FLAGS, with_defaults=False)
-    sweep.add_argument("--config", help="flat key=value file mirroring sweep flags; flags override")
-
-    dump = sub.add_parser("dump", help="allocate one seeded instance and print the full report")
-    dump.set_defaults(run=_run_dump)
-    _add_flags(dump, CHANNEL_FLAGS, with_defaults=True)
-    dump.add_argument("--budget", type=float, default=1.0, help="per-link power budget in W")
-    dump.add_argument("--seed", type=int, default=0, help="RNG seed")
-    dump.add_argument(
-        "--strategy",
-        required=True,
-        choices=sorted(STRATEGY_SHORT),
-        help="strategy short name",
+    commands = (
+        (SWEEP, "Monte Carlo sum-rate vs power budget sweep (CSV)", _run_sweep),
+        (DUMP, "allocate one seeded instance and print the full report", _run_dump),
+        (BENCH, "solver scaling micro-benchmark (CSV)", _run_bench),
     )
-    dump.add_argument("--maxsel-power", dest="maxsel_power", choices=POWER_RULES, default="water_fill")
-    dump.add_argument("--out", help="output path (default: stdout)")
-
-    bench = sub.add_parser("bench", help="solver scaling micro-benchmark (CSV)")
-    bench.set_defaults(run=_run_bench)
-    bench.add_argument("--dims", default="2:8,2:12,2:16,4:16,8:32", help="comma list of K:N pairs")
-    bench.add_argument(
-        "--methods",
-        default=",".join(harness.BENCH_METHODS),
-        help="comma list from: hungarian,optimal,max_select",
-    )
-    bench.add_argument("--reps", type=int, default=20, help="repetitions per cell (median reported)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--guard", type=int, default=DEFAULT_PARTITION_GUARD, help="optimal is skipped above this partition count")
-    bench.add_argument("--out", help="output CSV path (default: stdout)")
+    for command, help_text, run in commands:
+        subparser = sub.add_parser(command, help=help_text)
+        subparser.set_defaults(run=run)
+        _add_flags(subparser, command)
+        if command == SWEEP:
+            subparser.add_argument("--config", help="flat key=value file mirroring sweep flags; flags override")
     return parser
 
 
@@ -279,10 +284,9 @@ def _run_dump(args: argparse.Namespace) -> None:
 
 def _run_bench(args: argparse.Namespace) -> None:
     _check_out(args.out)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     rows = harness.scaling_bench(
         parse_dims(args.dims),
-        methods=methods,
+        methods=parse_methods(args.methods),
         reps=args.reps,
         optimal_guard=args.guard,
         seed=args.seed,

@@ -68,7 +68,7 @@ class SweepConfig:
     score_mode: str = "exact"
     workers: int = 1
     partition_guard: int = allocators.DEFAULT_PARTITION_GUARD
-    max_select_power_rule: str = "water_fill"
+    max_select_power_rule: str = allocators.DEFAULT_MAX_SELECT_POWER_RULE
 
     def __post_init__(self):
         grid = tuple(float(b) for b in self.budget_grid)
@@ -95,10 +95,7 @@ class SweepConfig:
             raise ValidationError("workers must be a positive integer")
         if self.partition_guard < 1:
             raise ValidationError("partition_guard must be >= 1")
-        if self.max_select_power_rule not in allocators.POWER_RULES:
-            raise ValidationError(
-                f"max_select_power_rule must be one of {allocators.POWER_RULES}"
-            )
+        allocators.check_power_rule(self.max_select_power_rule)
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def dump_instance(
     seed: int,
     strategy: str,
     *,
-    max_select_power_rule: str = "water_fill",
+    max_select_power_rule: str = allocators.DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> str:
     """Text report of one seeded instance under one strategy.
 
@@ -334,6 +331,8 @@ def scaling_bench(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    if not methods:
+        raise ValidationError(f"methods must name at least one of {BENCH_METHODS}")
     unknown = set(methods) - set(BENCH_METHODS)
     if unknown:
         raise ValidationError(f"unknown bench methods: {sorted(unknown)}")
@@ -359,12 +358,12 @@ def scaling_bench(
                         BenchRow(method, num_links, num_subchannels, reps, None, count, "skipped")
                     )
                     continue
-                target = lambda: allocators.optimal_allocate(params, chan)
+                target = lambda: allocate(allocators.OPTIMAL, params, chan)
             elif method == "hungarian":
                 cost = replicate_rows(allocators.high_snr_cost_matrix(params, chan), params.quota)
                 target = lambda: solve_assignment(cost)
             else:
-                target = lambda: allocators.max_select_allocate(params, chan)
+                target = lambda: allocate(allocators.MAX_SELECT, params, chan)
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()

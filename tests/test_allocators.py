@@ -17,14 +17,10 @@ from multiband_alloc.allocators import (
     allocate,
     enumerate_partitions,
     exact_sum_rate,
-    high_snr_allocate,
     high_snr_cost_matrix,
     linear_approx_rate,
     log_approx_rate,
-    low_snr_allocate,
     low_snr_cost_matrix,
-    max_select_allocate,
-    optimal_allocate,
     partition_count,
     validate_allocation,
 )
@@ -149,7 +145,7 @@ class TestExactSumRate:
     def test_total_is_sum_of_links(self):
         params = unit_params()
         chan = sample_realization(params, trial_rng(3, 0))
-        alloc = optimal_allocate(params, chan)
+        alloc = allocate(OPTIMAL, params, chan)
         report = exact_sum_rate(params, chan, alloc)
         acc = 0.0
         for r in report.per_link_rate:
@@ -163,7 +159,7 @@ class TestLowSnr:
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
         assert solve_assignment(low_snr_cost_matrix(params, chan)).objective_value == 6.0
-        alloc = low_snr_allocate(params, chan)
+        alloc = allocate(LOW_SNR, params, chan)
         assert alloc.powers[0, 0] == 1.0
         assert alloc.powers[1, 1] == 1.0
         assert alloc.powers.sum() == 2.0
@@ -175,7 +171,7 @@ class TestLowSnr:
     def test_single_link_powers_global_argmax(self):
         params = unit_params(num_links=1, budgets=(2.0,))
         chan = inject(params, [[0.3, 0.9, 2.5, 0.1]])
-        alloc = low_snr_allocate(params, chan)
+        alloc = allocate(LOW_SNR, params, chan)
         assert alloc.powers[0, 2] == 2.0
         assert alloc.subchannels_of_link == ((0, 1, 2, 3),)
 
@@ -189,7 +185,7 @@ class TestLowSnr:
     def test_all_zero_row_still_allocates(self):
         params = unit_params()
         chan = inject(params, [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
-        alloc = low_snr_allocate(params, chan)
+        alloc = allocate(LOW_SNR, params, chan)
         validate_allocation(params, alloc)
         assert exact_sum_rate(params, chan, alloc).per_link_rate[0] == 0.0
 
@@ -198,7 +194,7 @@ class TestHighSnr:
     def test_hand_traced_example(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, [[4.0, 3.0, 1.0, 1.0], [1.0, 1.0, 4.0, 3.0]])
-        alloc = high_snr_allocate(params, chan)
+        alloc = allocate(HIGH_SNR, params, chan)
         assert alloc.subchannels_of_link == ((0, 1), (2, 3))
         assert np.array_equal(
             alloc.powers,
@@ -210,7 +206,7 @@ class TestHighSnr:
     def test_all_equal_gains_any_partition_same_rate(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, np.full((2, 4), 3.0))
-        alloc = high_snr_allocate(params, chan)
+        alloc = allocate(HIGH_SNR, params, chan)
         validate_allocation(params, alloc)
         total = exact_sum_rate(params, chan, alloc).total_rate
         assert total == pytest.approx(4 * math.log2(4.0), abs=1e-12)
@@ -219,7 +215,7 @@ class TestHighSnr:
         params = unit_params()
         gains = np.array([[0.0, 0.0, 2.0, 3.0], [5.0, 4.0, 3.0, 2.0]])
         chan = inject(params, gains)
-        alloc = high_snr_allocate(params, chan)
+        alloc = allocate(HIGH_SNR, params, chan)
         assert alloc.subchannels_of_link[0] == (2, 3)
 
     def test_short_link_raises_with_link_id(self):
@@ -227,12 +223,12 @@ class TestHighSnr:
         gains = np.array([[0.0, 0.0, 0.0, 3.0], [5.0, 4.0, 3.0, 2.0]])
         chan = inject(params, gains)
         with pytest.raises(InfeasibleError, match="link 0"):
-            high_snr_allocate(params, chan)
+            allocate(HIGH_SNR, params, chan)
 
     def test_single_link_pair(self):
         params = unit_params(num_links=1, num_subchannels=2, budgets=(3.0,))
         chan = inject(params, [[1.0, 2.0]])
-        alloc = high_snr_allocate(params, chan)
+        alloc = allocate(HIGH_SNR, params, chan)
         assert alloc.subchannels_of_link == ((0, 1),)
         assert np.array_equal(alloc.powers, [[1.5, 1.5]])
 
@@ -242,7 +238,7 @@ class TestHighSnr:
         for _ in range(30):
             params = unit_params(budgets=(2.0, 2.0))
             chan = inject(params, rng.exponential(1.0, size=(2, 4)))
-            alloc = high_snr_allocate(params, chan)
+            alloc = allocate(HIGH_SNR, params, chan)
             lh = np.log(chan.normalized_gains)
             achieved = sum(lh[k, list(s)].sum() for k, s in enumerate(alloc.subchannels_of_link))
             best = max(
@@ -282,14 +278,14 @@ class TestOptimal:
         params = unit_params(num_links=2, num_subchannels=8)
         chan = inject(params, np.ones((2, 8)))
         with pytest.raises(GuardError, match="70"):
-            optimal_allocate(params, chan, partition_guard=10)
+            allocate(OPTIMAL, params, chan, partition_guard=10)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(909)
         params = unit_params(budgets=(1.5, 0.7))
         for _ in range(25):
             chan = inject(params, rng.exponential(1.0, size=(2, 4)))
-            alloc = optimal_allocate(params, chan)
+            alloc = allocate(OPTIMAL, params, chan)
             total = exact_sum_rate(params, chan, alloc).total_rate
             h = chan.normalized_gains
             best = -math.inf
@@ -315,7 +311,7 @@ class TestOptimal:
 
         def check(dims):
             for params, chan in cases(dims):
-                fast, oracle = optimal_allocate(params, chan), optimal_by_enumeration(params, chan)
+                fast, oracle = allocate(OPTIMAL, params, chan), optimal_by_enumeration(params, chan)
                 assert fast.subchannels_of_link == oracle.subchannels_of_link
                 assert np.array_equal(fast.powers, oracle.powers)
 
@@ -328,14 +324,14 @@ class TestOptimal:
     def test_all_equal_gains_ties_high_snr(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, np.full((2, 4), 1.7))
-        opt = exact_sum_rate(params, chan, optimal_allocate(params, chan)).total_rate
-        high = exact_sum_rate(params, chan, high_snr_allocate(params, chan)).total_rate
+        opt = exact_sum_rate(params, chan, allocate(OPTIMAL, params, chan)).total_rate
+        high = exact_sum_rate(params, chan, allocate(HIGH_SNR, params, chan)).total_rate
         assert opt == pytest.approx(high, rel=1e-12)
 
     def test_zero_gain_link_gets_zero_power(self):
         params = unit_params()
         chan = inject(params, [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
-        alloc = optimal_allocate(params, chan)
+        alloc = allocate(OPTIMAL, params, chan)
         validate_allocation(params, alloc)
         assert (alloc.powers[0] == 0).all()
 
@@ -344,15 +340,15 @@ class TestMaxSelect:
     def test_hand_traced_greedy_walk(self):
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        alloc = max_select_allocate(params, chan)
+        alloc = allocate(MAX_SELECT, params, chan)
         assert alloc.subchannels_of_link == ((0, 2), (1, 3))
 
     def test_single_link_takes_everything(self):
         params = unit_params(num_links=1, budgets=(1.0,))
         chan = inject(params, [[0.1, 0.4, 0.2, 0.3]])
-        alloc = max_select_allocate(params, chan)
+        alloc = allocate(MAX_SELECT, params, chan)
         assert alloc.subchannels_of_link == ((0, 1, 2, 3),)
-        opt = optimal_allocate(params, chan)
+        opt = allocate(OPTIMAL, params, chan)
         assert exact_sum_rate(params, chan, alloc).total_rate == pytest.approx(
             exact_sum_rate(params, chan, opt).total_rate, rel=1e-12
         )
@@ -360,14 +356,14 @@ class TestMaxSelect:
     def test_all_equal_gains_tie_optimal(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, np.full((2, 4), 0.9))
-        greedy = exact_sum_rate(params, chan, max_select_allocate(params, chan)).total_rate
-        opt = exact_sum_rate(params, chan, optimal_allocate(params, chan)).total_rate
+        greedy = exact_sum_rate(params, chan, allocate(MAX_SELECT, params, chan)).total_rate
+        opt = exact_sum_rate(params, chan, allocate(OPTIMAL, params, chan)).total_rate
         assert greedy == pytest.approx(opt, rel=1e-12)
 
     def test_equal_split_rule(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, [[9.0, 1.0, 8.0, 1.0], [1.0, 7.0, 1.0, 6.0]])
-        alloc = max_select_allocate(params, chan, power_rule="equal_split")
+        alloc = allocate(MAX_SELECT, params, chan, max_select_power_rule="equal_split")
         assert np.array_equal(
             alloc.powers, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
         )
@@ -376,12 +372,12 @@ class TestMaxSelect:
         params = unit_params()
         chan = inject(params, np.ones((2, 4)))
         with pytest.raises(ValidationError):
-            max_select_allocate(params, chan, power_rule="argmax")
+            allocate(MAX_SELECT, params, chan, max_select_power_rule="argmax")
 
     def test_zero_gain_link_gets_zero_power(self):
         params = unit_params()
         chan = inject(params, [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        alloc = max_select_allocate(params, chan)
+        alloc = allocate(MAX_SELECT, params, chan)
         validate_allocation(params, alloc)
         assert (alloc.powers[1] == 0).all()
 
@@ -390,7 +386,7 @@ class TestApproxObjectives:
     def test_linear_matches_closed_form(self):
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        alloc = low_snr_allocate(params, chan)
+        alloc = allocate(LOW_SNR, params, chan)
         assert linear_approx_rate(params, chan, alloc) == pytest.approx(
             6.0 / math.log(2.0), rel=1e-12
         )
@@ -398,7 +394,7 @@ class TestApproxObjectives:
     def test_log_matches_closed_form(self):
         params = unit_params(budgets=(2.0, 2.0))
         chan = inject(params, [[4.0, 3.0, 1.0, 1.0], [1.0, 1.0, 4.0, 3.0]])
-        alloc = high_snr_allocate(params, chan)
+        alloc = allocate(HIGH_SNR, params, chan)
         expected = math.log2(4.0) + math.log2(3.0) + math.log2(4.0) + math.log2(3.0)
         assert log_approx_rate(params, chan, alloc) == pytest.approx(expected, rel=1e-12)
 
@@ -421,6 +417,13 @@ class TestDispatcherAndInvariants:
         chan = sample_realization(params, trial_rng(1, 0))
         with pytest.raises(ValidationError):
             allocate("greedy", params, chan)
+
+    @pytest.mark.parametrize("tag", STRATEGY_ORDER)
+    def test_bad_power_rule_rejected_for_every_tag(self, tag):
+        params = unit_params()
+        chan = sample_realization(params, trial_rng(1, 0))
+        with pytest.raises(ValidationError, match="max_select_power_rule must be one of"):
+            allocate(tag, params, chan, max_select_power_rule="argmax")
 
     @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (2, 5), (3, 7), (1, 3), (4, 8)])
     def test_quota_disjointness_fuzz(self, num_links, num_subchannels):
@@ -445,7 +448,7 @@ class TestDispatcherAndInvariants:
             budget = float(10.0 ** rng.uniform(-3, 3))
             params = unit_params(budgets=(budget, budget))
             chan = inject(params, rng.exponential(1.0, size=(2, 4)))
-            opt = exact_sum_rate(params, chan, optimal_allocate(params, chan)).total_rate
+            opt = exact_sum_rate(params, chan, allocate(OPTIMAL, params, chan)).total_rate
             for tag in (LOW_SNR, HIGH_SNR, MAX_SELECT):
                 rate = exact_sum_rate(params, chan, allocate(tag, params, chan)).total_rate
                 assert opt >= rate - 1e-12 * max(1.0, abs(opt))

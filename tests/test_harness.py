@@ -78,6 +78,15 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             small_config(**overrides)
 
+    def test_power_rule_message_matches_allocate(self):
+        params = small_params()
+        chan = constant_gains(params, None)
+        with pytest.raises(ValidationError) as from_config:
+            small_config(max_select_power_rule="argmax")
+        with pytest.raises(ValidationError) as from_allocate:
+            allocators.allocate(LOW_SNR, params, chan, max_select_power_rule="argmax")
+        assert str(from_config.value) == str(from_allocate.value)
+
     def test_strategies_normalized_to_canonical_order(self):
         config = small_config(strategies=(MAX_SELECT, OPTIMAL, LOW_SNR))
         assert config.strategies == (LOW_SNR, OPTIMAL, MAX_SELECT)
@@ -359,6 +368,8 @@ class TestScalingBench:
             scaling_bench([(2, 4)], reps=0)
         with pytest.raises(ValidationError):
             scaling_bench([(2, 4)], methods=("simplex",))
+        with pytest.raises(ValidationError):
+            scaling_bench([(2, 4)], methods=())
 
     def test_csv_blank_for_skipped(self):
         rows = [BenchRow("optimal", 2, 8, 1, None, 70, "skipped")]
@@ -465,6 +476,13 @@ class TestCliMain:
         )
         assert code == 0
         assert out.read_text().startswith("method,")
+
+    def test_empty_bench_methods_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--dims", "2:4", "--reps", "1", "--methods", ",", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
