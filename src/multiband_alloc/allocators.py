@@ -29,7 +29,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "allocate",
     "power_selection",
     "partition_count",
-    "enumerate_partitions",
     "POWER_RULES",
     "check_power_rule",
 ]
@@ -77,10 +76,6 @@ POWER_RULES = (WATER_FILL, EQUAL_SPLIT)
 DEFAULT_MAX_SELECT_POWER_RULE = WATER_FILL
 _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
-# Partition id tables up to this many rows are cached; larger instances
-# stream the same ids in chunks of _PARTITION_CHUNK rows.
-_CACHED_PARTITION_LIMIT = 20_000
-_PARTITION_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -328,58 +323,46 @@ def partition_count(num_subchannels: int, num_links: int) -> int:
     return math.prod(math.comb(num_subchannels - k * quota, quota) for k in range(num_links))
 
 
-def enumerate_partitions(num_subchannels: int, num_links: int):
-    """Yield every ordered partition, lexicographic in each link's choice.
+@lru_cache(maxsize=8)
+def _partition_levels(num_subchannels: int, num_links: int):
+    """Every ordered partition as levels of indices into `subsets`, built
+    once per (N, K) and returned as (subsets, columns, picks).
 
-    Each partition is a tuple of `num_links` sorted index tuples of size
-    floor(N/K); surplus sub-channels are simply left out.
+    `subsets` lists the quota sets in `combinations(range(N), q)` order and
+    `columns` is the same as an array. `picks[k - 1]` has one row per prefix
+    of k link sets, in partition order, and one column per continuation:
+    each quota set of the sub-channels the prefix leaves free, lexicographic
+    over them. Partition i is continuation i % width of prefix i // width
+    of the last level, and so on down.
     """
     quota = num_subchannels // num_links
-
-    def recurse(remaining: tuple[int, ...], depth: int, chosen: tuple):
-        if depth == num_links:
-            yield chosen
-            return
-        for subset in combinations(remaining, quota):
-            rest = tuple(n for n in remaining if n not in subset)
-            yield from recurse(rest, depth + 1, chosen + (subset,))
-
-    yield from recurse(tuple(range(num_subchannels)), 0, ())
-
-
-def _partition_ids(num_subchannels: int, num_links: int, subsets):
-    """Yield each partition of `enumerate_partitions`, in its order, as the
-    indices of its link sets in `subsets`."""
-    index = {subset: i for i, subset in enumerate(subsets)}
-    for part in enumerate_partitions(num_subchannels, num_links):
-        yield [index[subset] for subset in part]
-
-
-@lru_cache(maxsize=32)
-def _cached_partition_ids(num_subchannels: int, num_links: int, subsets) -> np.ndarray:
-    ids = np.array(list(_partition_ids(num_subchannels, num_links, subsets)))
-    ids.setflags(write=False)
-    return ids
-
-
-def _partition_id_chunks(num_subchannels: int, num_links: int, subsets, count: int):
-    """The (count, K) table of each partition's set indices in `subsets`,
-    in enumeration order: one cached chunk up to _CACHED_PARTITION_LIMIT
-    partitions, chunks of _PARTITION_CHUNK rows streamed above it."""
-    if count <= _CACHED_PARTITION_LIMIT:
-        yield _cached_partition_ids(num_subchannels, num_links, subsets)
-        return
-    rows = _partition_ids(num_subchannels, num_links, subsets)
-    while chunk := list(islice(rows, _PARTITION_CHUNK)):
-        yield np.array(chunk)
+    subsets = tuple(combinations(range(num_subchannels), quota))
+    columns = np.array(subsets)
+    free = np.arange(num_subchannels)[None, :]  # each prefix's free sub-channels
+    picks = []
+    for _ in range(1, num_links):
+        width = free.shape[1]
+        rest = [[n for n in range(width) if n not in c] for c in combinations(range(width), quota)]
+        free = free[:, rest].reshape(-1, width - quota)
+        chosen = np.array(list(combinations(range(width - quota), quota)))
+        # A sorted set c is subsets[C(N, q) - 1 - sum over i of C(N - 1 - c_i, q - i)].
+        pick = len(subsets) - 1
+        for i in range(quota):
+            term = [math.comb(num_subchannels - 1 - n, quota - i) for n in range(num_subchannels)]
+            pick = pick - np.array(term)[free[:, chosen[:, i]]]
+        pick.setflags(write=False)
+        picks.append(pick)
+    columns.setflags(write=False)
+    return subsets, columns, tuple(picks)
 
 
 def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
     """The partition with the best water-filled rate: exhaustive search over
     a table of K * C(N, floor(N/K)) link rates. The first partition with the
-    highest rate wins, in enumeration order. The partition index table holds
-    count x K integers; it is cached up to 20,000 partitions and streamed in
-    chunks above that."""
+    highest rate wins, in enumeration order. The search folds the links
+    into one array of partition totals over `_partition_levels`, cached per
+    (N, K); the structure and the fold each hold about one integer or
+    float per partition."""
     n_sub = params.num_subchannels
     k_links = params.num_links
     count = partition_count(n_sub, k_links)
@@ -388,11 +371,11 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
             f"instance too large: {count} candidate partitions exceed the guard "
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
-    subsets = tuple(combinations(range(n_sub), params.quota))
+    subsets, columns, picks = _partition_levels(n_sub, k_links)
     # The objective is separable by link: rates[k, i] is link k's
     # water-filled rate on subsets[i], the same float the scorer gives that
     # link in every partition that hands it that set.
-    gains = chan.normalized_gains[:, subsets]
+    gains = chan.normalized_gains[:, columns]
     budgets = np.asarray(params.power_budgets)[:, None]
     powers = water_fill(gains, budgets).powers.tolist()
     rates = np.array(
@@ -403,16 +386,17 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
     )
 
     # Partition totals add the link rates in index order, as the scorer
-    # does; argmax and the strict > across chunks keep the first maximum.
-    best_total, best_ids = -math.inf, None
-    for ids in _partition_id_chunks(n_sub, k_links, subsets, count):
-        totals = np.zeros(len(ids))
-        for k in range(k_links):
-            totals += rates[k, ids[:, k]]
-        i = int(np.argmax(totals))
-        if totals[i] > best_total:
-            best_total, best_ids = totals[i], ids[i]
-    return [subsets[i] for i in best_ids], None
+    # does, with partitions in enumeration order; argmax keeps the first
+    # maximum.
+    totals = rates[0]
+    for k, pick in enumerate(picks, start=1):
+        totals = (totals[:, None] + rates[k, pick]).ravel()
+    i = int(np.argmax(totals))
+    sets = []
+    for pick in reversed(picks):
+        i, j = divmod(i, pick.shape[1])
+        sets.insert(0, subsets[pick[i, j]])
+    return [subsets[i], *sets], None
 
 
 def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):

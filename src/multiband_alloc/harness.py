@@ -29,7 +29,7 @@ from .allocators import (
 )
 from .assignment import replicate_rows, solve_assignment
 from .channel import ChannelParams, sample_realization, trial_rng
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 
 __all__ = [
     "SweepConfig",
@@ -324,10 +324,10 @@ def scaling_bench(
 
     "hungarian" times the quota-replicated assignment solve, "optimal" the
     exhaustive partition search (one water-fill call over K * C(N, floor(N/K))
-    sets plus one rate-table lookup per partition; skipped when the guard
-    trips),
-    "max_select" the greedy allocator. Rows are emitted per dimension,
-    method order fixed.
+    sets plus one rate-table lookup per partition and link), run with
+    `optimal_guard` as its partition guard and reported "skipped" when that
+    guard trips, and "max_select" the greedy allocator. Rows are emitted
+    per dimension, method order fixed.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -353,33 +353,24 @@ def scaling_bench(
             count = None
             if method == "optimal":
                 count = allocators.partition_count(num_subchannels, num_links)
-                if count > optimal_guard:
-                    rows.append(
-                        BenchRow(method, num_links, num_subchannels, reps, None, count, "skipped")
-                    )
-                    continue
-                target = lambda: allocate(allocators.OPTIMAL, params, chan)
+                target = lambda: allocate(
+                    allocators.OPTIMAL, params, chan, partition_guard=optimal_guard
+                )
             elif method == "hungarian":
                 cost = replicate_rows(allocators.high_snr_cost_matrix(params, chan), params.quota)
                 target = lambda: solve_assignment(cost)
             else:
                 target = lambda: allocate(allocators.MAX_SELECT, params, chan)
             times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                target()
-                times.append(time.perf_counter() - t0)
-            rows.append(
-                BenchRow(
-                    method,
-                    num_links,
-                    num_subchannels,
-                    reps,
-                    statistics.median(times),
-                    count,
-                    "ok",
-                )
-            )
+            try:
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    target()
+                    times.append(time.perf_counter() - t0)
+                median, status = statistics.median(times), "ok"
+            except GuardError:
+                median, status = None, "skipped"
+            rows.append(BenchRow(method, num_links, num_subchannels, reps, median, count, status))
     return rows
 
 

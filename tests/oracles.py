@@ -3,17 +3,19 @@
 `brute_force_assignment` evaluates every injection of rows into columns;
 `water_fill_by_set` is the closed-form water-fill of one set at a time,
 which the package's array `water_fill` must match bit for bit;
-`optimal_by_enumeration` water-fills (through `water_fill_by_set`) and
-scores every quota partition; `equal_split` and `concentrate_on_best` are
+`enumerate_partitions` yields every quota partition in enumeration order,
+and `optimal_by_enumeration` water-fills (through `water_fill_by_set`) and
+scores each one; `equal_split` and `concentrate_on_best` are
 the simpler power rules the water-filling dominance checks compare with.
 None is used by the package itself.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from multiband_alloc.allocators import OPTIMAL, Allocation, _score, enumerate_partitions
+from multiband_alloc.allocators import OPTIMAL, Allocation, _score
 from multiband_alloc.assignment import (
     AssignmentResult,
     CostMatrix,
@@ -122,6 +124,25 @@ def _water_filled_by_set(params, h, sets) -> np.ndarray:
         subset = list(subset)
         powers[k, subset] = water_fill_by_set(h[k, subset], params.power_budgets[k]).powers
     return powers
+
+
+def enumerate_partitions(num_subchannels: int, num_links: int):
+    """Yield every ordered partition, lexicographic in each link's choice.
+
+    Each partition is a tuple of `num_links` sorted index tuples of size
+    floor(N/K); surplus sub-channels are simply left out.
+    """
+    quota = num_subchannels // num_links
+
+    def recurse(remaining: tuple[int, ...], depth: int, chosen: tuple):
+        if depth == num_links:
+            yield chosen
+            return
+        for subset in combinations(remaining, quota):
+            rest = tuple(n for n in remaining if n not in subset)
+            yield from recurse(rest, depth + 1, chosen + (subset,))
+
+    yield from recurse(tuple(range(num_subchannels)), 0, ())
 
 
 def optimal_by_enumeration(params, chan) -> Allocation:

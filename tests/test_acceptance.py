@@ -27,9 +27,9 @@ from multiband_alloc.harness import (
     scaling_bench,
     sweep_rows_to_csv,
 )
-from multiband_alloc.allocators import enumerate_partitions, partition_count
+from multiband_alloc.allocators import partition_count
 from multiband_alloc.power import water_fill
-from oracles import brute_force_assignment, concentrate_on_best, equal_split
+from oracles import brute_force_assignment, concentrate_on_best, enumerate_partitions, equal_split
 
 LOW, HIGH, OPT, MAXSEL = 0, 1, 2, 3  # strategy indices in canonical order
 

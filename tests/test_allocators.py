@@ -15,7 +15,6 @@ from multiband_alloc.allocators import (
     STRATEGY_ORDER,
     Allocation,
     allocate,
-    enumerate_partitions,
     exact_sum_rate,
     high_snr_cost_matrix,
     linear_approx_rate,
@@ -33,7 +32,7 @@ from multiband_alloc.channel import (
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import water_fill
-from oracles import optimal_by_enumeration
+from oracles import enumerate_partitions, optimal_by_enumeration
 
 LOG2_5 = math.log2(5.0)
 LOG2_3 = math.log2(3.0)
@@ -297,7 +296,7 @@ class TestOptimal:
                 best = max(best, rate)
             assert total == pytest.approx(best, rel=1e-12, abs=1e-9)
 
-    def test_bit_identical_to_enumeration(self, monkeypatch):
+    def test_bit_identical_to_enumeration(self):
         def cases(dims):
             for k, n in dims:
                 for budget in (0.0, 1e-3, 1.0, 1e3):
@@ -316,10 +315,33 @@ class TestOptimal:
                 assert np.array_equal(fast.powers, oracle.powers)
 
         check([(2, 4), (3, 7), (4, 8), (1, 5)])
-        # The chunked path, with chunk boundaries inside the enumeration.
-        monkeypatch.setattr(allocators, "_CACHED_PARTITION_LIMIT", 0)
-        monkeypatch.setattr(allocators, "_PARTITION_CHUNK", 7)
-        check([(3, 7)])
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (7, 3), (8, 4), (9, 3), (12, 3), (10, 5)])
+    def test_levels_decode_to_enumeration_order(self, n, k):
+        # Every partition, decoded from the level arrays prefix by prefix,
+        # in the order the search folds them.
+        subsets, columns, picks = allocators._partition_levels(n, k)
+        assert columns.tolist() == [list(s) for s in subsets]
+        ids = np.arange(len(subsets))[:, None]
+        for pick in picks:
+            ids = np.column_stack([np.repeat(ids, pick.shape[1], axis=0), pick.ravel()])
+        decoded = [tuple(subsets[i] for i in row) for row in ids.tolist()]
+        assert len(decoded) == partition_count(n, k)
+        assert decoded == list(enumerate_partitions(n, k))
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0])
+    def test_all_equal_gains_pick_first_partition(self, budget):
+        # 113,400 partitions tie; the first in enumeration order wins.
+        params = unit_params(5, 10, (budget,) * 5)
+        alloc = allocate(OPTIMAL, params, inject(params, np.full((5, 10), 1.7)))
+        assert alloc.subchannels_of_link == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
+
+    def test_single_link_takes_every_subchannel(self):
+        params = unit_params(1, 70, (1.0,))
+        chan = sample_realization(params, trial_rng(3, 0))
+        alloc = allocate(OPTIMAL, params, chan)
+        assert alloc.subchannels_of_link == (tuple(range(70)),)
+        validate_allocation(params, alloc)
 
     def test_all_equal_gains_ties_high_snr(self):
         params = unit_params(budgets=(2.0, 2.0))

@@ -359,6 +359,18 @@ class TestScalingBench:
         assert opt.median_seconds is None
         assert opt.partition_count == 70
 
+    def test_optimal_runs_under_the_bench_guard(self, monkeypatch):
+        guards = []
+
+        def spy(tag, params, chan, **kwargs):
+            guards.append(kwargs.get("partition_guard"))
+            return allocators.allocate(tag, params, chan, **kwargs)
+
+        monkeypatch.setattr(harness, "allocate", spy)
+        rows = scaling_bench([(2, 8)], methods=("optimal",), reps=2, optimal_guard=70)
+        assert guards == [70, 70]
+        assert rows[0].status == "ok" and rows[0].partition_count == 70
+
     def test_method_filter(self):
         rows = scaling_bench([(2, 4)], methods=("max_select",), reps=1)
         assert len(rows) == 1 and rows[0].method == "max_select"
