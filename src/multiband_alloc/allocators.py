@@ -273,7 +273,7 @@ def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cos
     """Maximize matrix c[k, n] = ln H[k, n], zero-gain cells forbidden."""
     h = chan.normalized_gains
     usable = h > 0
-    values = np.where(usable, np.log(h, where=usable, out=np.zeros_like(h)), 0.0)
+    values = np.log(h, where=usable, out=np.zeros_like(h))
     return CostMatrix(values=values, orientation="maximize", forbidden=~usable)
 
 

@@ -2,11 +2,14 @@
 
 A Hungarian (augmenting-path, dual-potential) solver handles minimize or
 maximize cost matrices with R rows <= C columns. Forbidden cells are
-excluded via a large finite sentinel instead of non-finite arithmetic.
+missing edges: the solver never relaxes them, and a row whose shortest-path
+tree reaches no free column makes the problem infeasible (Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +30,8 @@ ORIENTATIONS = ("minimize", "maximize")
 class CostMatrix:
     """R x C matrix of finite assignment costs plus an optional forbidden mask.
 
-    Rows are assignees, columns are items; R <= C is required. Entries under
-    the forbidden mask never enter arithmetic: the solver substitutes a
-    sentinel large enough that a forbidden cell is chosen only when no fully
-    feasible assignment exists.
+    Rows are assignees, columns are items; R <= C is required. The solver
+    never reads an entry under the forbidden mask.
     """
 
     values: np.ndarray
@@ -54,7 +55,8 @@ class CostMatrix:
                 raise ValidationError("forbidden mask shape must match the cost matrix")
         if not np.isfinite(values[~mask]).all():
             raise ValidationError("allowed cost cells must be finite")
-        # Keep forbidden slots finite so downstream arithmetic never sees inf/nan.
+        # Forbidden slots are zero for display (the dump prints them as 0);
+        # the solver never reads them.
         values[mask] = 0.0
         values.setflags(write=False)
         mask.setflags(write=False)
@@ -91,81 +93,60 @@ def _selection_value(values: np.ndarray, cols) -> float:
     return total
 
 
-def _effective_min_matrix(cost: CostMatrix) -> np.ndarray:
-    """Minimize-domain copy with forbidden cells replaced by a sentinel.
-
-    Raises InfeasibleError for any row with no allowed cell. The sentinel is
-    (span + 1) * C above the largest allowed value, which makes a forbidden
-    cell strictly worse than any fully feasible assignment.
-    """
-    allowed = ~cost.forbidden
-    bad_rows = np.flatnonzero(~allowed.any(axis=1))
-    if bad_rows.size:
-        raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
-    work = cost.values if cost.orientation == "minimize" else -cost.values
-    allowed_vals = work[allowed]
-    lo = float(allowed_vals.min())
-    hi = float(allowed_vals.max())
-    sentinel = hi + (hi - lo + 1.0) * cost.num_cols
-    return np.where(allowed, work, sentinel)
-
-
-def _hungarian_min(a: np.ndarray) -> np.ndarray:
+def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[int]:
     """Exact minimum-cost matching of every row of an R x C matrix, R <= C.
 
-    Augmenting-path Hungarian with row/column potentials; one alternating
-    tree per row, column index C acting as the virtual root. Inner scans are
-    vectorized over columns, giving O(R^2 C) total work.
+    Augmenting-path Hungarian with row/column potentials over Python lists;
+    one shortest-path tree per row, column index C acting as its root, and
+    O(R^2 C) total work. Forbidden cells are never relaxed.
     """
-    rows, n = a.shape
-    u = np.zeros(rows)
-    v = np.zeros(n + 1)
-    assigned_row = np.full(n + 1, -1, dtype=np.int64)
+    rows, n = len(costs), len(costs[0])
+    u = [0.0] * rows
+    v = [0.0] * n
+    assigned_row = [-1] * n + [0]
 
     for i in range(rows):
         assigned_row[n] = i
         j0 = n
-        min_slack = np.full(n, np.inf)
-        path_prev = np.full(n, n, dtype=np.int64)
-        visited = np.zeros(n + 1, dtype=bool)
+        min_slack = [math.inf] * n
+        path_prev = [n] * n
+        free = list(range(n))
+        tree = []
 
-        while True:
-            visited[j0] = True
+        while assigned_row[j0] != -1:
             i0 = assigned_row[j0]
-            free = ~visited[:n]
-            free_idx = np.flatnonzero(free)
-
-            reduced = a[i0, free_idx] - u[i0] - v[free_idx]
-            improve = reduced < min_slack[free_idx]
-            upd = free_idx[improve]
-            min_slack[upd] = reduced[improve]
-            path_prev[upd] = j0
-
-            j1 = free_idx[np.argmin(min_slack[free_idx])]
-            delta = min_slack[j1]
+            row_costs, row_allowed, u0 = costs[i0], allowed[i0], u[i0]
+            j1, delta = -1, math.inf
+            for j in free:
+                if row_allowed[j]:
+                    reduced = row_costs[j] - u0 - v[j]
+                    if reduced < min_slack[j]:
+                        min_slack[j] = reduced
+                        path_prev[j] = j0
+                if min_slack[j] < delta:
+                    j1, delta = j, min_slack[j]
+            if j1 < 0:
+                raise InfeasibleError("no complete assignment avoids the forbidden cells")
 
             # Shift potentials of the tree so the cheapest outgoing edge
-            # becomes tight; slacks of untouched columns shrink by delta.
-            vis = visited[:n]
-            u[assigned_row[:n][vis]] += delta
+            # becomes tight; slacks of columns outside it shrink by delta.
             u[i] += delta
-            v[np.flatnonzero(vis)] -= delta
-            v[n] -= delta
-            min_slack[~vis] -= delta
+            for j in tree:
+                u[assigned_row[j]] += delta
+                v[j] -= delta
+            for j in free:
+                min_slack[j] -= delta
 
-            j0 = int(j1)
-            if assigned_row[j0] == -1:
-                break
+            free.remove(j1)
+            tree.append(j1)
+            j0 = j1
 
         while j0 != n:
-            jprev = int(path_prev[j0])
-            assigned_row[j0] = assigned_row[jprev]
-            j0 = jprev
+            assigned_row[j0] = assigned_row[path_prev[j0]]
+            j0 = path_prev[j0]
 
-    taken = np.flatnonzero(assigned_row[:n] >= 0)
-    col_of_row = np.empty(rows, dtype=np.int64)
-    col_of_row[assigned_row[taken]] = taken
-    return col_of_row
+    col_of_row = {r: j for j, r in enumerate(assigned_row[:n]) if r >= 0}
+    return [col_of_row[r] for r in range(rows)]
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
@@ -181,11 +162,14 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         If some row has all cells forbidden, or no complete assignment can
         avoid forbidden cells.
     """
-    col_of_row = _hungarian_min(_effective_min_matrix(cost))
-    if cost.forbidden[np.arange(cost.num_rows), col_of_row].any():
-        raise InfeasibleError("no complete assignment avoids the forbidden cells")
+    allowed = ~cost.forbidden
+    bad_rows = np.flatnonzero(~allowed.any(axis=1))
+    if bad_rows.size:
+        raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
+    work = cost.values if cost.orientation == "minimize" else -cost.values
+    col_of_row = _hungarian_min(work.tolist(), allowed.tolist())
     return AssignmentResult(
-        column_of_row=tuple(int(c) for c in col_of_row),
+        column_of_row=tuple(col_of_row),
         objective_value=_selection_value(cost.values, col_of_row),
     )
 

@@ -19,7 +19,6 @@ from multiband_alloc.allocators import OPTIMAL, Allocation, _score
 from multiband_alloc.assignment import (
     AssignmentResult,
     CostMatrix,
-    _effective_min_matrix,
     _selection_value,
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
@@ -47,14 +46,21 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
     """Exhaustive assignment oracle: evaluates every injection of rows into columns.
 
     Same contract as :func:`solve_assignment`; intended for validation only.
-    The candidate count is C! / (C-R)!, so matrices wider than `max_columns`
+    Forbidden cells cost infinity, so an injection through one never wins,
+    and no injection with a finite total means no complete assignment. The
+    candidate count is C! / (C-R)!, so matrices wider than `max_columns`
     are rejected.
     """
     if cost.num_cols > max_columns:
         raise GuardError(
             f"oracle size guard: {cost.num_cols} columns exceed the limit of {max_columns}"
         )
-    work = _effective_min_matrix(cost)
+    allowed = ~cost.forbidden
+    bad_rows = np.flatnonzero(~allowed.any(axis=1))
+    if bad_rows.size:
+        raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
+    signed = cost.values if cost.orientation == "minimize" else -cost.values
+    work = np.where(allowed, signed, np.inf)
     rows, _ = work.shape
     perms = _enumerate_injections(cost.num_cols, rows)
     row_idx = np.arange(rows)[None, :]
@@ -69,7 +75,7 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
             best_val = float(totals[pos])
             best_cols = block[pos]
 
-    if cost.forbidden[np.arange(rows), best_cols].any():
+    if best_cols is None:
         raise InfeasibleError("no complete assignment avoids the forbidden cells")
     return AssignmentResult(
         column_of_row=tuple(int(c) for c in best_cols),

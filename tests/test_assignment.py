@@ -1,9 +1,19 @@
-"""Assignment solver vs the exhaustive oracle, plus structural properties."""
+"""Assignment solver vs the exhaustive oracle, plus structural properties.
+
+The chosen columns (which the CSV and dump bytes depend on) are pinned by
+`golden/assignment_columns.txt`; a change that means to alter them
+regenerates the file and says so:
+
+    PYTHONPATH=src python tests/test_assignment.py
+"""
+
+import pathlib
 
 import numpy as np
 import pytest
 
 from multiband_alloc.assignment import (
+    ORIENTATIONS,
     AssignmentResult,
     CostMatrix,
     replicate_rows,
@@ -12,6 +22,9 @@ from multiband_alloc.assignment import (
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from oracles import brute_force_assignment
 
+COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.txt"
+COLUMN_CASES = 1000
+
 
 def feasible_forbidden_mask(rng, rows, cols, density=0.4):
     """Random forbidden mask guaranteed to leave one complete assignment."""
@@ -19,6 +32,36 @@ def feasible_forbidden_mask(rng, rows, cols, density=0.4):
     safe_cols = rng.permutation(cols)[:rows]
     mask[np.arange(rows), safe_cols] = False
     return mask
+
+
+def column_case(seed: int) -> CostMatrix:
+    """Tie-heavy matrix number `seed` of the column golden: values in {0, 1, 2}
+    or all equal, forbidden probability 0 or 0.3, either orientation; shapes
+    up to 6x9, and every 50 seeds a 2x32 and an 8x32 matrix, each row
+    replicated 4 times (8x32 and 32x32)."""
+    rng = np.random.default_rng(seed)
+    if seed % 50 >= 48:
+        rows, cols, copies = (2, 32, 4) if seed % 50 == 48 else (8, 32, 4)
+    else:
+        rows = int(rng.integers(1, 7))
+        cols = int(rng.integers(rows, 10))
+        copies = 1
+    if rng.random() < 0.25:
+        values = np.full((rows, cols), float(rng.integers(0, 3)))
+    else:
+        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
+    forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
+    orientation = ORIENTATIONS[int(rng.integers(2))]
+    return replicate_rows(CostMatrix(values, orientation, forbidden), copies)
+
+
+def column_line(seed: int) -> str:
+    """The golden line of matrix `seed`: its columns, or the infeasibility message."""
+    try:
+        cols = solve_assignment(column_case(seed)).column_of_row
+    except InfeasibleError as exc:
+        return f"{seed}: {exc}"
+    return f"{seed}: " + " ".join(map(str, cols))
 
 
 class TestCostMatrix:
@@ -81,6 +124,11 @@ class TestKnownSolutions:
     def test_one_by_one(self):
         res = solve_assignment(CostMatrix(np.array([[7.0]]), "minimize"))
         assert res == AssignmentResult(column_of_row=(0,), objective_value=7.0)
+
+    def test_near_float_max_values(self):
+        # Each tree step shifts potentials by about 1e308; none may overflow.
+        values = [[1.2e308, 1.0e308], [1.1e308, 0.9e308]]
+        assert solve_assignment(CostMatrix(values, "maximize")).column_of_row == (0, 1)
 
     def test_minimize_picks_cheapest(self):
         values = np.array([[10.0, 1.0], [1.0, 10.0]])
@@ -232,3 +280,12 @@ class TestScipyCrossCheck:
         )
         reference = float(values[rows, cols].sum())
         assert abs(ours.objective_value - reference) < 1e-9
+
+
+def test_columns_match_golden():
+    expected = COLUMNS_GOLDEN.read_text().splitlines()
+    assert [column_line(seed) for seed in range(COLUMN_CASES)] == expected
+
+
+if __name__ == "__main__":
+    COLUMNS_GOLDEN.write_text("".join(column_line(seed) + "\n" for seed in range(COLUMN_CASES)))

@@ -250,6 +250,13 @@ class TestRunSweep:
         assert cli.main(["sweep", "--trials", "2", "--budgets", budgets]) == code
         assert capsys.readouterr().err == message
 
+    def test_near_max_budgets_fail_with_one_line(self, capsys):
+        # At budget 1e308 the trials before the overflowing one solve low_snr
+        # on P*H near the float maximum; the solve itself must stay silent.
+        args = ["sweep", "--seed", "3", "--budgets", "1e300:1e308:3log", "--trials", "20"]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: power budget 1e+308 W times a normalized gain overflows\n"
+
     def test_collect_rates_shapes(self):
         samples = collect_rates(small_config(trials=5))
         assert samples.exact.shape == (2, 4, 5)
