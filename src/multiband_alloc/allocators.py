@@ -21,6 +21,9 @@ a Hungarian selection solved, for instance dumps. The low_snr selection
 lists each link's assigned sub-channel first, which is where `concentrate`
 puts the budget. All strategies are scored with the same exact sum-rate
 formula; their regime approximations only drive the selections.
+`power_selections` and `exact_sum_rates` power and score the selections of
+B cells at once, as a sweep does for one strategy over its budget grid;
+`allocate` and `exact_sum_rate` are the one-cell case.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "RateReport",
     "validate_allocation",
     "exact_sum_rate",
+    "exact_sum_rates",
     "linear_approx_rate",
     "log_approx_rate",
     "low_snr_cost_matrix",
@@ -58,6 +62,7 @@ __all__ = [
     "STRATEGIES",
     "allocate",
     "power_selection",
+    "power_selections",
     "partition_count",
     "POWER_RULES",
     "check_power_rule",
@@ -180,19 +185,35 @@ def _link_rate(params: ChannelParams, k: int, powers, gains) -> float:
     return params.subchannel_bandwidth * link
 
 
-def _score(params: ChannelParams, h: np.ndarray, sets, powers: np.ndarray):
-    """Exact per-link rates and their total. Each link is scored by
-    `_link_rate` over its set; the total adds links in index order, so every
-    caller gets bit-identical scores for equal allocations."""
-    p_rows, h_rows = powers.tolist(), h.tolist()
-    per_link = tuple(
-        _link_rate(params, k, [p_rows[k][n] for n in subset], [h_rows[k][n] for n in subset])
-        for k, subset in enumerate(sets)
-    )
-    total = 0.0
-    for rate in per_link:
-        total += rate
-    return per_link, total
+def _score(points, h: np.ndarray, sets, powers: np.ndarray) -> list[RateReport]:
+    """Exact rates of B cells at once: cell b scores sorted sets `sets[b]`
+    with the K x N powers `powers[b]` of a (B, K, N) array under the params
+    `points[b]`. One loop walks the `.tolist()` rows; each link is scored by
+    `_link_rate` over its set and the total adds links in index order, so
+    every caller gets bit-identical scores for equal allocations."""
+    h_rows = h.tolist()
+    reports = []
+    for params, cell_sets, p_rows in zip(points, sets, powers.tolist()):
+        per_link = tuple(
+            _link_rate(params, k, [p_rows[k][n] for n in subset], [h_rows[k][n] for n in subset])
+            for k, subset in enumerate(cell_sets)
+        )
+        total = 0.0
+        for rate in per_link:
+            total += rate
+        reports.append(RateReport(per_link, total))
+    return reports
+
+
+def exact_sum_rates(points, chan: ChannelRealization, allocs) -> list[RateReport]:
+    """Score B allocations of one realization with the exact objective,
+    allocation b under the params `points[b]`: each is validated first,
+    then one `_score` call scores them all."""
+    for params, alloc in zip(points, allocs):
+        validate_allocation(params, alloc)
+    powers = np.stack([alloc.powers for alloc in allocs])
+    sets = [alloc.subchannels_of_link for alloc in allocs]
+    return _score(points, chan.normalized_gains, sets, powers)
 
 
 def exact_sum_rate(
@@ -202,10 +223,9 @@ def exact_sum_rate(
 
     R_k = (B/N) * sum over assigned n of log2(1 + p_{k,n} * H_{k,n}); the
     report carries each link's rate and their total. The allocation is
-    validated first.
+    validated first. This is `exact_sum_rates` for one allocation.
     """
-    validate_allocation(params, alloc)
-    return RateReport(*_score(params, chan.normalized_gains, alloc.subchannels_of_link, alloc.powers))
+    return exact_sum_rates([params], chan, [alloc])[0]
 
 
 def linear_approx_rate(
@@ -237,23 +257,25 @@ def log_approx_rate(params: ChannelParams, chan: ChannelRealization, alloc: Allo
 APPROX_RATES = {LOW_SNR: linear_approx_rate, HIGH_SNR: log_approx_rate}
 
 
-def _apply_power(rule: str, params: ChannelParams, h: np.ndarray, sets) -> np.ndarray:
-    """K x N powers from one named rule applied to every link's set.
+def _apply_power(rule: str, h: np.ndarray, sets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """(B, K, N) powers from one named rule applied to B selections at once.
 
+    `sets` is a (B, K, q) array of every link's set in selection order and
+    `budgets` a (B, K) array: cell b splits budgets[b, k] over sets[b, k].
     "concentrate" puts the whole budget on the first sub-channel of the set,
     the one its selection ranked first; "equal_split" spreads it evenly;
-    "water_fill" water-fills it, and a set with no positive gain stays
-    unpowered (its rate is zero either way).
+    "water_fill" water-fills it, every set of every cell in one call, and a
+    set with no positive gain stays unpowered (its rate is zero either way).
     """
-    links, columns = np.arange(params.num_links)[:, None], np.array(sets)
-    budgets = np.asarray(params.power_budgets)
-    powers = np.zeros((params.num_links, params.num_subchannels))
+    cells, k_links, quota = sets.shape
+    cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
+    powers = np.zeros((cells, k_links, h.shape[1]))
     if rule == CONCENTRATE:
-        powers[links[:, 0], columns[:, 0]] = budgets
+        powers[cell[..., 0], link[..., 0], sets[..., 0]] = budgets
     elif rule == EQUAL_SPLIT:
-        powers[links, columns] = budgets[:, None] / columns.shape[1]
+        powers[cell, link, sets] = budgets[..., None] / quota
     else:
-        powers[links, columns] = water_fill(h[links, columns], budgets).powers
+        powers[cell, link, sets] = water_fill(h[link, sets], budgets).powers
     return powers
 
 
@@ -473,6 +495,26 @@ def allocate(
     return power_selection(strategy, params, chan, selection, max_select_power_rule)
 
 
+def power_selections(
+    strategy: str,
+    points,
+    chan: ChannelRealization,
+    selections,
+    max_select_power_rule: str,
+) -> list[Allocation]:
+    """Power B selections (sets, trace) of one strategy by its rule, one
+    `_apply_power` call for all of them, selection b at the budgets of
+    the params `points[b]`, and package each cell's sets, sorted."""
+    rule = STRATEGIES[strategy].power_rule or max_select_power_rule
+    budgets = np.array([params.power_budgets for params in points])
+    sets = np.array([cell_sets for cell_sets, _ in selections])
+    powers = _apply_power(rule, chan.normalized_gains, sets, budgets)
+    return [
+        Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy, trace)
+        for (cell_sets, trace), cell_powers in zip(selections, powers)
+    ]
+
+
 def power_selection(
     strategy: str,
     params: ChannelParams,
@@ -481,8 +523,5 @@ def power_selection(
     max_select_power_rule: str,
 ) -> Allocation:
     """Power one selection's (sets, trace) by the strategy's rule at the
-    budgets of `params`, and package the sets, sorted."""
-    sets, trace = selection
-    rule = STRATEGIES[strategy].power_rule or max_select_power_rule
-    powers = _apply_power(rule, params, chan.normalized_gains, sets)
-    return Allocation(tuple(tuple(sorted(s)) for s in sets), powers, strategy, trace)
+    budgets of `params`: `power_selections` for one cell."""
+    return power_selections(strategy, [params], chan, [selection], max_select_power_rule)[0]

@@ -67,7 +67,7 @@ FLAGS = {
     "out": Flag((SWEEP, DUMP, BENCH), str, None, "output path (default: stdout)"),
     "score": Flag((SWEEP,), str, "exact", "'both' adds the regime strategies' own approximate objectives", harness.SCORE_MODES),
     "workers": Flag((SWEEP,), int, 1, "parallel trial workers (default 1)"),
-    "guard": Flag((SWEEP, BENCH), int, DEFAULT_PARTITION_GUARD, "partition-count guard for the optimal strategy"),
+    "guard": Flag((SWEEP, DUMP, BENCH), int, DEFAULT_PARTITION_GUARD, "partition-count guard for the optimal strategy"),
     "maxsel_power": Flag((SWEEP, DUMP), str, DEFAULT_MAX_SELECT_POWER_RULE, "max_select power rule", POWER_RULES),
 }
 SWEEP_FLAGS = {name: flag for name, flag in FLAGS.items() if SWEEP in flag.commands}
@@ -277,6 +277,7 @@ def _run_dump(args: argparse.Namespace) -> None:
         _channel_params(vars(args), args.budget),
         args.seed,
         STRATEGY_SHORT[args.strategy],
+        partition_guard=args.guard,
         max_select_power_rule=args.maxsel_power,
     )
     _emit(report, args.out)

@@ -2,11 +2,15 @@
 
 A sweep evaluates every enabled strategy on the SAME seeded realizations at
 each budget point (paired comparison); aggregates land in a schema-stable,
-byte-deterministic CSV. A trial runs budget-major, then in strategy order,
-and reads `allocators.STRATEGIES`: a selection that does not read the budget
-(`high_snr`, `max_select`) runs once per trial, at its first use, and its
-sets are powered and scored at every budget; the others select per budget.
-Every cell's allocation is validated by the scorer.
+byte-deterministic CSV. A trial runs each strategy once over the whole
+budget grid and reads `allocators.STRATEGIES`: a selection that does not
+read the budget (`high_snr`, `max_select`) runs once per trial, the others
+(`low_snr`, `optimal`) once per budget. The trial's selections of one
+strategy are then powered in one `allocators.power_selections` call (one
+`water_fill` for the water-filled rules) and scored in one
+`allocators.exact_sum_rates` loop, which still validates every cell. If any
+cell fails, the trial is replayed cell by cell, budget-major then in
+strategy order, so the sweep raises the error of the first failing cell.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from .allocators import (
     STRATEGY_ORDER,
     allocate,
     exact_sum_rate,
-    power_selection,
+    exact_sum_rates,
+    power_selections,
 )
 from .assignment import replicate_rows, solve_assignment
 from .channel import ChannelParams, sample_realization, trial_rng
-from .errors import GuardError, ValidationError
+from .errors import AllocationError, GuardError, ValidationError
 
 __all__ = [
     "SweepConfig",
@@ -131,30 +136,46 @@ def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     config, trial = args
     params = config.channel_params
     chan = sample_realization(params, trial_rng(config.seed, trial))
-    budgets, strategies = config.budget_grid, config.strategies
-    n_b, n_s = len(budgets), len(strategies)
+    points = [params.with_uniform_budget(budget) for budget in config.budget_grid]
+    n_b, n_s = len(points), len(config.strategies)
     exact = np.zeros((n_b, n_s))
     approx = np.full((n_b, n_s), np.nan) if config.score_mode == "both" else None
-    # Sets of the selections that ignore the budget. Each is made at its
-    # first use, so a selection that fails raises at the same cell as it
-    # would if it ran at every budget.
-    budget_free = {}
-    for bi, budget in enumerate(budgets):
-        point = params.with_uniform_budget(budget)
-        for si, strategy in enumerate(strategies):
+    try:
+        for si, strategy in enumerate(config.strategies):
             spec = STRATEGIES[strategy]
-            selection = budget_free.get(strategy)
-            if selection is None:
-                selection = spec.select(point, chan, config.partition_guard)
-                if not spec.reads_budget:
-                    budget_free[strategy] = selection
-            alloc = power_selection(
-                strategy, point, chan, selection, config.max_select_power_rule
+            if spec.reads_budget:
+                selections = [spec.select(point, chan, config.partition_guard) for point in points]
+            else:
+                selections = [spec.select(points[0], chan, config.partition_guard)] * n_b
+            allocs = power_selections(
+                strategy, points, chan, selections, config.max_select_power_rule
             )
-            exact[bi, si] = exact_sum_rate(point, chan, alloc).total_rate
+            exact[:, si] = [report.total_rate for report in exact_sum_rates(points, chan, allocs)]
             if approx is not None and strategy in APPROX_RATES:
-                approx[bi, si] = APPROX_RATES[strategy](point, chan, alloc)
+                rate = APPROX_RATES[strategy]
+                approx[:, si] = [rate(point, chan, alloc) for point, alloc in zip(points, allocs)]
+    except AllocationError:
+        # This pass runs strategy-major, so the error it met need not be the
+        # first in the per-cell order; the replay raises that one.
+        _replay_cells(config, points, chan)
+        raise
     return exact, approx
+
+
+def _replay_cells(config: SweepConfig, points, chan) -> None:
+    """Run a trial's cells one at a time, budget-major then strategy order,
+    through `allocate` and `exact_sum_rate`, so the first cell that fails
+    raises its error."""
+    for point in points:
+        for strategy in config.strategies:
+            alloc = allocate(
+                strategy,
+                point,
+                chan,
+                partition_guard=config.partition_guard,
+                max_select_power_rule=config.max_select_power_rule,
+            )
+            exact_sum_rate(point, chan, alloc)
 
 
 def collect_rates(config: SweepConfig) -> SweepSamples:
@@ -208,7 +229,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                     trials=config.trials,
                     mean_rate=float(rates.mean()),
                     std_rate=float(rates.std(ddof=1)) if config.trials > 1 else 0.0,
-                    median_rate=float(np.median(rates)),
+                    median_rate=statistics.median(rates.tolist()),
                     mean_gap_vs_optimal=gap,
                     mean_approx_rate=approx,
                 )
@@ -251,17 +272,24 @@ def dump_instance(
     seed: int,
     strategy: str,
     *,
+    partition_guard: int = allocators.DEFAULT_PARTITION_GUARD,
     max_select_power_rule: str = allocators.DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> str:
     """Text report of one seeded instance under one strategy.
 
     For the two Hungarian strategies the cost matrix and assignment are the
-    ones the allocator solved. Floats are printed with 17 significant digits
-    so rates recomputed from the printed gains and powers reproduce the
-    printed rate.
+    ones the allocator solved; `optimal` runs under `partition_guard`.
+    Floats are printed with 17 significant digits so rates recomputed from
+    the printed gains and powers reproduce the printed rate.
     """
     chan = sample_realization(params, trial_rng(seed, 0))
-    alloc = allocate(strategy, params, chan, max_select_power_rule=max_select_power_rule)
+    alloc = allocate(
+        strategy,
+        params,
+        chan,
+        partition_guard=partition_guard,
+        max_select_power_rule=max_select_power_rule,
+    )
     report = exact_sum_rate(params, chan, alloc)
 
     lines = [

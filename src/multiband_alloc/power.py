@@ -42,7 +42,9 @@ def water_fill(gains, budget) -> WaterFillResult:
     while the implied water level mu = (budget + sum over admitted 1/H) /
     #admitted keeps every admitted power strictly positive; the final level
     is then exact in closed form, with no iterative tolerance (Palomar &
-    Fonollosa, IEEE TSP 2005). Zero-gain channels never receive power.
+    Fonollosa, IEEE TSP 2005). Zero-gain channels never receive power, nor
+    do channels whose 1/H overflows to inf (subnormal gains below about
+    5.6e-309): they count as unpowerable.
 
     Parameters
     ----------
@@ -66,12 +68,14 @@ def water_fill(gains, budget) -> WaterFillResult:
     if not np.isfinite(b).all() or (b < 0.0).any():
         raise ValidationError("budget must be finite and >= 0")
 
-    # One row per set; zero gains get 1/H = inf, so they sort last (ties
-    # keep index order) and no level clears them.
+    # One row per set; zero gains get 1/H = inf, as do gains so small that
+    # 1/H overflows, so they sort last (ties keep index order) and no level
+    # clears them.
     shape = g.shape
     g = g.reshape(-1, shape[-1])
     rows = np.arange(len(g))[:, None]
-    inv = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=g > 0)
+    with np.errstate(over="ignore"):
+        inv = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=g > 0)
     order = np.argsort(inv, axis=1, kind="stable")
     inv_sorted = inv[rows, order]
     sizes = np.arange(1, g.shape[1] + 1)

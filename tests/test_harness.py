@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,9 +12,22 @@ import numpy as np
 import pytest
 
 from multiband_alloc import allocators, cli, harness
-from multiband_alloc.allocators import HIGH_SNR, LOW_SNR, MAX_SELECT, OPTIMAL, STRATEGY_ORDER
+from multiband_alloc.allocators import (
+    APPROX_RATES,
+    HIGH_SNR,
+    LOW_SNR,
+    MAX_SELECT,
+    OPTIMAL,
+    STRATEGY_ORDER,
+    exact_sum_rate,
+)
 from multiband_alloc.assignment import solve_assignment
-from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
+from multiband_alloc.channel import (
+    ChannelParams,
+    realization_from_squared_gains,
+    sample_realization,
+    trial_rng,
+)
 from multiband_alloc.errors import ValidationError
 from multiband_alloc.harness import (
     SWEEP_CSV_HEADER,
@@ -266,6 +280,88 @@ class TestRunSweep:
         low = both.approx[:, 0, :]
         assert np.isfinite(low).all()
         assert np.isnan(both.approx[:, 2, :]).all()
+
+
+def cli_sweep_config(
+    links, subchannels, trials, seed=0, noise_psd=1.0, shadow_prob=0.02, shadow_atten=0.0, **config
+):
+    """A sweep with B = N on the CLI's default budget grid, as `sweep` builds it."""
+    params = ChannelParams(
+        num_links=links,
+        num_subchannels=subchannels,
+        total_bandwidth=float(subchannels),
+        noise_psd=noise_psd,
+        shadow_prob=shadow_prob,
+        shadow_attenuation=shadow_atten,
+        power_budgets=(1.0,) * links,
+    )
+    grid = cli.parse_budget_grid(cli.FLAGS["budgets"].default)
+    return SweepConfig(channel_params=params, budget_grid=grid, trials=trials, seed=seed, **config)
+
+
+def rates_cell_by_cell(config):
+    """The per-cell reference: every (trial, budget, strategy) cell in that
+    order through `allocate` and `exact_sum_rate`, as (exact, approx)."""
+    params = config.channel_params
+    shape = (len(config.budget_grid), len(config.strategies), config.trials)
+    exact, approx = np.zeros(shape), np.full(shape, np.nan)
+    for t in range(config.trials):
+        chan = sample_realization(params, trial_rng(config.seed, t))
+        for b, budget in enumerate(config.budget_grid):
+            point = params.with_uniform_budget(budget)
+            for s, tag in enumerate(config.strategies):
+                alloc = allocators.allocate(
+                    tag,
+                    point,
+                    chan,
+                    partition_guard=config.partition_guard,
+                    max_select_power_rule=config.max_select_power_rule,
+                )
+                exact[b, s, t] = exact_sum_rate(point, chan, alloc).total_rate
+                if tag in APPROX_RATES:
+                    approx[b, s, t] = APPROX_RATES[tag](point, chan, alloc)
+    return exact, approx
+
+
+class TestBatchedTrialsMatchCells:
+    """A trial powers and scores each strategy over the whole budget grid in
+    one pass; every cell must equal the per-cell path bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            cli_sweep_config(
+                8, 32, 3, shadow_atten=1e-3, strategies=(LOW_SNR, HIGH_SNR, MAX_SELECT)
+            ),
+            cli_sweep_config(4, 8, 3, shadow_prob=0.3, shadow_atten=1e-3, score_mode="both"),
+            cli_sweep_config(3, 7, 5, max_select_power_rule="equal_split"),
+            cli_sweep_config(2, 4, 5, seed=11, shadow_prob=0.3, shadow_atten=1e-3),
+        ],
+        ids=["k8_n32", "k4_n8_score_both", "k3_n7_equal_split", "k2_n4_shadowed"],
+    )
+    def test_every_cell_matches_allocate(self, monkeypatch, config):
+        def no_replay(*args):
+            raise AssertionError("a feasible sweep replayed a trial cell by cell")
+
+        monkeypatch.setattr(harness, "_replay_cells", no_replay)
+        samples = collect_rates(config)
+        exact, approx = rates_cell_by_cell(config)
+        assert samples.exact.tobytes() == exact.tobytes()
+        if config.score_mode == "both":
+            assert samples.approx.tobytes() == approx.tobytes()
+
+    @pytest.mark.parametrize("seed", [8, 11])
+    def test_first_failing_cell_raises(self, seed):
+        # Low-SNR budget overshoot. At seed 8 the strategy-major pass first
+        # meets optimal at budget 0.01, but max_select fails earlier in
+        # budget-major order, at 0.001.
+        config = cli_sweep_config(2, 4, 4, seed=seed, noise_psd=1e7)
+        with pytest.raises(ValidationError) as expected:
+            rates_cell_by_cell(config)
+        assert str(expected.value) == "link 0: power sum 0.0010000020265579224 exceeds budget 0.001"
+        with pytest.raises(ValidationError) as raised:
+            collect_rates(config)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestCsvFormat:
@@ -567,6 +663,24 @@ class TestCliMain:
             out, extra=["--strategies", "opt", "--subchannels", "8", "--guard", "10"]
         )
         assert cli.main(args) == 4
+
+    def test_dump_guard(self, capsys):
+        # K=2, N=4 has 6 partitions.
+        args = ["dump", "--strategy", "opt", "--seed", "3", "--budget", "10"]
+        assert cli.main([*args, "--guard", "5"]) == 4
+        assert capsys.readouterr().err == (
+            "error: instance too large: 6 candidate partitions exceed the guard of 5 (K=2, N=4)\n"
+        )
+        assert cli.main([*args, "--guard", "6"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (pathlib.Path(__file__).parent / "golden" / "dump_opt.txt").read_bytes()
+
+    def test_subnormal_gains_sweep_without_warnings(self, capsys):
+        # 1/H overflows for gains shadowed down to 1e-320; such a channel
+        # counts as unpowerable, silently.
+        args = ["sweep", "--seed", "11", "--trials", "20", "--shadow-atten", "1e-320", "--shadow-prob", "0.3"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_flag_exit_code(self):
         assert cli.main(["sweep", "--frobnicate"]) == 2

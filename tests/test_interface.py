@@ -55,6 +55,7 @@ OPTIONS = {
         ("--budget", "float", 1.0, None, False),
         ("--seed", "int", 0, None, False),
         ("--strategy", "str", None, ("high", "low", "maxsel", "opt"), True),
+        ("--guard", "int", GUARD, None, False),
         ("--maxsel-power", "str", "water_fill", POWER, False),
         ("--out", "str", None, None, False),
     ],

@@ -68,6 +68,15 @@ class TestWaterFillExamples:
         assert res.powers.sum() == pytest.approx(5.0, abs=1e-9)
         assert 0 not in res.active_set and 2 not in res.active_set
 
+    def test_gain_whose_reciprocal_overflows_is_unpowerable(self):
+        # 1/1e-320 overflows; the suite turns the numpy warning into an error.
+        res = water_fill([1e-320, 2.0, 0.0], 3.0)
+        assert np.array_equal(res.powers, [0.0, 3.0, 0.0])
+        assert res.water_level == 3.5
+        all_subnormal = water_fill([[1e-320, 5e-324]], 1.0)
+        assert np.array_equal(all_subnormal.powers, [[0.0, 0.0]])
+        assert all_subnormal.water_level.tolist() == [np.inf]
+
 
 class TestWaterFillValidation:
     def test_negative_gain_rejected(self):
