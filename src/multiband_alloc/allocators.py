@@ -10,17 +10,18 @@ splits each link's budget over its set:
 - optimal: the best water-filled partition, then `water_fill`;
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
-The table `STRATEGIES` says this once: for each tag it names the selection,
-a function (params, chan, partition_guard) -> (sets, trace), the power
-rule, and whether the selection reads the power budget. `low_snr` (on
-P*H) and `optimal` (water-filled rates) do; the `high_snr` and
-`max_select` selections read the channel alone, so a sweep runs them once
-per trial. `allocate(tag, params, chan)` is the one entry point that runs a
-strategy: it dispatches through the table. The trace keeps the assignment
-a Hungarian selection solved, for instance dumps. The low_snr selection
-lists each link's assigned sub-channel first, which is where `concentrate`
-puts the budget. All strategies are scored with the same exact sum-rate
-formula; their regime approximations only drive the selections.
+The table `STRATEGIES` says this once: for each tag it names the selection
+and the power rule. A selection maps a budget grid to one (sets, trace) per
+point, as a function (points, chan, partition_guard): `high_snr` and
+`max_select` read the channel alone and repeat one result, `low_snr` builds
+every point's P*H in one multiply and solves once per point, and `optimal`
+water-fills one rate table for the whole grid. `allocate(tag, params,
+chan)` is the one entry point that runs a strategy: it dispatches through
+the table on a one-point grid. The trace keeps the assignment a Hungarian
+selection solved, for instance dumps. The low_snr selection lists each
+link's assigned sub-channel first, which is where `concentrate` puts the
+budget. All strategies are scored with the same exact sum-rate formula;
+their regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
 B cells at once, as a sweep does for one strategy over its budget grid;
 `allocate` and `exact_sum_rate` are the one-cell case.
@@ -29,6 +30,7 @@ B cells at once, as a sweep does for one strategy over its budget grid;
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,7 +63,6 @@ __all__ = [
     "Strategy",
     "STRATEGIES",
     "allocate",
-    "power_selection",
     "power_selections",
     "partition_count",
     "POWER_RULES",
@@ -81,6 +82,8 @@ POWER_RULES = (WATER_FILL, EQUAL_SPLIT)
 DEFAULT_MAX_SELECT_POWER_RULE = WATER_FILL
 _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
+# Most water-filled elements `optimal`'s rate table holds at once.
+_TABLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,34 +173,40 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
             raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
-def _link_rate(params: ChannelParams, k: int, powers, gains) -> float:
-    """Exact rate of link k over one set: (B/N) * sum of log2(1 + p*H) over
-    the paired entries of `powers` and `gains`, added in set order. Both
-    are lists of floats, so an overflowing p*H gives inf, not a numpy
-    warning, and is reported here."""
-    link = 0.0
-    for p, g in zip(powers, gains):
-        link += math.log1p(p * g) / _LN2
-    if not math.isfinite(link):
-        raise ValidationError(
-            f"power budget {params.power_budgets[k]:g} W times a normalized gain overflows"
-        )
-    return params.subchannel_bandwidth * link
+def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
+    """Sum of log2(1 + p*H) over each consecutive run of `size` entries of
+    `snr`, a flat list of p*H products. A run is one link's set; its terms
+    add from 0.0 in set order. The products are Python floats, so one that
+    overflowed is inf, not a numpy warning; the first run whose sum is not
+    finite raises, naming `budgets[i]`, the budget of run i's link."""
+    terms = [math.log1p(x) / _LN2 for x in snr]
+    sums = [0.0] * (len(terms) // size)
+    for j in range(size):
+        sums = list(map(operator.add, sums, terms[j::size]))
+    if not all(map(math.isfinite, sums)):
+        i = [math.isfinite(s) for s in sums].index(False)
+        raise ValidationError(f"power budget {budgets[i]:g} W times a normalized gain overflows")
+    return sums
 
 
 def _score(points, h: np.ndarray, sets, powers: np.ndarray) -> list[RateReport]:
-    """Exact rates of B cells at once: cell b scores sorted sets `sets[b]`
-    with the K x N powers `powers[b]` of a (B, K, N) array under the params
-    `points[b]`. One loop walks the `.tolist()` rows; each link is scored by
-    `_link_rate` over its set and the total adds links in index order, so
-    every caller gets bit-identical scores for equal allocations."""
-    h_rows = h.tolist()
+    """Exact rates of B cells at once: cell b scores its K sets `sets[b]`,
+    each of the same size, with the K x N powers `powers[b]` of a (B, K, N)
+    array under the params `points[b]`. One `_link_sums` call sums every
+    link over its set in set order; link k's rate is (B/N) times its sum,
+    and the total adds links in index order, so every caller gets
+    bit-identical scores for equal allocations."""
+    sets = np.array(sets)
+    cells, k_links, quota = sets.shape
+    cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
+    with np.errstate(over="ignore"):
+        snr = powers[cell, link, sets] * h[link, sets]
+    budgets = [budget for params in points for budget in params.power_budgets]
+    sums = _link_sums(snr.ravel().tolist(), quota, budgets)
     reports = []
-    for params, cell_sets, p_rows in zip(points, sets, powers.tolist()):
-        per_link = tuple(
-            _link_rate(params, k, [p_rows[k][n] for n in subset], [h_rows[k][n] for n in subset])
-            for k, subset in enumerate(cell_sets)
-        )
+    for b, params in enumerate(points):
+        link_sums = sums[b * k_links : (b + 1) * k_links]
+        per_link = tuple(params.subchannel_bandwidth * s for s in link_sums)
         total = 0.0
         for rate in per_link:
             total += rate
@@ -279,16 +288,24 @@ def _apply_power(rule: str, h: np.ndarray, sets: np.ndarray, budgets: np.ndarray
     return powers
 
 
-def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
-    """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
-    budgets = np.asarray(params.power_budgets)[:, None]
+def _low_snr_costs(points, chan: ChannelRealization) -> list[CostMatrix]:
+    """The P*H matrix of every point of a budget grid, from one (B, K, N)
+    multiply; the first point with an overflowing product raises."""
+    budgets = np.array([params.power_budgets for params in points])[:, :, None]
     with np.errstate(over="ignore"):
         values = budgets * chan.normalized_gains
-    if np.isinf(values).any():
+    overflows = np.isinf(values).any(axis=(1, 2))
+    if overflows.any():
+        params = points[int(np.argmax(overflows))]
         raise ValidationError(
             f"power budget {max(params.power_budgets):g} W times a normalized gain overflows"
         )
-    return CostMatrix(values=values, orientation="maximize")
+    return [CostMatrix(values=cell_values, orientation="maximize") for cell_values in values]
+
+
+def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
+    """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
+    return _low_snr_costs([params], chan)[0]
 
 
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
@@ -299,29 +316,44 @@ def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cos
     return CostMatrix(values=values, orientation="maximize", forbidden=~usable)
 
 
-def _low_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
-    """One sub-channel per link from the assignment maximizing the sum of
-    P_k * H over links, listed first in its set. The remaining quota slots
-    are padded round-robin over links in index order, each taking its
-    highest-gain unassigned sub-channel (ties to the lowest index)."""
-    cost = low_snr_cost_matrix(params, chan)
-    result = solve_assignment(cost)
+def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
+    """At each point, one sub-channel per link from the assignment
+    maximizing the sum of P_k * H over links, listed first in its set. The
+    remaining quota slots are padded round-robin over links in index order,
+    each taking its highest-gain unassigned sub-channel (ties to the lowest
+    index). The padding reads the assigned columns and H alone, so it runs
+    once per distinct assignment of the grid."""
     h = chan.normalized_gains
-    n_sub = params.num_subchannels
-    sets = [[c] for c in result.column_of_row]
-    taken = set(result.column_of_row)
-    for _ in range(params.quota - 1):
-        for k in range(params.num_links):
-            avail = [n for n in range(n_sub) if n not in taken]
+    quota = points[0].quota
+    padded: dict[tuple[int, ...], list[list[int]]] = {}
+    selections = []
+    for cost in _low_snr_costs(points, chan):
+        columns = solve_assignment(cost).column_of_row
+        if columns not in padded:
+            padded[columns] = _pad_round_robin(h, columns, quota)
+        selections.append((padded[columns], AssignmentTrace("maximize, P*H", cost, columns)))
+    return selections
+
+
+def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> list[list[int]]:
+    """Link k's set: columns[k], then quota - 1 round-robin picks of its
+    highest-gain sub-channel left free (ties to the lowest index)."""
+    sets = [[c] for c in columns]
+    taken = set(columns)
+    for _ in range(quota - 1):
+        for k, link_sets in enumerate(sets):
+            avail = [n for n in range(h.shape[1]) if n not in taken]
             pick = avail[int(np.argmax(h[k, avail]))]
-            sets[k].append(pick)
+            link_sets.append(pick)
             taken.add(pick)
-    return sets, AssignmentTrace("maximize, P*H", cost, result.column_of_row)
+    return sets
 
 
-def _high_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     """Each link's quota from one assignment on ln H with every link's row
-    replicated quota times; zero-gain cells are forbidden."""
+    replicated quota times; zero-gain cells are forbidden. The channel alone
+    decides it, so every point gets the same selection."""
+    params = points[0]
     quota = params.quota
     usable_counts = (chan.normalized_gains > 0).sum(axis=1)
     short = np.flatnonzero(usable_counts < quota)
@@ -336,7 +368,7 @@ def _high_snr_sets(params: ChannelParams, chan: ChannelRealization, partition_gu
     for row, col in enumerate(result.column_of_row):
         sets[row // quota].append(col)
     label = "maximize, ln H; forbidden cells printed as 0"
-    return sets, AssignmentTrace(label, cost, result.column_of_row, quota)
+    return [(sets, AssignmentTrace(label, cost, result.column_of_row, quota))] * len(points)
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:
@@ -378,15 +410,40 @@ def _partition_levels(num_subchannels: int, num_links: int):
     return subsets, columns, tuple(picks)
 
 
-def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
-    """The partition with the best water-filled rate: exhaustive search over
-    a table of K * C(N, floor(N/K)) link rates. The first partition with the
-    highest rate wins, in enumeration order. The search folds the links
-    into one array of partition totals over `_partition_levels`, cached per
-    (N, K); the structure and the fold each hold about one integer or
-    float per partition."""
-    n_sub = params.num_subchannels
-    k_links = params.num_links
+def _rate_table(points, h: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(B, K, C) water-filled link rates: entry [b, k, i] is link k's rate
+    on the quota set `columns[i]` at the budgets of `points[b]`, the same
+    float the scorer gives that link in every partition that hands it that
+    set. The (B * K * C) sets are water-filled in chunks of at most
+    `_TABLE_CHUNK` elements (one set if a set is larger), each one
+    `water_fill` call and one `_link_sums` pass over flat lists."""
+    k_links = h.shape[0]
+    n_sets, quota = columns.shape
+    budgets = np.array([params.power_budgets for params in points]).ravel()
+    rows = budgets.size * n_sets
+    step = max(1, _TABLE_CHUNK // quota)
+    sums: list[float] = []
+    for start in range(0, rows, step):
+        row = np.arange(start, min(start + step, rows))
+        link_of = row // n_sets  # b * K + k
+        gains = h[(link_of % k_links)[:, None], columns[row % n_sets]]
+        with np.errstate(over="ignore"):
+            snr = water_fill(gains, budgets[link_of]).powers * gains
+        sums += _link_sums(snr.ravel().tolist(), quota, budgets[link_of])
+    bandwidths = np.array([params.subchannel_bandwidth for params in points])
+    return bandwidths[:, None, None] * np.array(sums).reshape(len(points), k_links, n_sets)
+
+
+def _optimal_sets(points, chan: ChannelRealization, partition_guard: int):
+    """At each point, the partition with the best water-filled rate:
+    exhaustive search over K * C(N, floor(N/K)) link rates from one rate
+    table for the whole grid. The first partition with the highest rate
+    wins, in enumeration order. The search folds the links into one array
+    of partition totals per point over `_partition_levels`, cached per
+    (N, K); the structure and the fold each hold about one integer or float
+    per partition."""
+    n_sub = points[0].num_subchannels
+    k_links = points[0].num_links
     count = partition_count(n_sub, k_links)
     if count > partition_guard:
         raise GuardError(
@@ -394,38 +451,30 @@ def _optimal_sets(params: ChannelParams, chan: ChannelRealization, partition_gua
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
-    # The objective is separable by link: rates[k, i] is link k's
-    # water-filled rate on subsets[i], the same float the scorer gives that
-    # link in every partition that hands it that set.
-    gains = chan.normalized_gains[:, columns]
-    budgets = np.asarray(params.power_budgets)[:, None]
-    powers = water_fill(gains, budgets).powers.tolist()
-    rates = np.array(
-        [
-            [_link_rate(params, k, *rows) for rows in zip(powers[k], gains_k)]
-            for k, gains_k in enumerate(gains.tolist())
-        ]
-    )
-
-    # Partition totals add the link rates in index order, as the scorer
-    # does, with partitions in enumeration order; argmax keeps the first
-    # maximum.
-    totals = rates[0]
-    for k, pick in enumerate(picks, start=1):
-        totals = (totals[:, None] + rates[k, pick]).ravel()
-    i = int(np.argmax(totals))
-    sets = []
-    for pick in reversed(picks):
-        i, j = divmod(i, pick.shape[1])
-        sets.insert(0, subsets[pick[i, j]])
-    return [subsets[i], *sets], None
+    selections = []
+    for rates in _rate_table(points, chan.normalized_gains, columns):
+        # Partition totals add the link rates in index order, as the scorer
+        # does, with partitions in enumeration order; argmax keeps the
+        # first maximum.
+        totals = rates[0]
+        for k, pick in enumerate(picks, start=1):
+            totals = (totals[:, None] + rates[k, pick]).ravel()
+        i = int(np.argmax(totals))
+        sets = []
+        for pick in reversed(picks):
+            i, j = divmod(i, pick.shape[1])
+            sets.insert(0, subsets[pick[i, j]])
+        selections.append(([subsets[i], *sets], None))
+    return selections
 
 
-def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_guard: int):
+def _max_select_sets(points, chan: ChannelRealization, partition_guard: int):
     """Greedy walk: repeatedly hand the globally strongest remaining gain to
     its link until every quota is filled. Only links with unfilled quota
     and still-unassigned sub-channels compete; ties break toward the lowest
-    (link, sub-channel) pair."""
+    (link, sub-channel) pair. The channel alone decides it, so every point
+    gets the same selection."""
+    params = points[0]
     h = chan.normalized_gains
     n_sub = params.num_subchannels
     quota = params.quota
@@ -443,30 +492,29 @@ def _max_select_sets(params: ChannelParams, chan: ChannelRealization, partition_
             unfilled -= 1
             if unfilled == 0:
                 break
-    return sets, None
+    return [(sets, None)] * len(points)
 
 
 @dataclass(frozen=True)
 class Strategy:
     """One entry of `STRATEGIES`.
 
-    `select(params, chan, partition_guard)` returns (sets, trace); only
-    `optimal` reads the guard. `power_rule` is None where the caller names
-    the rule (max_select). `reads_budget` is False for a selection that
-    reads the channel alone, whose sets then hold for every budget of one
-    realization.
+    `select(points, chan, partition_guard)` takes a budget grid, a list of
+    params that differ only in their budgets, and returns one (sets, trace)
+    per point, equal to what it returns for that point alone; only
+    `optimal` reads the guard, before any other work. `power_rule` is None
+    where the caller names the rule (max_select).
     """
 
     select: Callable
     power_rule: str | None
-    reads_budget: bool
 
 
 STRATEGIES = {
-    LOW_SNR: Strategy(_low_snr_sets, CONCENTRATE, reads_budget=True),
-    HIGH_SNR: Strategy(_high_snr_sets, EQUAL_SPLIT, reads_budget=False),
-    OPTIMAL: Strategy(_optimal_sets, WATER_FILL, reads_budget=True),
-    MAX_SELECT: Strategy(_max_select_sets, None, reads_budget=False),
+    LOW_SNR: Strategy(_low_snr_sets, CONCENTRATE),
+    HIGH_SNR: Strategy(_high_snr_sets, EQUAL_SPLIT),
+    OPTIMAL: Strategy(_optimal_sets, WATER_FILL),
+    MAX_SELECT: Strategy(_max_select_sets, None),
 }
 
 
@@ -485,14 +533,14 @@ def allocate(
     max_select_power_rule: str = DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> Allocation:
     """Select one strategy's sets and power them, dispatching by tag
-    through `STRATEGIES`. Only `optimal` reads `partition_guard` and only
-    `max_select` uses `max_select_power_rule`, but a bad rule is rejected
-    for every tag."""
+    through `STRATEGIES` on a one-point grid. Only `optimal` reads
+    `partition_guard` and only `max_select` uses `max_select_power_rule`,
+    but a bad rule is rejected for every tag."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
     check_power_rule(max_select_power_rule)
-    selection = STRATEGIES[strategy].select(params, chan, partition_guard)
-    return power_selection(strategy, params, chan, selection, max_select_power_rule)
+    selections = STRATEGIES[strategy].select([params], chan, partition_guard)
+    return power_selections(strategy, [params], chan, selections, max_select_power_rule)[0]
 
 
 def power_selections(
@@ -513,15 +561,3 @@ def power_selections(
         Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy, trace)
         for (cell_sets, trace), cell_powers in zip(selections, powers)
     ]
-
-
-def power_selection(
-    strategy: str,
-    params: ChannelParams,
-    chan: ChannelRealization,
-    selection,
-    max_select_power_rule: str,
-) -> Allocation:
-    """Power one selection's (sets, trace) by the strategy's rule at the
-    budgets of `params`: `power_selections` for one cell."""
-    return power_selections(strategy, [params], chan, [selection], max_select_power_rule)[0]

@@ -74,23 +74,13 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class AssignmentResult:
-    """Optimal row-to-column mapping and its objective value.
+    """Optimal row-to-column mapping.
 
     `column_of_row[i]` is the column assigned to row i; columns are pairwise
-    distinct. `objective_value` is the sum of the selected cells.
+    distinct.
     """
 
     column_of_row: tuple[int, ...]
-    objective_value: float
-
-
-def _selection_value(values: np.ndarray, cols) -> float:
-    # Canonical objective: sequential sum in row order, so the solver and the
-    # oracle produce bit-identical values for the same selection.
-    total = 0.0
-    for i, j in enumerate(cols):
-        total += float(values[i, j])
-    return total
 
 
 def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[int]:
@@ -152,9 +142,7 @@ def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Solve the assignment problem exactly for either orientation.
 
-    Maximization runs through the minimizing core on the negated matrix; the
-    reported objective is always the sum of the selected cells of the
-    original matrix.
+    Maximization runs through the minimizing core on the negated matrix.
 
     Raises
     ------
@@ -167,11 +155,7 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     if bad_rows.size:
         raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
     work = cost.values if cost.orientation == "minimize" else -cost.values
-    col_of_row = _hungarian_min(work.tolist(), allowed.tolist())
-    return AssignmentResult(
-        column_of_row=tuple(col_of_row),
-        objective_value=_selection_value(cost.values, col_of_row),
-    )
+    return AssignmentResult(tuple(_hungarian_min(work.tolist(), allowed.tolist())))
 
 
 def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:

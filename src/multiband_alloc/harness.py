@@ -2,11 +2,10 @@
 
 A sweep evaluates every enabled strategy on the SAME seeded realizations at
 each budget point (paired comparison); aggregates land in a schema-stable,
-byte-deterministic CSV. A trial runs each strategy once over the whole
-budget grid and reads `allocators.STRATEGIES`: a selection that does not
-read the budget (`high_snr`, `max_select`) runs once per trial, the others
-(`low_snr`, `optimal`) once per budget. The trial's selections of one
-strategy are then powered in one `allocators.power_selections` call (one
+byte-deterministic CSV. The budget points are built once per sweep. A
+trial runs each strategy once over the whole budget grid: one
+`allocators.STRATEGIES` selection call returns every point's sets, which
+are then powered in one `allocators.power_selections` call (one
 `water_fill` for the water-filled rules) and scored in one
 `allocators.exact_sum_rates` loop, which still validates every cell. If any
 cell fails, the trial is replayed cell by cell, budget-major then in
@@ -133,20 +132,14 @@ class SweepSamples:
 
 
 def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
-    config, trial = args
-    params = config.channel_params
-    chan = sample_realization(params, trial_rng(config.seed, trial))
-    points = [params.with_uniform_budget(budget) for budget in config.budget_grid]
+    (config, points), trial = args
+    chan = sample_realization(config.channel_params, trial_rng(config.seed, trial))
     n_b, n_s = len(points), len(config.strategies)
     exact = np.zeros((n_b, n_s))
     approx = np.full((n_b, n_s), np.nan) if config.score_mode == "both" else None
     try:
         for si, strategy in enumerate(config.strategies):
-            spec = STRATEGIES[strategy]
-            if spec.reads_budget:
-                selections = [spec.select(point, chan, config.partition_guard) for point in points]
-            else:
-                selections = [spec.select(points[0], chan, config.partition_guard)] * n_b
+            selections = STRATEGIES[strategy].select(points, chan, config.partition_guard)
             allocs = power_selections(
                 strategy, points, chan, selections, config.max_select_power_rule
             )
@@ -182,8 +175,11 @@ def collect_rates(config: SweepConfig) -> SweepSamples:
     """Evaluate all (budget, strategy, trial) cells; trials may run in
     parallel, in at most one process per trial. Workers take contiguous
     chunks of trials, about four chunks per worker, rather than one
-    pickled job per trial."""
-    jobs = [(config, trial) for trial in range(config.trials)]
+    pickled job per trial. Each job carries the budget points, built once
+    here as params with a uniform budget."""
+    params = config.channel_params
+    points = [params.with_uniform_budget(budget) for budget in config.budget_grid]
+    jobs = [((config, points), trial) for trial in range(config.trials)]
     if config.workers == 1:
         results = [_trial_worker(job) for job in jobs]
     else:
@@ -351,8 +347,9 @@ def scaling_bench(
     """Median wall time per method per dimension over `reps` repetitions.
 
     "hungarian" times the quota-replicated assignment solve, "optimal" the
-    exhaustive partition search (one water-fill call over K * C(N, floor(N/K))
-    sets plus one rate-table lookup per partition and link), run with
+    exhaustive partition search (a rate table that water-fills
+    K * C(N, floor(N/K)) sets in chunks, plus one rate-table lookup per
+    partition and link), run with
     `optimal_guard` as its partition guard and reported "skipped" when that
     guard trips, and "max_select" the greedy allocator. Rows are emitted
     per dimension, method order fixed.

@@ -1,6 +1,7 @@
 """Exhaustive oracles the tests check the package against.
 
-`brute_force_assignment` evaluates every injection of rows into columns;
+`brute_force_assignment` evaluates every injection of rows into columns,
+and `selection_value` is the objective of an assignment's selected cells;
 `water_fill_by_set` is the closed-form water-fill of one set at a time,
 which the package's array `water_fill` must match bit for bit;
 `enumerate_partitions` yields every quota partition in enumeration order,
@@ -16,11 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from multiband_alloc.allocators import OPTIMAL, Allocation, _score
-from multiband_alloc.assignment import (
-    AssignmentResult,
-    CostMatrix,
-    _selection_value,
-)
+from multiband_alloc.assignment import AssignmentResult, CostMatrix
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import WaterFillResult
 
@@ -77,10 +74,17 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
 
     if best_cols is None:
         raise InfeasibleError("no complete assignment avoids the forbidden cells")
-    return AssignmentResult(
-        column_of_row=tuple(int(c) for c in best_cols),
-        objective_value=_selection_value(cost.values, best_cols),
-    )
+    return AssignmentResult(column_of_row=tuple(int(c) for c in best_cols))
+
+
+def selection_value(cost: CostMatrix, result: AssignmentResult) -> float:
+    """Canonical objective of an assignment: the selected cells of the
+    original matrix summed in row order, so equal selections from the solver
+    and the oracle give bit-identical values."""
+    total = 0.0
+    for i, j in enumerate(result.column_of_row):
+        total += float(cost.values[i, j])
+    return total
 
 
 def _as_gain_set(gains) -> np.ndarray:

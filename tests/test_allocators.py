@@ -30,9 +30,9 @@ from multiband_alloc.channel import (
     sample_realization,
     trial_rng,
 )
-from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
+from multiband_alloc.errors import AllocationError, GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import water_fill
-from oracles import enumerate_partitions, optimal_by_enumeration
+from oracles import enumerate_partitions, optimal_by_enumeration, selection_value
 
 LOG2_5 = math.log2(5.0)
 LOG2_3 = math.log2(3.0)
@@ -157,7 +157,8 @@ class TestLowSnr:
     def test_hand_traced_example(self):
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        assert solve_assignment(low_snr_cost_matrix(params, chan)).objective_value == 6.0
+        cost = low_snr_cost_matrix(params, chan)
+        assert selection_value(cost, solve_assignment(cost)) == 6.0
         alloc = allocate(LOW_SNR, params, chan)
         assert alloc.powers[0, 0] == 1.0
         assert alloc.powers[1, 1] == 1.0
@@ -489,3 +490,74 @@ class TestDispatcherAndInvariants:
             chan = sample_realization(params, trial_rng(22, trial))
             for tag in STRATEGY_ORDER:
                 validate_allocation(params, allocate(tag, params, chan))
+
+
+def grid_instances(num_links, num_subchannels):
+    """(params, chan) instances for the grid-versus-point checks: full
+    blocking, 30 dB shadowing, all-equal gains and tie-heavy {0, 1, 2} gains."""
+    params = unit_params(num_links, num_subchannels)
+    draws = 1 if num_subchannels > 8 else 3
+    for atten in (0.0, 1e-3):
+        shadowed = replace(params, shadow_prob=0.3, shadow_attenuation=atten)
+        for trial in range(draws):
+            yield shadowed, sample_realization(shadowed, trial_rng(31, trial))
+    yield params, inject(params, np.full((num_links, num_subchannels), 1.7))
+    rng = np.random.default_rng(num_links * 100 + num_subchannels)
+    for _ in range(draws):
+        yield params, inject(params, rng.integers(0, 3, size=(num_links, num_subchannels)))
+
+
+def selection_outcome(select, points, chan):
+    """A selection's (sets, trace) per point in comparable form, or the
+    type and message of the error it raised."""
+    try:
+        selections = select(points, chan, allocators.DEFAULT_PARTITION_GUARD)
+    except AllocationError as exc:
+        return type(exc), str(exc)
+    return [
+        (
+            tuple(tuple(s) for s in sets),
+            None if trace is None else (trace.label, trace.cost.values.tobytes(), trace.column_of_row),
+        )
+        for sets, trace in selections
+    ]
+
+
+class TestGridSelection:
+    """A selection over a budget grid gives every point what that point
+    alone gives: the same sets and the same solved assignment."""
+
+    @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (3, 7), (4, 8), (2, 12)])
+    @pytest.mark.parametrize(
+        "tag,chunk",
+        [(LOW_SNR, None), (HIGH_SNR, None), (OPTIMAL, None), (OPTIMAL, 1), (MAX_SELECT, None)],
+        ids=["low_snr", "high_snr", "optimal", "optimal_chunk1", "max_select"],
+    )
+    def test_grid_matches_each_point(self, monkeypatch, tag, chunk, num_links, num_subchannels):
+        instances = list(grid_instances(num_links, num_subchannels))
+        if chunk is not None:
+            # Every water-filled set of the rate table is its own chunk; at
+            # N = 12 that is 1,848 water_fill calls per point, so only the
+            # shadowed and the tie-heavy draws run.
+            monkeypatch.setattr(allocators, "_TABLE_CHUNK", chunk)
+            if num_subchannels > 8:
+                instances = instances[1::2]
+        select = allocators.STRATEGIES[tag].select
+        for params, chan in instances:
+            points = [params.with_uniform_budget(b) for b in (0.0, 1e-3, 0.1, 1.0, 1e3)]
+            points.append(replace(params, power_budgets=tuple(0.5 * (k + 1) for k in range(num_links))))
+            grid = selection_outcome(select, points, chan)
+            alone = [selection_outcome(select, [point], chan) for point in points]
+            if isinstance(grid, tuple):
+                # The grid raises the error of its first failing point.
+                assert grid == next(o for o in alone if isinstance(o, tuple))
+            else:
+                assert grid == [o[0] for o in alone]
+
+    def test_overflow_names_the_first_failing_point(self):
+        params = unit_params()
+        chan = inject(params, np.full((2, 4), 4.0))
+        points = [params.with_uniform_budget(b) for b in (1.0, 1e308)]
+        for tag in (LOW_SNR, OPTIMAL):
+            with pytest.raises(ValidationError, match=r"power budget 1e\+308 W"):
+                allocators.STRATEGIES[tag].select(points, chan, allocators.DEFAULT_PARTITION_GUARD)

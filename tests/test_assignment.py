@@ -20,7 +20,7 @@ from multiband_alloc.assignment import (
     solve_assignment,
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, selection_value
 
 COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.txt"
 COLUMN_CASES = 1000
@@ -100,30 +100,35 @@ class TestCostMatrix:
 
 class TestKnownSolutions:
     def test_identity_dominant_maximize(self):
-        res = solve_assignment(CostMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "maximize"))
+        cost = CostMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "maximize")
+        res = solve_assignment(cost)
         assert res.column_of_row == (0, 1)
-        assert res.objective_value == 2.0
+        assert selection_value(cost, res) == 2.0
 
     def test_rectangular_two_by_four(self):
-        values = np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        res = solve_assignment(CostMatrix(values, "maximize"))
+        cost = CostMatrix(np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]), "maximize")
+        res = solve_assignment(cost)
         assert res.column_of_row == (0, 1)
-        assert res.objective_value == 6.0
+        assert selection_value(cost, res) == 6.0
 
     def test_all_equal_matrix(self):
-        res = solve_assignment(CostMatrix(np.full((5, 5), 3.0), "maximize"))
+        cost = CostMatrix(np.full((5, 5), 3.0), "maximize")
+        res = solve_assignment(cost)
         assert sorted(res.column_of_row) == [0, 1, 2, 3, 4]
-        assert res.objective_value == 15.0
+        assert selection_value(cost, res) == 15.0
 
     def test_all_equal_rectangular_matrix(self):
         # The low_snr tie at budget 0: every row takes the lowest free column.
-        res = solve_assignment(CostMatrix(np.zeros((3, 7)), "maximize"))
+        cost = CostMatrix(np.zeros((3, 7)), "maximize")
+        res = solve_assignment(cost)
         assert res.column_of_row == (0, 1, 2)
-        assert res.objective_value == 0.0
+        assert selection_value(cost, res) == 0.0
 
     def test_one_by_one(self):
-        res = solve_assignment(CostMatrix(np.array([[7.0]]), "minimize"))
-        assert res == AssignmentResult(column_of_row=(0,), objective_value=7.0)
+        cost = CostMatrix(np.array([[7.0]]), "minimize")
+        res = solve_assignment(cost)
+        assert res == AssignmentResult(column_of_row=(0,))
+        assert selection_value(cost, res) == 7.0
 
     def test_near_float_max_values(self):
         # Each tree step shifts potentials by about 1e308; none may overflow.
@@ -131,21 +136,20 @@ class TestKnownSolutions:
         assert solve_assignment(CostMatrix(values, "maximize")).column_of_row == (0, 1)
 
     def test_minimize_picks_cheapest(self):
-        values = np.array([[10.0, 1.0], [1.0, 10.0]])
-        res = solve_assignment(CostMatrix(values, "minimize"))
+        cost = CostMatrix(np.array([[10.0, 1.0], [1.0, 10.0]]), "minimize")
+        res = solve_assignment(cost)
         assert res.column_of_row == (1, 0)
-        assert res.objective_value == 2.0
+        assert selection_value(cost, res) == 2.0
 
 
 class TestOracle:
     def test_one_by_one(self):
-        res = brute_force_assignment(CostMatrix(np.array([[5.0]]), "maximize"))
-        assert res.objective_value == 5.0
+        cost = CostMatrix(np.array([[5.0]]), "maximize")
+        assert selection_value(cost, brute_force_assignment(cost)) == 5.0
 
     def test_known_rectangular(self):
-        values = np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        res = brute_force_assignment(CostMatrix(values, "maximize"))
-        assert res.objective_value == 6.0
+        cost = CostMatrix(np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]), "maximize")
+        assert selection_value(cost, brute_force_assignment(cost)) == 6.0
 
     def test_size_guard(self):
         with pytest.raises(GuardError):
@@ -163,7 +167,7 @@ class TestSolverMatchesOracle:
             cm = CostMatrix(values, orientation)
             fast = solve_assignment(cm)
             slow = brute_force_assignment(cm)
-            assert fast.objective_value == slow.objective_value
+            assert selection_value(cm, fast) == selection_value(cm, slow)
             assert len(set(fast.column_of_row)) == rows
 
     def test_exact_equality_on_integer_ties(self):
@@ -176,7 +180,8 @@ class TestSolverMatchesOracle:
             values = rng.integers(-3, 4, size=(rows, cols)).astype(float)
             orientation = "maximize" if trial % 2 else "minimize"
             cm = CostMatrix(values, orientation)
-            assert solve_assignment(cm).objective_value == brute_force_assignment(cm).objective_value
+            fast, slow = solve_assignment(cm), brute_force_assignment(cm)
+            assert selection_value(cm, fast) == selection_value(cm, slow)
 
     def test_exact_equality_with_forbidden_cells(self):
         rng = np.random.default_rng(161)
@@ -189,7 +194,7 @@ class TestSolverMatchesOracle:
             cm = CostMatrix(values, orientation, forbidden)
             fast = solve_assignment(cm)
             slow = brute_force_assignment(cm)
-            assert fast.objective_value == slow.objective_value
+            assert selection_value(cm, fast) == selection_value(cm, slow)
             assert not forbidden[np.arange(rows), list(fast.column_of_row)].any()
 
 
@@ -203,9 +208,9 @@ class TestStructuralProperties:
             shift = float(rng.integers(1, 15))
             shifted = values.copy()
             shifted[0] += shift
-            base = solve_assignment(CostMatrix(values, "maximize")).objective_value
-            moved = solve_assignment(CostMatrix(shifted, "maximize")).objective_value
-            assert moved == base + shift
+            base, moved = CostMatrix(values, "maximize"), CostMatrix(shifted, "maximize")
+            base_value = selection_value(base, solve_assignment(base))
+            assert selection_value(moved, solve_assignment(moved)) == base_value + shift
 
     def test_negation_swaps_orientations(self):
         rng = np.random.default_rng(55)
@@ -213,9 +218,8 @@ class TestStructuralProperties:
             rows = int(rng.integers(1, 6))
             cols = int(rng.integers(rows, 8))
             values = rng.normal(size=(rows, cols))
-            hi = solve_assignment(CostMatrix(values, "maximize")).objective_value
-            lo = solve_assignment(CostMatrix(-values, "minimize")).objective_value
-            assert hi == -lo
+            hi, lo = CostMatrix(values, "maximize"), CostMatrix(-values, "minimize")
+            assert selection_value(hi, solve_assignment(hi)) == -selection_value(lo, solve_assignment(lo))
 
 
 class TestReplicateRows:
@@ -274,12 +278,13 @@ class TestScipyCrossCheck:
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(hash(shape) % (2**32))
         values = rng.normal(size=shape)
-        ours = solve_assignment(CostMatrix(values, orientation))
+        cost = CostMatrix(values, orientation)
+        ours = selection_value(cost, solve_assignment(cost))
         rows, cols = scipy_opt.linear_sum_assignment(
             values, maximize=(orientation == "maximize")
         )
         reference = float(values[rows, cols].sum())
-        assert abs(ours.objective_value - reference) < 1e-9
+        assert abs(ours - reference) < 1e-9
 
 
 def test_columns_match_golden():

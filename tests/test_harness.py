@@ -218,9 +218,13 @@ class TestRunSweep:
             assert row.mean_rate == pytest.approx(expected, rel=1e-12)
             assert row.std_rate == 0.0
 
-    def test_budget_free_selections_run_once_per_trial(self, monkeypatch):
+    def test_selections_run_once_per_trial(self, monkeypatch):
+        # Each strategy selects once per trial over the whole budget grid;
+        # low_snr still solves once per budget and high_snr once per trial.
+        # optimal's rate table, optimal's powers and max_select's powers are
+        # one water_fill call each; every cell is still validated.
         selections = {tag: 0 for tag in allocators.STRATEGIES}
-        validations = []
+        solves, fills, validations = [], [], []
 
         def counting(tag, select):
             def select_and_count(*args):
@@ -232,18 +236,20 @@ class TestRunSweep:
         for tag, spec in list(allocators.STRATEGIES.items()):
             counted = dataclasses.replace(spec, select=counting(tag, spec.select))
             monkeypatch.setitem(allocators.STRATEGIES, tag, counted)
-        validate = allocators.validate_allocation
-        monkeypatch.setattr(
-            allocators, "validate_allocation", lambda *a: validations.append(1) or validate(*a)
-        )
+        for name, calls in [
+            ("solve_assignment", solves),
+            ("water_fill", fills),
+            ("validate_allocation", validations),
+        ]:
+            original = getattr(allocators, name)
+            monkeypatch.setattr(
+                allocators, name, lambda *a, f=original, c=calls: c.append(1) or f(*a)
+            )
         trials, budgets = 5, (0.0, 0.1, 10.0)
         run_sweep(small_config(trials=trials, budget_grid=budgets))
-        assert selections == {
-            LOW_SNR: trials * len(budgets),
-            HIGH_SNR: trials,
-            OPTIMAL: trials * len(budgets),
-            MAX_SELECT: trials,
-        }
+        assert selections == {tag: trials for tag in STRATEGY_ORDER}
+        assert len(solves) == trials * (len(budgets) + 1)
+        assert len(fills) == 3 * trials
         assert len(validations) == trials * len(budgets) * len(STRATEGY_ORDER)
 
     @pytest.mark.parametrize(
