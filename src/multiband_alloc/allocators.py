@@ -23,7 +23,9 @@ link's assigned sub-channel first, which is where `concentrate` puts the
 budget. All strategies are scored with the same exact sum-rate formula;
 their regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
-B cells at once, as a sweep does for one strategy over its budget grid;
+C cells at once, as a sweep does for one strategy over every (trial,
+budget) cell of a chunk of trials: cell c reads its trial's gains from a
+(T, K, N) stack of realizations by index, never from a per-cell copy.
 `allocate` and `exact_sum_rate` are the one-cell case.
 """
 
@@ -67,6 +69,7 @@ __all__ = [
     "partition_count",
     "POWER_RULES",
     "check_power_rule",
+    "check_partition_guard",
 ]
 
 LOW_SNR = "low_snr"
@@ -189,23 +192,25 @@ def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
     return sums
 
 
-def _score(points, h: np.ndarray, sets, powers: np.ndarray) -> list[RateReport]:
-    """Exact rates of B cells at once: cell b scores its K sets `sets[b]`,
-    each of the same size, with the K x N powers `powers[b]` of a (B, K, N)
-    array under the params `points[b]`. One `_link_sums` call sums every
-    link over its set in set order; link k's rate is (B/N) times its sum,
-    and the total adds links in index order, so every caller gets
-    bit-identical scores for equal allocations."""
+def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray) -> list[RateReport]:
+    """Exact rates of C cells at once: cell c scores its K sets `sets[c]`,
+    each of the same size, with the K x N powers `powers[c]` of a (C, K, N)
+    array on the gains `gains[trials[c]]` of a (T, K, N) array, under the
+    params `points[c]`. One `_link_sums` call sums every link over its set
+    in set order; link k's rate is (B/N) times its sum, and the total adds
+    links in index order, so every caller gets bit-identical scores for
+    equal allocations."""
     sets = np.array(sets)
     cells, k_links, quota = sets.shape
     cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
+    trial = np.asarray(trials)[:, None, None]
     with np.errstate(over="ignore"):
-        snr = powers[cell, link, sets] * h[link, sets]
+        snr = powers[cell, link, sets] * gains[trial, link, sets]
     budgets = [budget for params in points for budget in params.power_budgets]
     sums = _link_sums(snr.ravel().tolist(), quota, budgets)
     reports = []
-    for b, params in enumerate(points):
-        link_sums = sums[b * k_links : (b + 1) * k_links]
+    for c, params in enumerate(points):
+        link_sums = sums[c * k_links : (c + 1) * k_links]
         per_link = tuple(params.subchannel_bandwidth * s for s in link_sums)
         total = 0.0
         for rate in per_link:
@@ -214,15 +219,16 @@ def _score(points, h: np.ndarray, sets, powers: np.ndarray) -> list[RateReport]:
     return reports
 
 
-def exact_sum_rates(points, chan: ChannelRealization, allocs) -> list[RateReport]:
-    """Score B allocations of one realization with the exact objective,
-    allocation b under the params `points[b]`: each is validated first,
-    then one `_score` call scores them all."""
+def exact_sum_rates(points, gains: np.ndarray, trials, allocs) -> list[RateReport]:
+    """Score C allocations with the exact objective, allocation c under the
+    params `points[c]` on the normalized gains `gains[trials[c]]` of a
+    (T, K, N) stack of realizations: each is validated first, then one
+    `_score` call scores them all."""
     for params, alloc in zip(points, allocs):
         validate_allocation(params, alloc)
     powers = np.stack([alloc.powers for alloc in allocs])
     sets = [alloc.subchannels_of_link for alloc in allocs]
-    return _score(points, chan.normalized_gains, sets, powers)
+    return _score(points, gains, trials, sets, powers)
 
 
 def exact_sum_rate(
@@ -234,7 +240,7 @@ def exact_sum_rate(
     report carries each link's rate and their total. The allocation is
     validated first. This is `exact_sum_rates` for one allocation.
     """
-    return exact_sum_rates([params], chan, [alloc])[0]
+    return exact_sum_rates([params], chan.normalized_gains[None], [0], [alloc])[0]
 
 
 def linear_approx_rate(
@@ -266,25 +272,30 @@ def log_approx_rate(params: ChannelParams, chan: ChannelRealization, alloc: Allo
 APPROX_RATES = {LOW_SNR: linear_approx_rate, HIGH_SNR: log_approx_rate}
 
 
-def _apply_power(rule: str, h: np.ndarray, sets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """(B, K, N) powers from one named rule applied to B selections at once.
+def _apply_power(
+    rule: str, gains: np.ndarray, trials, sets: np.ndarray, budgets: np.ndarray
+) -> np.ndarray:
+    """(C, K, N) powers from one named rule applied to C selections at once.
 
-    `sets` is a (B, K, q) array of every link's set in selection order and
-    `budgets` a (B, K) array: cell b splits budgets[b, k] over sets[b, k].
-    "concentrate" puts the whole budget on the first sub-channel of the set,
-    the one its selection ranked first; "equal_split" spreads it evenly;
-    "water_fill" water-fills it, every set of every cell in one call, and a
-    set with no positive gain stays unpowered (its rate is zero either way).
+    `sets` is a (C, K, q) array of every link's set in selection order,
+    `budgets` a (C, K) array and `gains` a (T, K, N) stack of realizations:
+    cell c splits budgets[c, k] over sets[c, k] on the gains
+    `gains[trials[c]]`. "concentrate" puts the whole budget on the first
+    sub-channel of the set, the one its selection ranked first;
+    "equal_split" spreads it evenly; "water_fill" water-fills it, every set
+    of every cell in one call, and a set with no positive gain stays
+    unpowered (its rate is zero either way).
     """
     cells, k_links, quota = sets.shape
     cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
-    powers = np.zeros((cells, k_links, h.shape[1]))
+    powers = np.zeros((cells, k_links, gains.shape[2]))
     if rule == CONCENTRATE:
         powers[cell[..., 0], link[..., 0], sets[..., 0]] = budgets
     elif rule == EQUAL_SPLIT:
         powers[cell, link, sets] = budgets[..., None] / quota
     else:
-        powers[cell, link, sets] = water_fill(h[link, sets], budgets).powers
+        trial = np.asarray(trials)[:, None, None]
+        powers[cell, link, sets] = water_fill(gains[trial, link, sets], budgets).powers
     return powers
 
 
@@ -524,6 +535,12 @@ def check_power_rule(rule: str) -> None:
         raise ValidationError(f"max_select_power_rule must be one of {POWER_RULES}")
 
 
+def check_partition_guard(guard: int) -> None:
+    """Reject a partition guard below 1."""
+    if guard < 1:
+        raise ValidationError("partition_guard must be >= 1")
+
+
 def allocate(
     strategy: str,
     params: ChannelParams,
@@ -535,28 +552,32 @@ def allocate(
     """Select one strategy's sets and power them, dispatching by tag
     through `STRATEGIES` on a one-point grid. Only `optimal` reads
     `partition_guard` and only `max_select` uses `max_select_power_rule`,
-    but a bad rule is rejected for every tag."""
+    but a bad guard or rule is rejected for every tag."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
+    check_partition_guard(partition_guard)
     check_power_rule(max_select_power_rule)
     selections = STRATEGIES[strategy].select([params], chan, partition_guard)
-    return power_selections(strategy, [params], chan, selections, max_select_power_rule)[0]
+    gains = chan.normalized_gains[None]
+    return power_selections(strategy, [params], gains, [0], selections, max_select_power_rule)[0]
 
 
 def power_selections(
     strategy: str,
     points,
-    chan: ChannelRealization,
+    gains: np.ndarray,
+    trials,
     selections,
     max_select_power_rule: str,
 ) -> list[Allocation]:
-    """Power B selections (sets, trace) of one strategy by its rule, one
-    `_apply_power` call for all of them, selection b at the budgets of
-    the params `points[b]`, and package each cell's sets, sorted."""
+    """Power C selections (sets, trace) of one strategy by its rule, one
+    `_apply_power` call for all of them, selection c at the budgets of
+    the params `points[c]` on the gains `gains[trials[c]]` of a (T, K, N)
+    stack of realizations, and package each cell's sets, sorted."""
     rule = STRATEGIES[strategy].power_rule or max_select_power_rule
     budgets = np.array([params.power_budgets for params in points])
     sets = np.array([cell_sets for cell_sets, _ in selections])
-    powers = _apply_power(rule, chan.normalized_gains, sets, budgets)
+    powers = _apply_power(rule, gains, trials, sets, budgets)
     return [
         Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy, trace)
         for (cell_sets, trace), cell_powers in zip(selections, powers)

@@ -2,14 +2,18 @@
 
 A sweep evaluates every enabled strategy on the SAME seeded realizations at
 each budget point (paired comparison); aggregates land in a schema-stable,
-byte-deterministic CSV. The budget points are built once per sweep. A
-trial runs each strategy once over the whole budget grid: one
-`allocators.STRATEGIES` selection call returns every point's sets, which
-are then powered in one `allocators.power_selections` call (one
-`water_fill` for the water-filled rules) and scored in one
-`allocators.exact_sum_rates` loop, which still validates every cell. If any
-cell fails, the trial is replayed cell by cell, budget-major then in
-strategy order, so the sweep raises the error of the first failing cell.
+byte-deterministic CSV. The budget points are built once per sweep, and
+the trials run in contiguous chunks, each bounded by
+`allocators._TABLE_CHUNK` elements of trials x budgets x K x N. A chunk
+samples each trial's realization from its own (seed, trial) stream and
+runs each strategy once over all its (trial, budget) cells: one
+`allocators.STRATEGIES` selection call per trial returns every point's
+sets, which are then powered in one `allocators.power_selections` call for
+the whole chunk (one `water_fill` for the water-filled rules) and scored in
+one `allocators.exact_sum_rates` loop, which still validates every cell.
+If any cell fails, the chunk's trials are replayed cell by cell, in trial
+order, budget-major then in strategy order, so the sweep raises the error
+of the first failing cell.
 """
 
 from __future__ import annotations
@@ -97,8 +101,7 @@ class SweepConfig:
             raise ValidationError(f"score_mode must be one of {SCORE_MODES}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValidationError("workers must be a positive integer")
-        if self.partition_guard < 1:
-            raise ValidationError("partition_guard must be >= 1")
+        allocators.check_partition_guard(self.partition_guard)
         allocators.check_power_rule(self.max_select_power_rule)
 
 
@@ -131,67 +134,100 @@ class SweepSamples:
     approx: np.ndarray | None
 
 
-def _trial_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
-    (config, points), trial = args
-    chan = sample_realization(config.channel_params, trial_rng(config.seed, trial))
-    n_b, n_s = len(points), len(config.strategies)
-    exact = np.zeros((n_b, n_s))
-    approx = np.full((n_b, n_s), np.nan) if config.score_mode == "both" else None
+def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact and approximate rates of a chunk, a range of trials, as
+    (B, S, T) arrays, T the chunk's trial count."""
+    (config, points), trials = args
+    n_b, n_s, n_t = len(points), len(config.strategies), len(trials)
+    exact = np.zeros((n_b, n_s, n_t))
+    approx = np.full((n_b, n_s, n_t), np.nan) if config.score_mode == "both" else None
     try:
+        chans = [sample_realization(config.channel_params, trial_rng(config.seed, t)) for t in trials]
+        gains = np.stack([chan.normalized_gains for chan in chans])
         for si, strategy in enumerate(config.strategies):
-            selections = STRATEGIES[strategy].select(points, chan, config.partition_guard)
-            allocs = power_selections(
-                strategy, points, chan, selections, config.max_select_power_rule
-            )
-            exact[:, si] = [report.total_rate for report in exact_sum_rates(points, chan, allocs)]
-            if approx is not None and strategy in APPROX_RATES:
-                rate = APPROX_RATES[strategy]
-                approx[:, si] = [rate(point, chan, alloc) for point, alloc in zip(points, allocs)]
+            cell_exact, cell_approx = _strategy_pass(config, strategy, points, chans, gains)
+            exact[:, si] = np.reshape(cell_exact, (n_t, n_b)).T
+            if cell_approx is not None:
+                approx[:, si] = np.reshape(cell_approx, (n_t, n_b)).T
     except AllocationError:
-        # This pass runs strategy-major, so the error it met need not be the
-        # first in the per-cell order; the replay raises that one.
-        _replay_cells(config, points, chan)
+        # The pass samples every trial of the chunk first and then runs
+        # strategy-major, so the error it met need not be the first in the
+        # per-cell order; the replay raises that one.
+        _replay_cells(config, points, trials)
         raise
     return exact, approx
 
 
-def _replay_cells(config: SweepConfig, points, chan) -> None:
-    """Run a trial's cells one at a time, budget-major then strategy order,
-    through `allocate` and `exact_sum_rate`, so the first cell that fails
-    raises its error."""
-    for point in points:
-        for strategy in config.strategies:
-            alloc = allocate(
-                strategy,
-                point,
-                chan,
-                partition_guard=config.partition_guard,
-                max_select_power_rule=config.max_select_power_rule,
-            )
-            exact_sum_rate(point, chan, alloc)
+def _strategy_pass(config: SweepConfig, strategy: str, points, chans, gains):
+    """One strategy's exact rates, and its approximate ones if the score
+    mode is "both" and it has one (else None), on every cell of a chunk:
+    cell c is trial c // B at budget c % B. The strategy selects once per
+    trial, then one `power_selections` call powers every cell and one
+    `exact_sum_rates` call validates and scores them. Its per-cell objects
+    are freed on return, before the next strategy's pass."""
+    select = STRATEGIES[strategy].select
+    selections = [s for chan in chans for s in select(points, chan, config.partition_guard)]
+    cell_points = points * len(chans)
+    cell_trials = np.repeat(np.arange(len(chans)), len(points))
+    allocs = power_selections(
+        strategy, cell_points, gains, cell_trials, selections, config.max_select_power_rule
+    )
+    exact = [report.total_rate for report in exact_sum_rates(cell_points, gains, cell_trials, allocs)]
+    if config.score_mode != "both" or strategy not in APPROX_RATES:
+        return exact, None
+    rate = APPROX_RATES[strategy]
+    return exact, [rate(p, chans[t], a) for p, t, a in zip(cell_points, cell_trials, allocs)]
+
+
+def _replay_cells(config: SweepConfig, points, trials) -> None:
+    """Run the cells of `trials` one at a time, in trial order, each trial
+    sampled and then its cells budget-major then in strategy order, through
+    `allocate` and `exact_sum_rate`, so the first cell that fails raises
+    its error."""
+    for trial in trials:
+        chan = sample_realization(config.channel_params, trial_rng(config.seed, trial))
+        for point in points:
+            for strategy in config.strategies:
+                alloc = allocate(
+                    strategy,
+                    point,
+                    chan,
+                    partition_guard=config.partition_guard,
+                    max_select_power_rule=config.max_select_power_rule,
+                )
+                exact_sum_rate(point, chan, alloc)
 
 
 def collect_rates(config: SweepConfig) -> SweepSamples:
-    """Evaluate all (budget, strategy, trial) cells; trials may run in
-    parallel, in at most one process per trial. Workers take contiguous
-    chunks of trials, about four chunks per worker, rather than one
-    pickled job per trial. Each job carries the budget points, built once
-    here as params with a uniform budget."""
+    """Evaluate all (budget, strategy, trial) cells, in contiguous chunks of
+    trials taken in trial order. A chunk of T trials holds at most
+    `allocators._TABLE_CHUNK` elements of T x B x K x N (but at least one
+    trial), so the working set does not grow with the trial count. With
+    `workers` > 1, W = min(workers, trials) processes run the chunks, each
+    of at most ceil(trials / (4 W)) trials, so every worker gets about four
+    chunks; the results come back in trial order. Each job carries the
+    budget points, built once here as params with a uniform budget."""
     params = config.channel_params
     points = [params.with_uniform_budget(budget) for budget in config.budget_grid]
-    jobs = [((config, points), trial) for trial in range(config.trials)]
-    if config.workers == 1:
-        results = [_trial_worker(job) for job in jobs]
+    per_trial = len(points) * params.num_links * params.num_subchannels
+    size = max(1, allocators._TABLE_CHUNK // per_trial)
+    workers = min(config.workers, config.trials)
+    if workers > 1:
+        size = min(size, math.ceil(config.trials / (4 * workers)))
+    jobs = [
+        ((config, points), range(start, min(start + size, config.trials)))
+        for start in range(0, config.trials, size)
+    ]
+    if workers == 1:
+        results = [_chunk_worker(job) for job in jobs]
     else:
         # Imported here: serial sweeps, the default, skip the cost.
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(config.workers, config.trials)
-        chunksize = math.ceil(config.trials / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_worker, jobs, chunksize=chunksize))
-    exact = np.stack([r[0] for r in results], axis=2)
-    approx = np.stack([r[1] for r in results], axis=2) if config.score_mode == "both" else None
+            results = list(pool.map(_chunk_worker, jobs))
+    exact = np.concatenate([r[0] for r in results], axis=2)
+    approx = np.concatenate([r[1] for r in results], axis=2) if config.score_mode == "both" else None
     return SweepSamples(
         budgets=config.budget_grid,
         strategies=config.strategies,
@@ -356,6 +392,7 @@ def scaling_bench(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    allocators.check_partition_guard(optimal_guard)
     if not methods:
         raise ValidationError(f"methods must name at least one of {BENCH_METHODS}")
     unknown = set(methods) - set(BENCH_METHODS)

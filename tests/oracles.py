@@ -163,7 +163,7 @@ def optimal_by_enumeration(params, chan) -> Allocation:
     best_rate, best = -math.inf, None
     for cand in enumerate_partitions(params.num_subchannels, params.num_links):
         powers = _water_filled_by_set(params, h, cand)
-        rate = _score([params], h, [cand], powers[None])[0].total_rate
+        rate = _score([params], h[None], [0], [cand], powers[None])[0].total_rate
         if rate > best_rate:
             best_rate, best = rate, (cand, powers)
     return Allocation(*best, OPTIMAL)

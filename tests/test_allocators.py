@@ -448,6 +448,14 @@ class TestDispatcherAndInvariants:
         with pytest.raises(ValidationError, match="max_select_power_rule must be one of"):
             allocate(tag, params, chan, max_select_power_rule="argmax")
 
+    @pytest.mark.parametrize("tag", STRATEGY_ORDER)
+    @pytest.mark.parametrize("guard", [0, -5])
+    def test_bad_guard_rejected_for_every_tag(self, tag, guard):
+        params = unit_params()
+        chan = sample_realization(params, trial_rng(1, 0))
+        with pytest.raises(ValidationError, match=r"^partition_guard must be >= 1$"):
+            allocate(tag, params, chan, partition_guard=guard)
+
     @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (2, 5), (3, 7), (1, 3), (4, 8)])
     def test_quota_disjointness_fuzz(self, num_links, num_subchannels):
         rng = np.random.default_rng(num_links * 100 + num_subchannels)

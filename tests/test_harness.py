@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,8 @@ from multiband_alloc.allocators import (
     exact_sum_rate,
 )
 from multiband_alloc.assignment import solve_assignment
-from multiband_alloc.channel import (
-    ChannelParams,
-    realization_from_squared_gains,
-    sample_realization,
-    trial_rng,
-)
-from multiband_alloc.errors import ValidationError
+from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
+from multiband_alloc.errors import AllocationError, InfeasibleError, ValidationError
 from multiband_alloc.harness import (
     SWEEP_CSV_HEADER,
     BenchRow,
@@ -85,6 +81,7 @@ class TestSweepConfig:
             dict(score_mode="fancy"),
             dict(workers=0),
             dict(partition_guard=0),
+            dict(partition_guard=-5),
             dict(max_select_power_rule="argmax"),
         ],
     )
@@ -134,13 +131,12 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
+            def map(self, fn, jobs):
                 # Run the chunks last first: the results must still come back in trial order.
                 jobs = list(jobs)
-                split = [jobs[i : i + chunksize] for i in range(0, len(jobs), chunksize)]
-                chunks.append([[trial for _, trial in chunk] for chunk in split])
-                done = {i: [fn(job) for job in split[i]] for i in reversed(range(len(split)))}
-                return [result for i in range(len(split)) for result in done[i]]
+                chunks.append([list(trials) for _, trials in jobs])
+                done = {i: fn(jobs[i]) for i in reversed(range(len(jobs)))}
+                return [done[i] for i in range(len(jobs))]
 
         # Patched at both names harness could bind, so no real pool starts.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -221,8 +217,9 @@ class TestRunSweep:
     def test_selections_run_once_per_trial(self, monkeypatch):
         # Each strategy selects once per trial over the whole budget grid;
         # low_snr still solves once per budget and high_snr once per trial.
-        # optimal's rate table, optimal's powers and max_select's powers are
-        # one water_fill call each; every cell is still validated.
+        # optimal's rate table is one water_fill call per trial; optimal's
+        # and max_select's powers are one call each per chunk of trials, and
+        # these 5 trials are one chunk. Every cell is still validated.
         selections = {tag: 0 for tag in allocators.STRATEGIES}
         solves, fills, validations = [], [], []
 
@@ -249,7 +246,7 @@ class TestRunSweep:
         run_sweep(small_config(trials=trials, budget_grid=budgets))
         assert selections == {tag: trials for tag in STRATEGY_ORDER}
         assert len(solves) == trials * (len(budgets) + 1)
-        assert len(fills) == 3 * trials
+        assert len(fills) == trials + 2
         assert len(validations) == trials * len(budgets) * len(STRATEGY_ORDER)
 
     @pytest.mark.parametrize(
@@ -307,12 +304,14 @@ def cli_sweep_config(
 
 def rates_cell_by_cell(config):
     """The per-cell reference: every (trial, budget, strategy) cell in that
-    order through `allocate` and `exact_sum_rate`, as (exact, approx)."""
+    order through `allocate` and `exact_sum_rate`, as (exact, approx). It
+    samples through harness's names, so a test that patches the sampler
+    there patches the reference too."""
     params = config.channel_params
     shape = (len(config.budget_grid), len(config.strategies), config.trials)
     exact, approx = np.zeros(shape), np.full(shape, np.nan)
     for t in range(config.trials):
-        chan = sample_realization(params, trial_rng(config.seed, t))
+        chan = harness.sample_realization(params, harness.trial_rng(config.seed, t))
         for b, budget in enumerate(config.budget_grid):
             point = params.with_uniform_budget(budget)
             for s, tag in enumerate(config.strategies):
@@ -329,32 +328,98 @@ def rates_cell_by_cell(config):
     return exact, approx
 
 
+SWEEPS = [
+    cli_sweep_config(8, 32, 3, shadow_atten=1e-3, strategies=(LOW_SNR, HIGH_SNR, MAX_SELECT)),
+    cli_sweep_config(4, 8, 3, shadow_prob=0.3, shadow_atten=1e-3, score_mode="both"),
+    cli_sweep_config(3, 7, 5, max_select_power_rule="equal_split"),
+    cli_sweep_config(2, 4, 5, seed=11, shadow_prob=0.3, shadow_atten=1e-3),
+]
+SWEEP_IDS = ["k8_n32", "k4_n8_score_both", "k3_n7_equal_split", "k2_n4_shadowed"]
+
+
+def no_replay(*args):
+    raise AssertionError("a feasible sweep replayed a chunk cell by cell")
+
+
+def chunk_trials(monkeypatch, config, trials_per_chunk):
+    """Patch the chunk bound so that a chunk of `config` holds
+    `trials_per_chunk` trials."""
+    params = config.channel_params
+    per_trial = len(config.budget_grid) * params.num_links * params.num_subchannels
+    monkeypatch.setattr(allocators, "_TABLE_CHUNK", trials_per_chunk * per_trial)
+
+
 class TestBatchedTrialsMatchCells:
-    """A trial powers and scores each strategy over the whole budget grid in
-    one pass; every cell must equal the per-cell path bit for bit."""
+    """A chunk of trials powers and scores each strategy over all its
+    (trial, budget) cells in one pass; every cell must equal the per-cell
+    path bit for bit, whatever the chunk layout."""
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            cli_sweep_config(
-                8, 32, 3, shadow_atten=1e-3, strategies=(LOW_SNR, HIGH_SNR, MAX_SELECT)
-            ),
-            cli_sweep_config(4, 8, 3, shadow_prob=0.3, shadow_atten=1e-3, score_mode="both"),
-            cli_sweep_config(3, 7, 5, max_select_power_rule="equal_split"),
-            cli_sweep_config(2, 4, 5, seed=11, shadow_prob=0.3, shadow_atten=1e-3),
-        ],
-        ids=["k8_n32", "k4_n8_score_both", "k3_n7_equal_split", "k2_n4_shadowed"],
-    )
+    @pytest.mark.parametrize("config", SWEEPS, ids=SWEEP_IDS)
     def test_every_cell_matches_allocate(self, monkeypatch, config):
-        def no_replay(*args):
-            raise AssertionError("a feasible sweep replayed a trial cell by cell")
-
         monkeypatch.setattr(harness, "_replay_cells", no_replay)
         samples = collect_rates(config)
         exact, approx = rates_cell_by_cell(config)
         assert samples.exact.tobytes() == exact.tobytes()
         if config.score_mode == "both":
             assert samples.approx.tobytes() == approx.tobytes()
+
+    @pytest.mark.parametrize("config", SWEEPS, ids=SWEEP_IDS)
+    @pytest.mark.parametrize(
+        "trials_per_chunk,workers,chunks",
+        [(1, 1, [1] * 5), (3, 1, [3, 2]), (5, 1, [5]), (None, 2, None), (None, 3, None)],
+        ids=["chunk1", "chunk3", "chunk_all", "workers2", "workers3"],
+    )
+    def test_chunk_layout_changes_no_cell(self, monkeypatch, config, trials_per_chunk, workers, chunks):
+        config = dataclasses.replace(config, trials=5, workers=workers)
+        monkeypatch.setattr(harness, "_replay_cells", no_replay)
+        seen = []
+        if trials_per_chunk is not None:
+            chunk_trials(monkeypatch, config, trials_per_chunk)
+            worker = harness._chunk_worker
+            monkeypatch.setattr(harness, "_chunk_worker", lambda job: seen.append(len(job[1])) or worker(job))
+        samples = collect_rates(config)
+        assert seen == (chunks or [])
+        exact, approx = rates_cell_by_cell(config)
+        assert samples.exact.tobytes() == exact.tobytes()
+        if config.score_mode == "both":
+            assert samples.approx.tobytes() == approx.tobytes()
+
+    @pytest.mark.parametrize("later", [None, "sampling", "overflow"])
+    @pytest.mark.parametrize(
+        "trials_per_chunk,workers",
+        [(1, 1), (3, 1), (None, 1), (None, 2)],
+        ids=["chunk1", "chunk3", "chunk_all", "workers2"],
+    )
+    def test_failure_inside_a_chunk(self, monkeypatch, later, trials_per_chunk, workers):
+        # Only trial 3 of 6 leaves link 0 one usable sub-channel, so
+        # high_snr fails there (exit 3). With `later`, trial 5 fails too,
+        # and sooner in a pass that samples or runs low_snr over the whole
+        # chunk first: its draw raises (exit 2), or low_snr's P*H overflows
+        # at budget 1e3 (exit 2).
+        def sample(params, trial):
+            if trial == 5 and later == "sampling":
+                raise ValidationError("trial 5 cannot be drawn")
+            squared = np.random.default_rng(trial).uniform(0.5, 2.0, (2, 4))
+            if trial == 3:
+                squared = [[5.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]
+            if trial == 5 and later == "overflow":
+                squared = np.full((2, 4), 1e306)
+            return realization_from_squared_gains(params, squared)
+
+        monkeypatch.setattr(harness, "trial_rng", lambda seed, trial: trial)
+        monkeypatch.setattr(harness, "sample_realization", sample)
+        config = cli_sweep_config(2, 4, 6, workers=workers)
+        if trials_per_chunk is not None:
+            chunk_trials(monkeypatch, config, trials_per_chunk)
+        with pytest.raises(AllocationError) as expected:
+            rates_cell_by_cell(config)
+        assert type(expected.value) is InfeasibleError
+        assert str(expected.value) == "link 0 has only 1 usable sub-channels; quota is 2"
+        with pytest.raises(AllocationError) as raised:
+            collect_rates(config)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.exit_code == 3
 
     @pytest.mark.parametrize("seed", [8, 11])
     def test_first_failing_cell_raises(self, seed):
@@ -368,6 +433,27 @@ class TestBatchedTrialsMatchCells:
         with pytest.raises(ValidationError) as raised:
             collect_rates(config)
         assert str(raised.value) == str(expected.value)
+
+
+class TestChunkMemory:
+    def test_chunk_bound_sets_the_working_set(self):
+        # At K=8, N=32 and 7 budgets a chunk holds 36 trials, so 40 trials
+        # already fill one; 400 trials run 12 chunks and must peak within
+        # 10% of that. Warm up first: the interpreter's free lists fill
+        # during the first sweeps and stay filled.
+        def sweep(trials):
+            return cli_sweep_config(8, 32, trials, shadow_atten=1e-3, strategies=(MAX_SELECT,))
+
+        collect_rates(sweep(400))
+        peaks = []
+        for trials in (40, 400):
+            tracemalloc.start()
+            try:
+                collect_rates(sweep(trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 class TestCsvFormat:
@@ -491,6 +577,8 @@ class TestScalingBench:
             scaling_bench([(2, 4)], methods=("simplex",))
         with pytest.raises(ValidationError):
             scaling_bench([(2, 4)], methods=())
+        with pytest.raises(ValidationError, match=r"^partition_guard must be >= 1$"):
+            scaling_bench([(2, 4)], methods=("max_select",), optimal_guard=0)
 
     def test_csv_blank_for_skipped(self):
         rows = [BenchRow("optimal", 2, 8, 1, None, 70, "skipped")]
@@ -669,6 +757,21 @@ class TestCliMain:
             out, extra=["--strategies", "opt", "--subchannels", "8", "--guard", "10"]
         )
         assert cli.main(args) == 4
+
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--trials", "1"],
+            ["dump", "--strategy", "opt"],
+            ["dump", "--strategy", "low"],
+            ["bench", "--dims", "2:4", "--reps", "1", "--methods", "optimal"],
+        ],
+        ids=["sweep", "dump_opt", "dump_low", "bench"],
+    )
+    def test_guard_below_one_exit_code(self, capsys, command, guard):
+        assert cli.main([*command, "--guard", guard]) == 2
+        assert capsys.readouterr() == ("", "error: partition_guard must be >= 1\n")
 
     def test_dump_guard(self, capsys):
         # K=2, N=4 has 6 partitions.
