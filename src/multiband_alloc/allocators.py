@@ -26,7 +26,11 @@ their regime approximations only drive the selections.
 C cells at once, as a sweep does for one strategy over every (trial,
 budget) cell of a chunk of trials: cell c reads its trial's gains from a
 (T, K, N) stack of realizations by index, never from a per-cell copy.
-`allocate` and `exact_sum_rate` are the one-cell case.
+`allocate` and `exact_sum_rate` are the one-cell case. Before scoring,
+`validate_allocations` checks the C cells in one array check over their
+(C, K, q) sets and (C, K, N) powers; only when a cell fails does it run
+the one-cell `validate_allocation` on each cell in turn, so the first
+failing cell raises with that check's message.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
     "AssignmentTrace",
     "RateReport",
     "validate_allocation",
+    "validate_allocations",
     "exact_sum_rate",
     "exact_sum_rates",
     "linear_approx_rate",
@@ -176,6 +181,52 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
             raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
+def validate_allocations(points, allocs) -> tuple[np.ndarray, np.ndarray]:
+    """Check C allocations at once, allocation c under the params
+    `points[c]`, for every invariant `validate_allocation` checks, and
+    return their (C, K, q) sets and (C, K, N) powers as arrays.
+
+    One array check covers all cells (`_cells_pass`). If any cell fails
+    it, every cell goes through `validate_allocation` in order, so the
+    first failing cell raises with the one-cell message.
+    """
+    try:
+        sets = np.array([alloc.subchannels_of_link for alloc in allocs])
+        powers = np.stack([alloc.powers for alloc in allocs])
+    except ValueError:  # ragged sets, or powers of more than one shape
+        sets = powers = None
+    if sets is None or not _cells_pass(points, sets, powers):
+        for params, alloc in zip(points, allocs):
+            validate_allocation(params, alloc)
+    return sets, powers
+
+
+def _cells_pass(points, sets: np.ndarray, powers: np.ndarray) -> bool:
+    """True if every cell c, with sets `sets[c]` and powers `powers[c]`,
+    passes `validate_allocation` under `points[c]`: set count and quota,
+    index range, sub-channels disjoint across links, power shape, finite
+    and non-negative powers, none outside the sets, and each link's sum,
+    the same `powers[k].sum()` float, within the same slack of its budget.
+    Every cell must share the first cell's K and N."""
+    cells = len(points)
+    k_links, n_sub = points[0].num_links, points[0].num_subchannels
+    if {(params.num_links, params.num_subchannels) for params in points} != {(k_links, n_sub)}:
+        return False
+    if sets.shape != (cells, k_links, n_sub // k_links) or powers.shape != (cells, k_links, n_sub):
+        return False
+    if not ((sets >= 0) & (sets < n_sub)).all():
+        return False
+    assigned = np.zeros(powers.shape, dtype=bool)
+    assigned[np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None], sets] = True
+    # A cell's K * q indices are distinct iff they cover K * q sub-channels.
+    if np.count_nonzero(assigned.any(axis=1)) != sets.size:
+        return False
+    if not np.isfinite(powers).all() or (powers < 0).any() or powers.any(where=~assigned):
+        return False
+    budgets = np.array([params.power_budgets for params in points])
+    return not (powers.sum(axis=2) > budgets + _BUDGET_SLACK * np.maximum(1.0, budgets)).any()
+
+
 def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
     """Sum of log2(1 + p*H) over each consecutive run of `size` entries of
     `snr`, a flat list of p*H products. A run is one link's set; its terms
@@ -200,7 +251,7 @@ def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray) -> list[
     in set order; link k's rate is (B/N) times its sum, and the total adds
     links in index order, so every caller gets bit-identical scores for
     equal allocations."""
-    sets = np.array(sets)
+    sets = np.asarray(sets)
     cells, k_links, quota = sets.shape
     cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
     trial = np.asarray(trials)[:, None, None]
@@ -222,12 +273,9 @@ def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray) -> list[
 def exact_sum_rates(points, gains: np.ndarray, trials, allocs) -> list[RateReport]:
     """Score C allocations with the exact objective, allocation c under the
     params `points[c]` on the normalized gains `gains[trials[c]]` of a
-    (T, K, N) stack of realizations: each is validated first, then one
-    `_score` call scores them all."""
-    for params, alloc in zip(points, allocs):
-        validate_allocation(params, alloc)
-    powers = np.stack([alloc.powers for alloc in allocs])
-    sets = [alloc.subchannels_of_link for alloc in allocs]
+    (T, K, N) stack of realizations: one `validate_allocations` call checks
+    them all first, then one `_score` call scores them."""
+    sets, powers = validate_allocations(points, allocs)
     return _score(points, gains, trials, sets, powers)
 
 

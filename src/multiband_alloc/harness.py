@@ -10,10 +10,11 @@ runs each strategy once over all its (trial, budget) cells: one
 `allocators.STRATEGIES` selection call per trial returns every point's
 sets, which are then powered in one `allocators.power_selections` call for
 the whole chunk (one `water_fill` for the water-filled rules) and scored in
-one `allocators.exact_sum_rates` loop, which still validates every cell.
-If any cell fails, the chunk's trials are replayed cell by cell, in trial
-order, budget-major then in strategy order, so the sweep raises the error
-of the first failing cell.
+one `allocators.exact_sum_rates` loop, after one array check of all the
+cells' invariants (`allocators.validate_allocations`). If any cell fails,
+the chunk's trials are replayed cell by cell, in trial order, budget-major
+then in strategy order, so the sweep raises the error of the first failing
+cell.
 """
 
 from __future__ import annotations
@@ -163,8 +164,9 @@ def _strategy_pass(config: SweepConfig, strategy: str, points, chans, gains):
     mode is "both" and it has one (else None), on every cell of a chunk:
     cell c is trial c // B at budget c % B. The strategy selects once per
     trial, then one `power_selections` call powers every cell and one
-    `exact_sum_rates` call validates and scores them. Its per-cell objects
-    are freed on return, before the next strategy's pass."""
+    `exact_sum_rates` call validates them in one array check and scores
+    them. Its per-cell objects are freed on return, before the next
+    strategy's pass."""
     select = STRATEGIES[strategy].select
     selections = [s for chan in chans for s in select(points, chan, config.partition_guard)]
     cell_points = points * len(chans)

@@ -90,6 +90,8 @@ class TestValidateAllocation:
             (((0, 1), (2, 3)), (0, 0, -1.0), "negative power"),
             (((0, 1), (2, 3)), (0, 2, 0.5), "unassigned"),
             (((0, 1), (2, 3)), (0, 0, 5.0), "exceeds budget"),
+            (((0, 1), (2, 3)), (0, 0, math.nan), "finite"),
+            (((0, 1), (2, 3)), (1, 2, math.inf), "finite"),
         ],
     )
     def test_names_first_violation(self, sets, power_edit, message):
@@ -101,8 +103,13 @@ class TestValidateAllocation:
             if power_edit is not None:
                 k, n, val = power_edit
                 powers[k, n] = val
+        bad = self.make(sets, powers)
         with pytest.raises(ValidationError, match=message):
-            validate_allocation(params, self.make(sets, powers))
+            validate_allocation(params, bad)
+        # In a batch the bad cell is the third of four; the others are valid.
+        good = self.make(((0, 1), (2, 3)), [[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
+        with pytest.raises(ValidationError, match=message):
+            allocators.validate_allocations([params] * 4, [good, good, bad, good])
 
     def test_budget_slack_scales_with_budget(self):
         # At a 3.16e7 W budget a water-filled sum lands one ulp (3.7e-9 W)
@@ -124,6 +131,240 @@ class TestValidateAllocation:
         powers[0, 0] = budget * (1 + 1e-8)
         with pytest.raises(ValidationError, match="exceeds budget"):
             validate_allocation(params, self.make(((0, 1), (2, 3), (4, 5)), powers))
+
+
+def first_cell_error(points, allocs):
+    """The message of the first cell `validate_allocation` rejects, or None."""
+    for params, alloc in zip(points, allocs):
+        try:
+            validate_allocation(params, alloc)
+        except ValidationError as exc:
+            return str(exc)
+    return None
+
+
+def batch_error(points, allocs):
+    """The message `validate_allocations` raises on the cells, or None."""
+    try:
+        allocators.validate_allocations(points, allocs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# K/N of the batched-check tests; N of 7, 8, 9, 16, 17 and 33 put a row's
+# power sum on both sides of numpy's 8-element pairwise-sum blocks.
+BATCH_DIMS = [(2, 4), (4, 8), (8, 32), (1, 7), (2, 8), (3, 9), (1, 16), (2, 17), (1, 33), (3, 33)]
+BATCH_CELLS = 9
+
+
+def random_batch(rng, num_links, num_subchannels):
+    """BATCH_CELLS valid cells: random per-link budgets (some zero), random
+    disjoint sets, and each link's budget split over a random part of its
+    set; a third of the cells write their zero powers as -0.0."""
+    base = unit_params(num_links, num_subchannels)
+    quota = base.quota
+    points, cells = [], []
+    for _ in range(BATCH_CELLS):
+        budgets = 10.0 ** rng.uniform(-3, 9, size=num_links) * (rng.random(num_links) < 0.9)
+        params = replace(base, power_budgets=tuple(budgets.tolist()))
+        order = rng.permutation(num_subchannels).tolist()
+        sets = [order[k * quota : (k + 1) * quota] for k in range(num_links)]
+        powers = np.zeros((num_links, num_subchannels))
+        for k, subset in enumerate(sets):
+            weights = rng.exponential(size=quota) * (rng.random(quota) < 0.8)
+            if weights.any():
+                powers[k, subset] = budgets[k] * weights / weights.sum()
+        if rng.random() < 1 / 3:
+            powers[powers == 0] = -0.0
+        points.append(params)
+        cells.append((sets, powers))
+    return points, cells
+
+
+def _entry(rng, sets):
+    k = int(rng.integers(len(sets)))
+    return k, int(rng.integers(len(sets[k])))
+
+
+def _drop_link(rng, params, sets, powers):
+    return sets[:-1], powers
+
+
+def _short_set(rng, params, sets, powers):
+    k, j = _entry(rng, sets)
+    sets[k].pop(j)
+    return sets, powers
+
+
+def _out_of_range(rng, params, sets, powers):
+    k, j = _entry(rng, sets)
+    sets[k][j] = [-1, params.num_subchannels, 2**70][int(rng.integers(3))]
+    return sets, powers
+
+
+def _shared(rng, params, sets, powers):
+    # Two entries of the cell name one sub-channel, of two links or of one.
+    (k1, j1), (k2, j2) = _entry(rng, sets), _entry(rng, sets)
+    if (k1, j1) == (k2, j2):
+        return None
+    sets[k2][j2] = sets[k1][j1]
+    return sets, powers
+
+
+def _bad_shape(rng, params, sets, powers):
+    k, n = powers.shape
+    shapes = [powers.T, powers[:, :-1], np.zeros((k + 1, n)), powers[0]]
+    return sets, shapes[int(rng.integers(len(shapes)))]
+
+
+def _not_finite(rng, params, sets, powers):
+    powers[tuple(rng.integers(powers.shape))] = [math.nan, math.inf, -math.inf][int(rng.integers(3))]
+    return sets, powers
+
+
+def _negative(rng, params, sets, powers):
+    powers[tuple(rng.integers(powers.shape))] = -[5e-324, 1e-300, 1.0][int(rng.integers(3))]
+    return sets, powers
+
+
+def _stray(rng, params, sets, powers):
+    k = int(rng.integers(len(sets)))
+    free = [n for n in range(params.num_subchannels) if n not in sets[k]]
+    if not free:
+        return None
+    powers[k, free[int(rng.integers(len(free)))]] = 10.0 ** rng.uniform(-300, 5)
+    return sets, powers
+
+
+def _over_budget(rng, params, sets, powers):
+    k = int(rng.integers(len(sets)))
+    budget = params.power_budgets[k]
+    bound = budget + 1e-9 * max(1.0, budget)
+    powers[k] = 0.0
+    powers[k, sets[k][0]] = np.nextafter(bound, math.inf) * [1.0, 1.0 + 1e-6, 2.0][int(rng.integers(3))]
+    return sets, powers
+
+
+# One corruption per invariant, in `validate_allocation`'s order; each
+# returns a cell that breaks it, or None where the cell cannot.
+CORRUPTIONS = {
+    "set_count": _drop_link,
+    "quota": _short_set,
+    "index_range": _out_of_range,
+    "disjoint": _shared,
+    "power_shape": _bad_shape,
+    "finite": _not_finite,
+    "negative": _negative,
+    "unassigned": _stray,
+    "budget": _over_budget,
+}
+
+
+def corrupted(rng, constraint, params, cell):
+    """`cell` broken by `constraint`'s corruption, or None if it cannot be."""
+    sets, powers = cell
+    for _ in range(10):
+        out = CORRUPTIONS[constraint](rng, params, [list(s) for s in sets], powers.copy())
+        if out is not None:
+            return out
+    return None
+
+
+def make_allocs(cells):
+    # Allocation freezes the array it is given; copy so the cells stay writable.
+    return [Allocation(sets, powers.copy(), OPTIMAL) for sets, powers in cells]
+
+
+def land_sum(row, subset, target):
+    """Spread power evenly over `subset` of `row`, then step one entry an
+    ulp at a time until float(row.sum()) is `target`; False if it never is."""
+    row[:] = 0.0
+    row[subset] = target / len(subset)
+    for _ in range(1000):
+        total = float(row.sum())
+        if total == target:
+            return True
+        row[subset[0]] = np.nextafter(row[subset[0]], math.inf if total < target else -math.inf)
+    return False
+
+
+class TestBatchedValidation:
+    """`validate_allocations` raises if and only if `validate_allocation`
+    raises on some cell, with the first failing cell's message, and a valid
+    batch never takes the per-cell path."""
+
+    @pytest.mark.parametrize("num_links,num_subchannels", BATCH_DIMS)
+    def test_valid_batches_skip_the_cell_path(self, monkeypatch, num_links, num_subchannels):
+        rng = np.random.default_rng([7, num_links, num_subchannels])
+        calls = []
+        original = allocators.validate_allocation
+        monkeypatch.setattr(allocators, "validate_allocation", lambda *a: calls.append(1) or original(*a))
+        for _ in range(5):
+            points, cells = random_batch(rng, num_links, num_subchannels)
+            sets, powers = allocators.validate_allocations(points, make_allocs(cells))
+            assert np.array_equal(sets, [cell_sets for cell_sets, _ in cells])
+            assert np.array_equal(powers, [cell_powers for _, cell_powers in cells])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "constraint,num_links,num_subchannels",
+        [
+            (constraint, k, n)
+            for constraint in CORRUPTIONS
+            for k, n in BATCH_DIMS
+            # A lone link's set is every sub-channel: none is unassigned.
+            if not (constraint == "unassigned" and k == 1)
+        ],
+    )
+    def test_first_failing_cell_names_the_error(self, constraint, num_links, num_subchannels):
+        rng = np.random.default_rng([num_links, num_subchannels, list(CORRUPTIONS).index(constraint)])
+        for first in (0, BATCH_CELLS // 2, BATCH_CELLS - 1):
+            for extra in (0, 1, 3):
+                # The first corrupted cell breaks `constraint`; up to `extra`
+                # later cells break a random invariant each.
+                points, cells = random_batch(rng, num_links, num_subchannels)
+                later = {int(c): str(rng.choice(list(CORRUPTIONS))) for c in rng.integers(first, BATCH_CELLS, extra)}
+                for c, name in sorted((later | {first: constraint}).items()):
+                    broken = corrupted(rng, name, points[c], cells[c])
+                    assert broken is not None or c != first
+                    if broken is not None:
+                        cells[c] = broken
+                allocs = make_allocs(cells)
+                expected = first_cell_error(points[first : first + 1], allocs[first : first + 1])
+                assert expected is not None
+                assert first_cell_error(points, allocs) == expected
+                assert batch_error(points, allocs) == expected
+                # Alone, a cell's sets and powers stack to arrays of its own
+                # wrong shape instead of ragged ones.
+                assert batch_error(points[first : first + 1], allocs[first : first + 1]) == expected
+
+    def test_cell_checked_against_its_own_dims(self):
+        # Cell 1's sets and powers fit cell 0's N = 4, not its own N = 5.
+        points = [unit_params(2, 4), unit_params(2, 5)]
+        alloc = Allocation(((0, 1), (2, 3)), np.zeros((2, 4)), OPTIMAL)
+        expected = "powers must have shape (2, 5), got (2, 4)"
+        assert first_cell_error(points, [alloc, alloc]) == expected
+        assert batch_error(points, [alloc, alloc]) == expected
+
+    @pytest.mark.parametrize("num_links,num_subchannels", BATCH_DIMS)
+    def test_power_sum_on_the_slack_edge(self, num_links, num_subchannels):
+        rng = np.random.default_rng([41, num_links, num_subchannels])
+        for cell in (0, BATCH_CELLS // 2, BATCH_CELLS - 1):
+            points, cells = random_batch(rng, num_links, num_subchannels)
+            sets, powers = cells[cell]
+            k = int(rng.integers(num_links))
+            budget = points[cell].power_budgets[k]
+            bound = budget + 1e-9 * max(1.0, budget)
+            assert land_sum(powers[k], sets[k], bound)
+            allocs = make_allocs(cells)
+            assert first_cell_error(points, allocs) is None
+            assert batch_error(points, allocs) is None
+            assert land_sum(powers[k], sets[k], float(np.nextafter(bound, math.inf)))
+            allocs = make_allocs(cells)
+            expected = first_cell_error(points, allocs)
+            assert expected is not None and "exceeds budget" in expected
+            assert batch_error(points, allocs) == expected
 
 
 class TestExactSumRate:

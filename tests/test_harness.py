@@ -219,9 +219,10 @@ class TestRunSweep:
         # low_snr still solves once per budget and high_snr once per trial.
         # optimal's rate table is one water_fill call per trial; optimal's
         # and max_select's powers are one call each per chunk of trials, and
-        # these 5 trials are one chunk. Every cell is still validated.
+        # these 5 trials are one chunk. A passing chunk validates each
+        # strategy's cells in one batched check and no cell on its own.
         selections = {tag: 0 for tag in allocators.STRATEGIES}
-        solves, fills, validations = [], [], []
+        solves, fills, validations, batch_checks = [], [], [], []
 
         def counting(tag, select):
             def select_and_count(*args):
@@ -237,6 +238,7 @@ class TestRunSweep:
             ("solve_assignment", solves),
             ("water_fill", fills),
             ("validate_allocation", validations),
+            ("validate_allocations", batch_checks),
         ]:
             original = getattr(allocators, name)
             monkeypatch.setattr(
@@ -247,7 +249,8 @@ class TestRunSweep:
         assert selections == {tag: trials for tag in STRATEGY_ORDER}
         assert len(solves) == trials * (len(budgets) + 1)
         assert len(fills) == trials + 2
-        assert len(validations) == trials * len(budgets) * len(STRATEGY_ORDER)
+        assert len(validations) == 0
+        assert len(batch_checks) == len(STRATEGY_ORDER)
 
     @pytest.mark.parametrize(
         "budgets,code,message",
