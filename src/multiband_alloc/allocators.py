@@ -14,14 +14,16 @@ The table `STRATEGIES` says this once: for each tag it names the selection
 and the power rule. A selection maps a budget grid to one (sets, trace) per
 point, as a function (points, chan, partition_guard): `high_snr` and
 `max_select` read the channel alone and repeat one result, `low_snr` builds
-every point's P*H in one multiply and solves once per point, and `optimal`
-water-fills one rate table for the whole grid. `allocate(tag, params,
-chan)` is the one entry point that runs a strategy: it dispatches through
-the table on a one-point grid. The trace keeps the assignment a Hungarian
-selection solved, for instance dumps. The low_snr selection lists each
-link's assigned sub-channel first, which is where `concentrate` puts the
-budget. All strategies are scored with the same exact sum-rate formula;
-their regime approximations only drive the selections.
+every point's P*H in one multiply and solves one assignment per trial,
+reusing its columns at every other point where that solve's dual
+potentials prove them optimal (`_low_snr_sets`), and `optimal` water-fills
+one rate table for the whole grid. `allocate(tag, params, chan)` is the
+one entry point that runs a strategy: it dispatches through the table on a
+one-point grid. The trace keeps the assignment a Hungarian selection
+solved, for instance dumps. The low_snr selection lists each link's
+assigned sub-channel first, which is where `concentrate` puts the budget.
+All strategies are scored with the same exact sum-rate formula; their
+regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
 C cells at once, as a sweep does for one strategy over every (trial,
 budget) cell of a chunk of trials: cell c reads its trial's gains from a
@@ -92,17 +94,23 @@ _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 # Most water-filled elements `optimal`'s rate table holds at once.
 _TABLE_CHUNK = 1 << 16
+# Margin, relative to max P*H, by which low_snr's reused assignment must
+# beat every other one (`_low_snr_sets`).
+_CERTIFY_TOL = 1e-9
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class AssignmentTrace:
-    """The assignment a Hungarian strategy solved: its per-link cost matrix
-    (before row replication), a label for its entries, and the column of
-    each solver row. Row r is link r, or link r // copies if rows were
-    replicated."""
+    """The assignment a Hungarian strategy solved: the read-only K x N
+    values of its per-link cost matrix (before row replication; forbidden
+    cells 0), a label for its entries, and the column of each solver row.
+    Row r is link r, or link r // copies if rows were replicated. A low_snr
+    point whose columns were reused from another point's solve keeps its own
+    P*H values and the columns its own solve gives."""
 
     label: str
-    cost: CostMatrix
+    values: np.ndarray
     column_of_row: tuple[int, ...]
     copies: int | None = None
 
@@ -347,9 +355,9 @@ def _apply_power(
     return powers
 
 
-def _low_snr_costs(points, chan: ChannelRealization) -> list[CostMatrix]:
-    """The P*H matrix of every point of a budget grid, from one (B, K, N)
-    multiply; the first point with an overflowing product raises."""
+def _low_snr_values(points, chan: ChannelRealization) -> np.ndarray:
+    """The read-only (B, K, N) P*H values of every point of a budget grid,
+    from one multiply; the first point with an overflowing product raises."""
     budgets = np.array([params.power_budgets for params in points])[:, :, None]
     with np.errstate(over="ignore"):
         values = budgets * chan.normalized_gains
@@ -359,12 +367,13 @@ def _low_snr_costs(points, chan: ChannelRealization) -> list[CostMatrix]:
         raise ValidationError(
             f"power budget {max(params.power_budgets):g} W times a normalized gain overflows"
         )
-    return [CostMatrix(values=cell_values, orientation="maximize") for cell_values in values]
+    values.setflags(write=False)
+    return values
 
 
 def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
-    return _low_snr_costs([params], chan)[0]
+    return CostMatrix(values=_low_snr_values([params], chan)[0], orientation="maximize")
 
 
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
@@ -381,30 +390,104 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     remaining quota slots are padded round-robin over links in index order,
     each taking its highest-gain unassigned sub-channel (ties to the lowest
     index). The padding reads the assigned columns and H alone, so it runs
-    once per distinct assignment of the grid."""
+    once per distinct assignment of the grid.
+
+    Each point gets the columns its own `solve_assignment` would give, but
+    most points are not solved. Call a point scalable if its budgets are
+    one positive P for every link and each of its P*H products is 0 (a zero
+    gain) or a normal float. The first scalable point is solved; every
+    later scalable point reuses its columns if that solve's potentials
+    certify them (`_certified`) by a margin of tol * max P*H, tol =
+    `_CERTIFY_TOL` = 1e-9. Every other point is solved on its own: budget 0,
+    budgets that differ by link, subnormal or underflowing products, and
+    every point of a grid whose certificate fails (ties, near-ties).
+
+    Why that is exact. Scalable points' matrices are one matrix scaled:
+    fl(P' H) = (P'/P) fl(P H) up to a relative 2^-52 per entry, so the
+    first solve's potentials scaled by P'/P leave every reduced cost within
+    about 2^-52 * max P'H of its scaled value. A certificate says every
+    other assignment crosses a non-matching edge whose reduced cost exceeds
+    the margin, while the others are >= 0 and the matched ones 0 up to the
+    solver's rounding; so at every scalable point the certified assignment
+    is the unique optimum, by about 1e-9 * max P'H. The solver's own
+    rounding, a few ulps of its potentials summed over at most 2K edges,
+    stays below K^2 * 2^-50 * max P'H (about 1e-12 at K = 32), orders of
+    magnitude inside that margin, so a point's own solve cannot return any
+    other assignment.
+    """
     h = chan.normalized_gains
     quota = points[0].quota
+    values = _low_snr_values(points, chan)
+    budgets = np.array([params.power_budgets for params in points])
+    uniform = (budgets > 0).all(axis=1) & (budgets == budgets[:, :1]).all(axis=1)
+    normal = ((values >= _SMALLEST_NORMAL) | (h == 0)).all(axis=(1, 2))
+    scalable = (uniform & normal).tolist()
+    first = scalable.index(True) if True in scalable else -1
+    shared = None  # the first scalable point's columns, once certified
     padded: dict[tuple[int, ...], list[list[int]]] = {}
     selections = []
-    for cost in _low_snr_costs(points, chan):
-        columns = solve_assignment(cost).column_of_row
+    for b, cell in enumerate(values):
+        if scalable[b] and shared is not None:
+            columns = shared
+        else:
+            result = solve_assignment(CostMatrix(values=cell, orientation="maximize"))
+            columns = result.column_of_row
+            if b == first and _certified(cell, result):
+                shared = columns
         if columns not in padded:
             padded[columns] = _pad_round_robin(h, columns, quota)
-        selections.append((padded[columns], AssignmentTrace("maximize, P*H", cost, columns)))
+        selections.append((padded[columns], AssignmentTrace("maximize, P*H", cell, columns)))
     return selections
+
+
+def _certified(values: np.ndarray, result) -> bool:
+    """True if `result`, the maximizing solve of the K x N `values`, is
+    proved by its own potentials to beat every other assignment by more
+    than tol * max(values), tol = `_CERTIFY_TOL` (see `_low_snr_sets`).
+
+    Call an edge near if its reduced cost u[k] + v[n] - values[k, n] is at
+    most that margin. Another assignment differs from this one by
+    alternating cycles and by alternating paths ending in a column this one
+    leaves free; each costs at least the reduced costs of its new edges. So
+    the proof holds when no near non-matching edge reaches a free column,
+    and the near non-matching edges, read as row k -> the row matched to
+    column n, form no cycle.
+    """
+    k_links = values.shape[0]
+    columns = list(result.column_of_row)
+    reduced = np.add.outer(result.row_potentials, result.column_potentials) - values
+    near = reduced <= _CERTIFY_TOL * float(values.max())
+    near[np.arange(k_links), columns] = False
+    if not near.any():
+        return True
+    free = np.ones(values.shape[1], dtype=bool)
+    free[columns] = False
+    if near[:, free].any():
+        return False
+    # Peel rows with no near edge into the rows left; a cycle never peels.
+    edges = near[:, columns]
+    left = np.ones(k_links, dtype=bool)
+    while left.any():
+        peel = left & ~edges[:, left].any(axis=1)
+        if not peel.any():
+            return False
+        left &= ~peel
+    return True
 
 
 def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> list[list[int]]:
     """Link k's set: columns[k], then quota - 1 round-robin picks of its
-    highest-gain sub-channel left free (ties to the lowest index)."""
+    highest-gain sub-channel left free (ties to the lowest index: `max`
+    keeps the first maximum of the free sub-channels in index order)."""
+    rows = h.tolist()
     sets = [[c] for c in columns]
     taken = set(columns)
+    free = [n for n in range(len(rows[0])) if n not in taken]
     for _ in range(quota - 1):
-        for k, link_sets in enumerate(sets):
-            avail = [n for n in range(h.shape[1]) if n not in taken]
-            pick = avail[int(np.argmax(h[k, avail]))]
+        for link_sets, row in zip(sets, rows):
+            pick = max(free, key=row.__getitem__)
             link_sets.append(pick)
-            taken.add(pick)
+            free.remove(pick)
     return sets
 
 
@@ -427,7 +510,8 @@ def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     for row, col in enumerate(result.column_of_row):
         sets[row // quota].append(col)
     label = "maximize, ln H; forbidden cells printed as 0"
-    return [(sets, AssignmentTrace(label, cost, result.column_of_row, quota))] * len(points)
+    trace = AssignmentTrace(label, cost.values, result.column_of_row, quota)
+    return [(sets, trace)] * len(points)
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:

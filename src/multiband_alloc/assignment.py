@@ -74,21 +74,36 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class AssignmentResult:
-    """Optimal row-to-column mapping.
+    """Optimal row-to-column mapping and the dual potentials that prove it.
 
     `column_of_row[i]` is the column assigned to row i; columns are pairwise
-    distinct.
+    distinct. `row_potentials` u and `column_potentials` v are the solver's
+    duals in the cost's orientation: up to rounding, every allowed cell has
+    values[i, j] - u[i] - v[j] >= 0 when minimizing (<= 0 when maximizing),
+    with equality on the assigned cells, and every unassigned column has
+    v = 0 exactly. Results compare by their columns alone.
     """
 
     column_of_row: tuple[int, ...]
+    row_potentials: tuple[float, ...] = field(default=(), compare=False)
+    column_potentials: tuple[float, ...] = field(default=(), compare=False)
 
 
-def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[int]:
-    """Exact minimum-cost matching of every row of an R x C matrix, R <= C.
+def _hungarian_min(costs: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """Exact minimum-cost matching of every row of an R x C matrix, R <= C,
+    returned as (column of each row, row potentials u, column potentials v).
 
     Augmenting-path Hungarian with row/column potentials over Python lists;
     one shortest-path tree per row, column index C acting as its root, and
-    O(R^2 C) total work. Forbidden cells are never relaxed.
+    O(R^2 C) total work. A forbidden cell costs +inf: with u and v finite
+    its reduced cost is inf, never below a slack, so it is never relaxed,
+    and a row whose free slacks are all inf is infeasible. Each step's
+    shift of the slacks outside the tree by delta is applied as the next
+    step's scan reads them, the same subtraction on the same floats, so
+    the chosen columns and potentials are those of shifting them all at
+    once. At return c[i][j] - u[i] - v[j] >= 0 on every allowed cell, up to
+    rounding, and is 0 on the matched ones; v only ever decreases from 0,
+    and only on columns that end up matched.
     """
     rows, n = len(costs), len(costs[0])
     u = [0.0] * rows
@@ -102,19 +117,22 @@ def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[
         path_prev = [n] * n
         free = list(range(n))
         tree = []
+        delta = 0.0
 
         while assigned_row[j0] != -1:
             i0 = assigned_row[j0]
-            row_costs, row_allowed, u0 = costs[i0], allowed[i0], u[i0]
-            j1, delta = -1, math.inf
+            row_costs, u0 = costs[i0], u[i0]
+            # The slacks of the free columns still owe the last step's delta.
+            shift, j1, delta = delta, -1, math.inf
             for j in free:
-                if row_allowed[j]:
-                    reduced = row_costs[j] - u0 - v[j]
-                    if reduced < min_slack[j]:
-                        min_slack[j] = reduced
-                        path_prev[j] = j0
-                if min_slack[j] < delta:
-                    j1, delta = j, min_slack[j]
+                slack = min_slack[j] - shift
+                reduced = row_costs[j] - u0 - v[j]
+                if reduced < slack:
+                    slack = reduced
+                    path_prev[j] = j0
+                min_slack[j] = slack
+                if slack < delta:
+                    j1, delta = j, slack
             if j1 < 0:
                 raise InfeasibleError("no complete assignment avoids the forbidden cells")
 
@@ -124,8 +142,6 @@ def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[
             for j in tree:
                 u[assigned_row[j]] += delta
                 v[j] -= delta
-            for j in free:
-                min_slack[j] -= delta
 
             free.remove(j1)
             tree.append(j1)
@@ -136,13 +152,14 @@ def _hungarian_min(costs: list[list[float]], allowed: list[list[bool]]) -> list[
             j0 = path_prev[j0]
 
     col_of_row = {r: j for j, r in enumerate(assigned_row[:n]) if r >= 0}
-    return [col_of_row[r] for r in range(rows)]
+    return [col_of_row[r] for r in range(rows)], u, v
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Solve the assignment problem exactly for either orientation.
 
-    Maximization runs through the minimizing core on the negated matrix.
+    Maximization runs through the minimizing core on the negated matrix,
+    and its potentials are negated back.
 
     Raises
     ------
@@ -150,12 +167,17 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         If some row has all cells forbidden, or no complete assignment can
         avoid forbidden cells.
     """
-    allowed = ~cost.forbidden
-    bad_rows = np.flatnonzero(~allowed.any(axis=1))
-    if bad_rows.size:
-        raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
+    forbidden = cost.forbidden
     work = cost.values if cost.orientation == "minimize" else -cost.values
-    return AssignmentResult(tuple(_hungarian_min(work.tolist(), allowed.tolist())))
+    if forbidden.any():
+        bad_rows = np.flatnonzero(forbidden.all(axis=1))
+        if bad_rows.size:
+            raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
+        work = np.where(forbidden, np.inf, work)
+    columns, u, v = _hungarian_min(work.tolist())
+    if cost.orientation == "maximize":
+        u, v = [-x for x in u], [-x for x in v]
+    return AssignmentResult(tuple(columns), tuple(u), tuple(v))
 
 
 def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:

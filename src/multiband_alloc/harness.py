@@ -344,7 +344,7 @@ def dump_instance(
 
     trace = alloc.trace
     if trace is not None:
-        lines += _matrix_lines(f"cost_matrix ({trace.label})", trace.cost.values)
+        lines += _matrix_lines(f"cost_matrix ({trace.label})", trace.values)
         pairs = (
             f"{r}->{c}" if trace.copies is None else f"{r}(link {r // trace.copies})->{c}"
             for r, c in enumerate(trace.column_of_row)

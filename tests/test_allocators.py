@@ -766,7 +766,7 @@ def selection_outcome(select, points, chan):
     return [
         (
             tuple(tuple(s) for s in sets),
-            None if trace is None else (trace.label, trace.cost.values.tobytes(), trace.column_of_row),
+            None if trace is None else (trace.label, trace.values.tobytes(), trace.column_of_row),
         )
         for sets, trace in selections
     ]

@@ -1,8 +1,10 @@
 """Assignment solver vs the exhaustive oracle, plus structural properties.
 
 The chosen columns (which the CSV and dump bytes depend on) are pinned by
-`golden/assignment_columns.txt`; a change that means to alter them
-regenerates the file and says so:
+`golden/assignment_columns.txt` on tie-heavy integer matrices, where every
+float operation is exact, and by `golden/assignment_float_columns.txt` on
+continuous values, where a reordered subtraction can change a near-tie; a
+change that means to alter them regenerates the files and says so:
 
     PYTHONPATH=src python tests/test_assignment.py
 """
@@ -24,6 +26,8 @@ from oracles import brute_force_assignment, selection_value
 
 COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.txt"
 COLUMN_CASES = 1000
+FLOAT_COLUMNS_GOLDEN = COLUMNS_GOLDEN.with_name("assignment_float_columns.txt")
+FLOAT_COLUMN_CASES = 500
 
 
 def feasible_forbidden_mask(rng, rows, cols, density=0.4):
@@ -55,10 +59,38 @@ def column_case(seed: int) -> CostMatrix:
     return replicate_rows(CostMatrix(values, orientation, forbidden), copies)
 
 
-def column_line(seed: int) -> str:
-    """The golden line of matrix `seed`: its columns, or the infeasibility message."""
+def float_column_case(seed: int) -> CostMatrix:
+    """Continuous-valued matrix number `seed` of the float column golden.
+
+    Seed % 4 picks the shape: up to 6x9, 2x4, 8x32, or 8x32 with each row
+    replicated 4 times (32x32). Seed // 4 % 2 picks the values: normal
+    draws, or 1 + a multiple of 1e-12 (near-ties whose sums round). Seed
+    // 8 % 2 adds forbidden cells (probability 0.2, one complete assignment
+    kept before replication). Either orientation.
+    """
+    rng = np.random.default_rng(10_000 + seed)
+    shape = seed % 4
+    if shape == 0:
+        rows = int(rng.integers(1, 7))
+        cols = int(rng.integers(rows, 10))
+    else:
+        rows, cols = (2, 4) if shape == 1 else (8, 32)
+    copies = 4 if shape == 3 else 1
+    if seed // 4 % 2:
+        values = 1.0 + np.round(rng.normal(scale=3.0, size=(rows, cols))) * 1e-12
+    else:
+        values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    forbidden = np.zeros((rows, cols), dtype=bool)
+    if seed // 8 % 2:
+        forbidden = feasible_forbidden_mask(rng, rows, cols, density=0.2)
+    orientation = ORIENTATIONS[int(rng.integers(2))]
+    return replicate_rows(CostMatrix(values, orientation, forbidden), copies)
+
+
+def column_line(seed: int, case=column_case) -> str:
+    """The golden line of matrix `case(seed)`: its columns, or the infeasibility message."""
     try:
-        cols = solve_assignment(column_case(seed)).column_of_row
+        cols = solve_assignment(case(seed)).column_of_row
     except InfeasibleError as exc:
         return f"{seed}: {exc}"
     return f"{seed}: " + " ".join(map(str, cols))
@@ -222,6 +254,32 @@ class TestStructuralProperties:
             assert selection_value(hi, solve_assignment(hi)) == -selection_value(lo, solve_assignment(lo))
 
 
+class TestPotentials:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_potentials_prove_the_columns(self, seed):
+        # Up to rounding, reduced costs are >= 0 (minimize) or <= 0
+        # (maximize) on allowed cells and 0 on assigned ones; unassigned
+        # columns have potential 0 exactly.
+        cost = float_column_case(seed)
+        try:
+            result = solve_assignment(cost)
+        except InfeasibleError:
+            return
+        sign = 1.0 if cost.orientation == "minimize" else -1.0
+        u, v = np.array(result.row_potentials), np.array(result.column_potentials)
+        reduced = sign * (cost.values - u[:, None] - v[None, :])
+        scale = np.abs(cost.values).max()
+        assert (reduced[~cost.forbidden] >= -1e-12 * scale).all()
+        rows = np.arange(cost.num_rows)
+        assert np.abs(reduced[rows, list(result.column_of_row)]).max() <= 1e-12 * scale
+        unassigned = np.setdiff1d(np.arange(cost.num_cols), result.column_of_row)
+        assert (v[unassigned] == 0.0).all()
+
+    def test_potentials_do_not_take_part_in_equality(self):
+        cost = CostMatrix(np.array([[1.0, 2.0]]), "maximize")
+        assert solve_assignment(cost) == AssignmentResult(column_of_row=(1,))
+
+
 class TestReplicateRows:
     def test_construction_order(self):
         cm = CostMatrix(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), "maximize")
@@ -292,5 +350,14 @@ def test_columns_match_golden():
     assert [column_line(seed) for seed in range(COLUMN_CASES)] == expected
 
 
+def test_float_columns_match_golden():
+    expected = FLOAT_COLUMNS_GOLDEN.read_text().splitlines()
+    lines = [column_line(seed, float_column_case) for seed in range(FLOAT_COLUMN_CASES)]
+    assert lines == expected
+
+
 if __name__ == "__main__":
     COLUMNS_GOLDEN.write_text("".join(column_line(seed) + "\n" for seed in range(COLUMN_CASES)))
+    FLOAT_COLUMNS_GOLDEN.write_text(
+        "".join(column_line(seed, float_column_case) + "\n" for seed in range(FLOAT_COLUMN_CASES))
+    )

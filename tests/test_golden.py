@@ -15,6 +15,7 @@ from multiband_alloc import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SHADOWED = ["--shadow-atten", "1e-3"]
+K8_N32 = ["--links", "8", "--subchannels", "32", "--bandwidth", "32"]
 
 # name -> (argv, exit code). The golden file holds stdout on exit 0, else stderr.
 CASES = {
@@ -34,6 +35,14 @@ CASES = {
         0,
     ),
     "sweep_seed1_exit3": (["sweep", "--seed", "1"], 3),
+    # Budget 0 is a point whose low_snr assignment is solved on its own.
+    "sweep_k4_n8_lin_budget0": (
+        ["sweep", "--links", "4", "--subchannels", "8", "--bandwidth", "8",
+         "--budgets", "0:10:3lin", "--trials", "5", *SHADOWED],
+        0,
+    ),
+    "dump_low_k8_n32": (["dump", "--strategy", "low", *K8_N32, *SHADOWED], 0),
+    "dump_high_k8_n32": (["dump", "--strategy", "high", *K8_N32, *SHADOWED], 0),
     **{
         f"dump_{short}": (["dump", "--strategy", short, "--seed", "3", "--budget", "10"], 0)
         for short in cli.STRATEGY_SHORT

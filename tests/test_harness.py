@@ -215,8 +215,11 @@ class TestRunSweep:
             assert row.std_rate == 0.0
 
     def test_selections_run_once_per_trial(self, monkeypatch):
-        # Each strategy selects once per trial over the whole budget grid;
-        # low_snr still solves once per budget and high_snr once per trial.
+        # Each strategy selects once per trial over the whole budget grid.
+        # high_snr solves once per trial. low_snr solves budget 0 on its
+        # own (a zero budget scales nothing) and budget 0.1, the first
+        # positive uniform one; these continuous draws certify 0.1's
+        # columns, so budget 10 reuses them unsolved: 3 solves per trial.
         # optimal's rate table is one water_fill call per trial; optimal's
         # and max_select's powers are one call each per chunk of trials, and
         # these 5 trials are one chunk. A passing chunk validates each
@@ -247,7 +250,7 @@ class TestRunSweep:
         trials, budgets = 5, (0.0, 0.1, 10.0)
         run_sweep(small_config(trials=trials, budget_grid=budgets))
         assert selections == {tag: trials for tag in STRATEGY_ORDER}
-        assert len(solves) == trials * (len(budgets) + 1)
+        assert len(solves) == 3 * trials
         assert len(fills) == trials + 2
         assert len(validations) == 0
         assert len(batch_checks) == len(STRATEGY_ORDER)
