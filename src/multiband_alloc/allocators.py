@@ -6,7 +6,8 @@ link (surplus sub-channels stay idle when K does not divide N); the rule
 splits each link's budget over its set:
 
 - low_snr: one-per-link assignment on P*H, then `concentrate`;
-- high_snr: quota-replicated assignment on ln H, then `equal_split`;
+- high_snr: assignment on ln H at capacity q per link (certified, with a
+  replicated fallback), then `equal_split`;
 - optimal: the best water-filled partition, then `water_fill`;
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
@@ -16,8 +17,11 @@ point, as a function (points, chan, partition_guard): `high_snr` and
 `max_select` read the channel alone and repeat one result, `low_snr` builds
 every point's P*H in one multiply and solves one assignment per trial,
 reusing its columns at every other point where that solve's dual
-potentials prove them optimal (`_low_snr_sets`), and `optimal` water-fills
-one rate table for the whole grid. `allocate(tag, params, chan)` is the
+potentials prove them optimal (`_low_snr_sets`), `high_snr` solves one
+capacity-q assignment per trial and keeps it where its potentials prove it
+the unique optimum, falling back to the quota-replicated solve elsewhere
+(`_high_snr_sets`), and `optimal` water-fills one rate table for the whole
+grid. `allocate(tag, params, chan)` is the
 one entry point that runs a strategy: it dispatches through the table on a
 one-point grid. The trace keeps the assignment a Hungarian selection
 solved, for instance dumps. The low_snr selection lists each link's
@@ -46,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .assignment import CostMatrix, replicate_rows, solve_assignment
+from .assignment import CostMatrix, replicate_rows, solve_assignment, solve_capacitated
 from .channel import ChannelParams, ChannelRealization
 from .errors import GuardError, InfeasibleError, ValidationError
 from .power import water_fill
@@ -94,8 +98,8 @@ _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 # Most water-filled elements `optimal`'s rate table holds at once.
 _TABLE_CHUNK = 1 << 16
-# Margin, relative to max P*H, by which low_snr's reused assignment must
-# beat every other one (`_low_snr_sets`).
+# Margin, relative to the largest |cost| of an allowed cell, by which a
+# certified assignment must beat every other one (`_certified`).
 _CERTIFY_TOL = 1e-9
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
@@ -103,11 +107,12 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 @dataclass(frozen=True)
 class AssignmentTrace:
     """The assignment a Hungarian strategy solved: the read-only K x N
-    values of its per-link cost matrix (before row replication; forbidden
-    cells 0), a label for its entries, and the column of each solver row.
-    Row r is link r, or link r // copies if rows were replicated. A low_snr
-    point whose columns were reused from another point's solve keeps its own
-    P*H values and the columns its own solve gives."""
+    values of its per-link cost matrix (forbidden cells 0), a label for its
+    entries, and the column of each row. Row r is link r, or link r // copies
+    when each link takes `copies` columns: high_snr lists each link's set
+    sorted, link by link, whichever solve chose it. A low_snr point whose
+    columns were reused from another point's solve keeps its own P*H values
+    and the columns its own solve gives."""
 
     label: str
     values: np.ndarray
@@ -376,12 +381,18 @@ def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cost
     return CostMatrix(values=_low_snr_values([params], chan)[0], orientation="maximize")
 
 
+def _high_snr_costs(h: np.ndarray) -> tuple[list[list[float]], CostMatrix]:
+    """high_snr's costs twice: -ln H as lists for `solve_capacitated`, +inf
+    on zero gains, and the maximize matrix of ln H, zero-gain cells
+    forbidden. ln is `math.log` over `h.tolist()`, so its bits do not
+    depend on which CPU features numpy dispatches to."""
+    costs = [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
+    return costs, CostMatrix(values=-np.array(costs), orientation="maximize", forbidden=h <= 0)
+
+
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = ln H[k, n], zero-gain cells forbidden."""
-    h = chan.normalized_gains
-    usable = h > 0
-    values = np.log(h, where=usable, out=np.zeros_like(h))
-    return CostMatrix(values=values, orientation="maximize", forbidden=~usable)
+    return _high_snr_costs(chan.normalized_gains)[1]
 
 
 def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
@@ -432,7 +443,14 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
         else:
             result = solve_assignment(CostMatrix(values=cell, orientation="maximize"))
             columns = result.column_of_row
-            if b == first and _certified(cell, result):
+            # The core minimized -P*H, so its potentials are these negated.
+            if b == first and _certified(
+                (-cell).tolist(),
+                [[n] for n in columns],
+                [-x for x in result.row_potentials],
+                [-x for x in result.column_potentials],
+                float(cell.max()),
+            ):
                 shared = columns
         if columns not in padded:
             padded[columns] = _pad_round_robin(h, columns, quota)
@@ -440,38 +458,44 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     return selections
 
 
-def _certified(values: np.ndarray, result) -> bool:
-    """True if `result`, the maximizing solve of the K x N `values`, is
-    proved by its own potentials to beat every other assignment by more
-    than tol * max(values), tol = `_CERTIFY_TOL` (see `_low_snr_sets`).
+def _certified(costs: list[list[float]], sets, u: list[float], v: list[float], scale: float) -> bool:
+    """True if a minimizing solve of the K x N list `costs` (forbidden
+    cells +inf) that gave row k the columns `sets[k]`, with row potentials
+    u and column potentials v, is proved by them to beat every other choice
+    of as many columns per row by more than tol * `scale`, the largest
+    |cost| of an allowed cell; tol = `_CERTIFY_TOL` (see `_low_snr_sets`).
 
-    Call an edge near if its reduced cost u[k] + v[n] - values[k, n] is at
-    most that margin. Another assignment differs from this one by
-    alternating cycles and by alternating paths ending in a column this one
-    leaves free; each costs at least the reduced costs of its new edges. So
-    the proof holds when no near non-matching edge reaches a free column,
-    and the near non-matching edges, read as row k -> the row matched to
+    Call an edge near if its reduced cost c[k][n] - u[k] - v[n] is at most
+    that margin. Another choice differs from this one by alternating
+    cycles and by alternating paths ending in a column this one leaves
+    free (every row keeps its count, so no path ends at a row); each costs
+    at least the reduced costs of its new edges, as unowned columns have
+    v = 0. So the proof holds when no near unmatched edge reaches a free
+    column, and the near unmatched edges, read as row k -> the row owning
     column n, form no cycle.
     """
-    k_links = values.shape[0]
-    columns = list(result.column_of_row)
-    reduced = np.add.outer(result.row_potentials, result.column_potentials) - values
-    near = reduced <= _CERTIFY_TOL * float(values.max())
-    near[np.arange(k_links), columns] = False
-    if not near.any():
-        return True
-    free = np.ones(values.shape[1], dtype=bool)
-    free[columns] = False
-    if near[:, free].any():
-        return False
-    # Peel rows with no near edge into the rows left; a cycle never peels.
-    edges = near[:, columns]
-    left = np.ones(k_links, dtype=bool)
-    while left.any():
-        peel = left & ~edges[:, left].any(axis=1)
-        if not peel.any():
+    owner = [-1] * len(v)
+    for k, columns in enumerate(sets):
+        for n in columns:
+            owner[n] = k
+    margin = _CERTIFY_TOL * scale
+    near = []  # near[k]: the rows owning a column that row k reaches by a near edge
+    for k, (row, uk) in enumerate(zip(costs, u)):
+        owners = set()
+        for c, vn, m in zip(row, v, owner):
+            if c - uk - vn <= margin:
+                owners.add(m)
+        owners.discard(k)  # its own columns
+        if -1 in owners:
             return False
-        left &= ~peel
+        near.append(owners)
+    # Peel rows with no near edge into the rows left; a cycle never peels.
+    left = set(range(len(costs)))
+    while left:
+        peel = {k for k in left if not near[k] & left}
+        if not peel:
+            return False
+        left -= peel
     return True
 
 
@@ -492,25 +516,42 @@ def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> lis
 
 
 def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
-    """Each link's quota from one assignment on ln H with every link's row
-    replicated quota times; zero-gain cells are forbidden. The channel alone
-    decides it, so every point gets the same selection."""
+    """Each link's quota of sub-channels, sorted, from the assignment on
+    ln H that gives every link quota distinct ones with the largest sum;
+    zero-gain cells are forbidden. The channel alone decides it, so every
+    point gets the same selection.
+
+    `solve_capacitated` solves it with each link's row at capacity quota.
+    Its sets are kept when its potentials certify them (`_certified`, by
+    tol * max |ln H| over the allowed cells): then they are the unique
+    optimum by far more than either solver's rounding (the argument of
+    `_low_snr_sets`), which is also what the replicated solve, every row
+    copied quota times (`replicate_rows`), returns. Any other draw (ties,
+    near-ties) takes that replicated solve, so the sets are the replicated
+    solve's in every case.
+    """
     params = points[0]
     quota = params.quota
-    usable_counts = (chan.normalized_gains > 0).sum(axis=1)
+    h = chan.normalized_gains
+    usable_counts = (h > 0).sum(axis=1)
     short = np.flatnonzero(usable_counts < quota)
     if short.size:
         k = int(short[0])
         raise InfeasibleError(
             f"link {k} has only {int(usable_counts[k])} usable sub-channels; quota is {quota}"
         )
-    cost = high_snr_cost_matrix(params, chan)
-    result = solve_assignment(replicate_rows(cost, quota))
+    costs, cost = _high_snr_costs(h)
+    owner, u, v = solve_capacitated(costs, quota)
     sets: list[list[int]] = [[] for _ in range(params.num_links)]
-    for row, col in enumerate(result.column_of_row):
-        sets[row // quota].append(col)
+    for n, k in enumerate(owner):
+        if k >= 0:
+            sets[k].append(n)
+    if not _certified(costs, sets, u, v, float(np.abs(cost.values).max())):
+        result = solve_assignment(replicate_rows(cost, quota))
+        columns = result.column_of_row
+        sets = [sorted(columns[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
     label = "maximize, ln H; forbidden cells printed as 0"
-    trace = AssignmentTrace(label, cost.values, result.column_of_row, quota)
+    trace = AssignmentTrace(label, cost.values, tuple(n for s in sets for n in s), quota)
     return [(sets, trace)] * len(points)
 
 

@@ -1,10 +1,16 @@
-"""Rectangular linear assignment.
+"""Rectangular linear assignment, with rows of capacity one or q.
 
 A Hungarian (augmenting-path, dual-potential) solver handles minimize or
 maximize cost matrices with R rows <= C columns. Forbidden cells are
 missing edges: the solver never relaxes them, and a row whose shortest-path
 tree reaches no free column makes the problem infeasible (Crouse, "On
 implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
+
+`solve_capacitated` gives every row q distinct columns (capacity q) with
+the same augmenting-path core, visiting a row once per shortest-path tree
+where `replicate_rows` would make q copies of it compete (the "similar
+persons" reduction: Bertsekas & Castanon, "The auction algorithm for the
+transportation problem", Annals of OR 1989).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "CostMatrix",
     "AssignmentResult",
     "solve_assignment",
+    "solve_capacitated",
     "replicate_rows",
 ]
 
@@ -178,6 +185,94 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     if cost.orientation == "maximize":
         u, v = [-x for x in u], [-x for x in v]
     return AssignmentResult(tuple(columns), tuple(u), tuple(v))
+
+
+def solve_capacitated(
+    costs: list[list[float]], capacity: int
+) -> tuple[list[int], list[float], list[float]]:
+    """Minimum-cost choice of `capacity` distinct columns for every row of an
+    R x C list of costs, R * capacity <= C, returned as (row owning each
+    column, -1 if none; row potentials u; column potentials v).
+
+    A forbidden cell costs +inf. This is the assignment `replicate_rows`
+    builds, solved without the copies: a row keeps one potential, and when
+    a shortest-path tree reaches a row through one of its columns, all of
+    the row's columns join the tree at that distance, so its matched edges
+    stay tight and the tree scans the row once, not once per copy. Rows are
+    filled in index order, one augmenting path per unit of capacity, each
+    step shifting the tree's potentials lazily as `_hungarian_min` does; at
+    capacity 1 every float operation is that core's, in its order, and so
+    are the columns. At return c[i][j] - u[i] - v[j] >= 0 on every allowed
+    cell, up to rounding, and is 0 on the matched ones; v only ever
+    decreases from 0, and only on columns that end up owned. O(R C^2) work
+    in all (capacity * R <= C augmentations, each scanning at most R rows).
+
+    Raises
+    ------
+    InfeasibleError
+        If no choice avoids the forbidden cells.
+    """
+    rows, n = len(costs), len(costs[0])
+    u = [0.0] * rows
+    v = [0.0] * n
+    owner = [-1] * n
+    columns: list[list[int]] = [[] for _ in range(rows)]
+
+    for i in range(rows):
+        for _ in range(capacity):
+            min_slack = [math.inf] * n
+            path_prev = [i] * n  # the tree row whose scan set a column's slack
+            entry = {}  # the column through which each tree row joined
+            tree_rows = [i]
+            tree = list(columns[i])
+            free = [j for j in range(n) if owner[j] != i]
+            i0, delta = i, 0.0
+
+            while True:
+                row_costs, u0 = costs[i0], u[i0]
+                # The slacks of the free columns still owe the last step's delta.
+                shift, j1, delta = delta, -1, math.inf
+                for j in free:
+                    slack = min_slack[j] - shift
+                    reduced = row_costs[j] - u0 - v[j]
+                    if reduced < slack:
+                        slack = reduced
+                        path_prev[j] = i0
+                    min_slack[j] = slack
+                    if slack < delta:
+                        j1, delta = j, slack
+                if j1 < 0:
+                    raise InfeasibleError("no complete assignment avoids the forbidden cells")
+
+                for k in tree_rows:
+                    u[k] += delta
+                for j in tree:
+                    v[j] -= delta
+                free.remove(j1)
+                i0 = owner[j1]
+                if i0 < 0:
+                    break
+                # The owner joins, and every column it owns joins at its distance.
+                entry[i0] = j1
+                tree_rows.append(i0)
+                for j in columns[i0]:
+                    tree.append(j)
+                    if j != j1:
+                        free.remove(j)
+
+            # Hand the free column to the row whose scan reached it; each row
+            # on the path passes on the column it joined through.
+            while True:
+                k = path_prev[j1]
+                owner[j1] = k
+                if k == i:
+                    columns[i].append(j1)
+                    break
+                j0 = entry[k]
+                columns[k][columns[k].index(j0)] = j1
+                j1 = j0
+
+    return owner, u, v
 
 
 def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:

@@ -22,7 +22,6 @@ from multiband_alloc.allocators import (
     STRATEGY_ORDER,
     exact_sum_rate,
 )
-from multiband_alloc.assignment import solve_assignment
 from multiband_alloc.channel import ChannelParams, realization_from_squared_gains
 from multiband_alloc.errors import AllocationError, InfeasibleError, ValidationError
 from multiband_alloc.harness import (
@@ -216,16 +215,18 @@ class TestRunSweep:
 
     def test_selections_run_once_per_trial(self, monkeypatch):
         # Each strategy selects once per trial over the whole budget grid.
-        # high_snr solves once per trial. low_snr solves budget 0 on its
-        # own (a zero budget scales nothing) and budget 0.1, the first
-        # positive uniform one; these continuous draws certify 0.1's
-        # columns, so budget 10 reuses them unsolved: 3 solves per trial.
+        # high_snr makes one capacitated solve per trial, which these
+        # continuous draws certify, so it never falls back to the
+        # replicated solve_assignment. low_snr solves budget 0 on its own
+        # (a zero budget scales nothing) and budget 0.1, the first positive
+        # uniform one; these draws certify 0.1's columns, so budget 10
+        # reuses them unsolved: 2 solve_assignment calls per trial.
         # optimal's rate table is one water_fill call per trial; optimal's
         # and max_select's powers are one call each per chunk of trials, and
         # these 5 trials are one chunk. A passing chunk validates each
         # strategy's cells in one batched check and no cell on its own.
         selections = {tag: 0 for tag in allocators.STRATEGIES}
-        solves, fills, validations, batch_checks = [], [], [], []
+        solves, capacitated, fills, validations, batch_checks = [], [], [], [], []
 
         def counting(tag, select):
             def select_and_count(*args):
@@ -239,6 +240,7 @@ class TestRunSweep:
             monkeypatch.setitem(allocators.STRATEGIES, tag, counted)
         for name, calls in [
             ("solve_assignment", solves),
+            ("solve_capacitated", capacitated),
             ("water_fill", fills),
             ("validate_allocation", validations),
             ("validate_allocations", batch_checks),
@@ -250,7 +252,8 @@ class TestRunSweep:
         trials, budgets = 5, (0.0, 0.1, 10.0)
         run_sweep(small_config(trials=trials, budget_grid=budgets))
         assert selections == {tag: trials for tag in STRATEGY_ORDER}
-        assert len(solves) == 3 * trials
+        assert len(solves) == 2 * trials
+        assert len(capacitated) == trials
         assert len(fills) == trials + 2
         assert len(validations) == 0
         assert len(batch_checks) == len(STRATEGY_ORDER)
@@ -531,16 +534,17 @@ class TestDumpInstance:
 
     @pytest.mark.parametrize("strategy", [LOW_SNR, HIGH_SNR])
     def test_reads_the_allocators_own_solve(self, strategy, monkeypatch):
-        calls = []
-
-        def counting(cost):
-            calls.append(cost)
-            return solve_assignment(cost)
-
-        for module in (allocators, harness):
-            monkeypatch.setattr(module, "solve_assignment", counting, raising=False)
+        # low_snr makes one square solve; high_snr one capacitated solve,
+        # certified on this continuous draw, so no replicated fallback.
+        calls = {"solve_assignment": [], "solve_capacitated": []}
+        for name, made in calls.items():
+            original = getattr(allocators, name)
+            counting = lambda *a, f=original, c=made: c.append(1) or f(*a)
+            for module in (allocators, harness):
+                monkeypatch.setattr(module, name, counting, raising=False)
         report = dump_instance(small_params(), seed=2, strategy=strategy)
-        assert len(calls) == 1
+        expected = (1, 0) if strategy == LOW_SNR else (0, 1)
+        assert (len(calls["solve_assignment"]), len(calls["solve_capacitated"])) == expected
         assert "assignment:" in report
 
 

@@ -1,0 +1,243 @@
+"""high_snr's capacitated assignment against the replicated solve.
+
+`allocators._high_snr_sets` solves ln H with each link's row at capacity
+q (`assignment.solve_capacitated`) and keeps the sets only when the
+solve's potentials certify them; every other draw takes the solve of the
+matrix with each row copied q times. The sets must be the replicated
+solve's, merged by link, on every draw: continuous, tie-heavy (integer
+gains) and forbidden-cell (fully blocked shadowing) ones. The solve
+counts show which path ran.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from multiband_alloc import allocators
+from multiband_alloc.allocators import HIGH_SNR, high_snr_cost_matrix
+from multiband_alloc.assignment import (
+    CostMatrix,
+    _hungarian_min,
+    replicate_rows,
+    solve_assignment,
+    solve_capacitated,
+)
+from multiband_alloc.channel import (
+    ChannelParams,
+    realization_from_squared_gains,
+    sample_realization,
+    trial_rng,
+)
+from multiband_alloc.errors import InfeasibleError
+from multiband_alloc.harness import dump_instance
+from oracles import brute_force_assignment, selection_value
+
+SHAPES = [(2, 4), (4, 8), (3, 9), (8, 32)]
+KINDS = ["continuous", "integer", "blocked"]
+
+
+def params_for(num_links, num_subchannels, **overrides):
+    """B/N = 1 and N0 = 1, so the normalized gains are the squared gains."""
+    base = dict(
+        num_links=num_links,
+        num_subchannels=num_subchannels,
+        total_bandwidth=float(num_subchannels),
+        noise_psd=1.0,
+        shadow_prob=0.0,
+        power_budgets=(1.0,) * num_links,
+    )
+    base.update(overrides)
+    return ChannelParams(**base)
+
+
+def draw(kind, num_links, num_subchannels, seed):
+    """One seeded draw: Rayleigh gains, integer gains in {0, 1, 2, 3}
+    (ties everywhere, zeros forbidden), or Rayleigh gains with 30%
+    shadowing at attenuation 0 (blocked cells forbidden)."""
+    if kind == "blocked":
+        params = params_for(num_links, num_subchannels, shadow_prob=0.3)
+        return params, sample_realization(params, trial_rng(seed, 0))
+    params = params_for(num_links, num_subchannels)
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        gains = rng.exponential(size=(num_links, num_subchannels))
+    else:
+        gains = rng.integers(0, 4, size=(num_links, num_subchannels)).astype(float)
+    return params, realization_from_squared_gains(params, gains)
+
+
+def replicated_sets(params, chan):
+    """Each link's sorted set from the replicated solve of ln H, after the
+    check that every link has quota usable sub-channels."""
+    quota = params.quota
+    usable = (chan.normalized_gains > 0).sum(axis=1)
+    for k, count in enumerate(usable.tolist()):
+        if count < quota:
+            raise InfeasibleError(f"link {k} has only {count} usable sub-channels; quota is {quota}")
+    result = solve_assignment(replicate_rows(high_snr_cost_matrix(params, chan), quota))
+    cols = result.column_of_row
+    return [sorted(cols[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
+
+
+def outcome(select, params, chan):
+    """`select(params, chan)`, or the message of the InfeasibleError it raises."""
+    try:
+        return select(params, chan)
+    except InfeasibleError as exc:
+        return f"infeasible: {exc}"
+
+
+def selected_sets(params, chan):
+    return allocators._high_snr_sets([params], chan, allocators.DEFAULT_PARTITION_GUARD)[0][0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of the capacitated solves and of the replicated fallbacks."""
+    calls = {"capacitated": 0, "replicated": 0}
+
+    def capacitated(costs, capacity):
+        calls["capacitated"] += 1
+        return solve_capacitated(costs, capacity)
+
+    def replicated(cost):
+        calls["replicated"] += 1
+        return solve_assignment(cost)
+
+    monkeypatch.setattr(allocators, "solve_capacitated", capacitated)
+    monkeypatch.setattr(allocators, "solve_assignment", replicated)
+    return calls
+
+
+def owned_sets(owner, rows):
+    sets = [[] for _ in range(rows)]
+    for n, k in enumerate(owner):
+        if k >= 0:
+            sets[k].append(n)
+    return sets
+
+
+class TestCosts:
+    def test_costs_are_math_log_bit_for_bit(self):
+        params, chan = draw("blocked", 8, 32, seed=5)
+        h = chan.normalized_gains
+        assert (h == 0).any() and (h > 0).any()
+        values = high_snr_cost_matrix(params, chan).values
+        trace = allocators._high_snr_sets([params], chan, 1)[0][1]
+        for k in range(8):
+            for n in range(32):
+                expected = math.log(h[k, n]) if h[k, n] > 0 else 0.0
+                assert values[k, n].tobytes() == np.float64(expected).tobytes()
+                assert trace.values[k, n].tobytes() == np.float64(expected).tobytes()
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"k{k}_n{n}" for k, n in SHAPES])
+    def test_sets_equal_the_replicated_solve(self, kind, shape):
+        draws = 15 if shape == (8, 32) else 60
+        for seed in range(draws):
+            params, chan = draw(kind, *shape, seed=1000 + seed)
+            expected = outcome(replicated_sets, params, chan)
+            assert outcome(selected_sets, params, chan) == expected, seed
+
+    def test_core_alone_matches_on_continuous_draws(self):
+        # A continuous draw has a unique optimum, so the core needs no
+        # certificate to agree.
+        for seed in range(40):
+            k_links, n_sub = SHAPES[seed % len(SHAPES)]
+            params, chan = draw("continuous", k_links, n_sub, seed=2000 + seed)
+            costs, _ = allocators._high_snr_costs(chan.normalized_gains)
+            owner, _, _ = solve_capacitated(costs, params.quota)
+            assert owned_sets(owner, k_links) == replicated_sets(params, chan), seed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 8), (3, 9)], ids=["k2_n4", "k4_n8", "k3_n9"])
+    def test_optimum_matches_the_injection_oracle(self, kind, shape):
+        for seed in range(4):
+            params, chan = draw(kind, *shape, seed=3000 + seed)
+            cost = replicate_rows(high_snr_cost_matrix(params, chan), params.quota)
+            try:
+                best = selection_value(cost, brute_force_assignment(cost))
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    selected_sets(params, chan)
+                continue
+            sets = selected_sets(params, chan)
+            total = sum(cost.values[k * params.quota, n] for k, s in enumerate(sets) for n in s)
+            assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_capacity_one_is_the_square_core(self):
+        # At capacity 1 every float operation is the square core's.
+        for seed in range(200):
+            rng = np.random.default_rng(4000 + seed)
+            rows = int(rng.integers(1, 7))
+            cols = int(rng.integers(rows, 10))
+            values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+            costs = np.where(rng.random((rows, cols)) < 0.2, np.inf, values).tolist()
+            try:
+                columns, u, v = _hungarian_min(costs)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_capacitated(costs, 1)
+                continue
+            owner, cap_u, cap_v = solve_capacitated(costs, 1)
+            assert [owner.index(r) for r in range(rows)] == columns
+            assert (cap_u, cap_v) == (u, v)
+
+    def test_near_float_max_costs(self):
+        # Tree steps shift potentials by about 1e308; none may overflow.
+        values = np.array(
+            [[1.2e308, 1.0e308, 0.5e308, 0.9e308], [1.1e308, 0.9e308, 1.0e308, 0.2e308]]
+        )
+        owner, u, v = solve_capacitated((-values).tolist(), 2)
+        assert all(map(math.isfinite, u + v))
+        result = solve_assignment(replicate_rows(CostMatrix(values, "maximize"), 2))
+        cols = result.column_of_row
+        assert owned_sets(owner, 2) == [sorted(cols[:2]), sorted(cols[2:])]
+
+    def test_infeasible_keeps_its_message(self):
+        # Both links may use only sub-channels 0 and 1: no two sets of two.
+        params = params_for(2, 4)
+        gains = np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0]])
+        chan = realization_from_squared_gains(params, gains)
+        with pytest.raises(InfeasibleError, match="^no complete assignment avoids the forbidden cells$"):
+            selected_sets(params, chan)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"k{k}_n{n}" for k, n in SHAPES])
+    def test_integer_gains_fall_back(self, solves, shape):
+        # Equal gains make equal ln H sums, so many of these draws have
+        # several optima, which no certificate may pass. A draw with a
+        # link short of usable sub-channels raises before any solve.
+        solved = fallbacks = 0
+        for seed in range(50):
+            params, chan = draw("integer", *shape, seed=5000 + seed)
+            expected = outcome(replicated_sets, params, chan)
+            solves.update(capacitated=0, replicated=0)
+            assert outcome(selected_sets, params, chan) == expected
+            if solves["capacitated"]:
+                solved += 1
+                fallbacks += solves["replicated"]
+                assert solves == {"capacitated": 1, "replicated": solves["replicated"]}
+        assert solved >= 30
+        assert fallbacks >= solved // 10
+
+    def test_continuous_wide_draws_never_fall_back(self, solves):
+        params = params_for(8, 32, shadow_prob=0.02, shadow_attenuation=1e-3)
+        draws = 100
+        for trial in range(draws):
+            selected_sets(params, sample_realization(params, trial_rng(1001, trial)))
+        assert solves == {"capacitated": draws, "replicated": 0}
+
+
+class TestDump:
+    def test_assignment_line_is_the_same_on_either_path(self, monkeypatch):
+        # Each link's columns are printed sorted, link by link, so the
+        # replicated fallback prints what the certified solve prints.
+        params = params_for(4, 8, shadow_prob=0.02, shadow_attenuation=1e-3)
+        certified = dump_instance(params, seed=2, strategy=HIGH_SNR)
+        monkeypatch.setattr(allocators, "_certified", lambda *args: False)
+        assert dump_instance(params, seed=2, strategy=HIGH_SNR) == certified

@@ -206,11 +206,23 @@ class TestFallback:
         assert shadowed > 0
 
 
+def certified(values):
+    """`_certified` on the maximizing solve of `values`, read in the
+    minimizing form the square core solved (costs and potentials negated),
+    as `_low_snr_sets` reads it."""
+    result = solve_assignment(CostMatrix(values, "maximize"))
+    return allocators._certified(
+        (-values).tolist(),
+        [[n] for n in result.column_of_row],
+        [-x for x in result.row_potentials],
+        [-x for x in result.column_potentials],
+        float(values.max()),
+    )
+
+
 class TestCertificate:
     def test_unique_optimum_is_certified(self):
-        values = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.5]])
-        cost = CostMatrix(values, "maximize")
-        assert allocators._certified(values, solve_assignment(cost))
+        assert certified(np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.5]]))
 
     @pytest.mark.parametrize(
         "values",
@@ -222,9 +234,7 @@ class TestCertificate:
         ids=["free_column", "cycle", "near_cycle"],
     )
     def test_ties_are_not_certified(self, values):
-        values = np.array(values)
-        cost = CostMatrix(values, "maximize")
-        assert not allocators._certified(values, solve_assignment(cost))
+        assert not certified(np.array(values))
 
 
 @st.composite
