@@ -142,7 +142,7 @@ class Allocation:
         object.__setattr__(
             self,
             "subchannels_of_link",
-            tuple(tuple(int(n) for n in s) for s in self.subchannels_of_link),
+            tuple(tuple(map(int, s)) for s in self.subchannels_of_link),
         )
 
 
@@ -381,18 +381,26 @@ def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> Cost
     return CostMatrix(values=_low_snr_values([params], chan)[0], orientation="maximize")
 
 
-def _high_snr_costs(h: np.ndarray) -> tuple[list[list[float]], CostMatrix]:
-    """high_snr's costs twice: -ln H as lists for `solve_capacitated`, +inf
-    on zero gains, and the maximize matrix of ln H, zero-gain cells
-    forbidden. ln is `math.log` over `h.tolist()`, so its bits do not
+def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
+    """high_snr's costs -ln H as lists for `solve_capacitated`, +inf on
+    zero gains. ln is `math.log` over `h.tolist()`, so its bits do not
     depend on which CPU features numpy dispatches to."""
-    costs = [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
-    return costs, CostMatrix(values=-np.array(costs), orientation="maximize", forbidden=h <= 0)
+    return [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
+
+
+def _high_snr_values(h: np.ndarray, costs: list[list[float]]) -> np.ndarray:
+    """The read-only array of ln H from `_high_snr_costs`, zero-gain cells 0
+    as `CostMatrix` stores its forbidden cells."""
+    values = -np.array(costs)
+    values[h <= 0] = 0.0
+    values.setflags(write=False)
+    return values
 
 
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = ln H[k, n], zero-gain cells forbidden."""
-    return _high_snr_costs(chan.normalized_gains)[1]
+    h = chan.normalized_gains
+    return CostMatrix(_high_snr_values(h, _high_snr_costs(h)), "maximize", forbidden=h <= 0)
 
 
 def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
@@ -469,10 +477,12 @@ def _certified(costs: list[list[float]], sets, u: list[float], v: list[float], s
     that margin. Another choice differs from this one by alternating
     cycles and by alternating paths ending in a column this one leaves
     free (every row keeps its count, so no path ends at a row); each costs
-    at least the reduced costs of its new edges, as unowned columns have
-    v = 0. So the proof holds when no near unmatched edge reaches a free
-    column, and the near unmatched edges, read as row k -> the row owning
-    column n, form no cycle.
+    at least the reduced costs of its new edges, as the solvers leave v = 0
+    on unowned columns and v <= 0 on owned ones whenever a column is left
+    unowned (with every column owned there is no such path). So the proof
+    holds when no near unmatched edge reaches a free column, and the near
+    unmatched edges, read as row k -> the row owning column n, form no
+    cycle.
     """
     owner = [-1] * len(v)
     for k, columns in enumerate(sets):
@@ -540,18 +550,21 @@ def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
         raise InfeasibleError(
             f"link {k} has only {int(usable_counts[k])} usable sub-channels; quota is {quota}"
         )
-    costs, cost = _high_snr_costs(h)
+    costs = _high_snr_costs(h)
+    values = _high_snr_values(h, costs)
     owner, u, v = solve_capacitated(costs, quota)
     sets: list[list[int]] = [[] for _ in range(params.num_links)]
     for n, k in enumerate(owner):
         if k >= 0:
             sets[k].append(n)
-    if not _certified(costs, sets, u, v, float(np.abs(cost.values).max())):
+    # max |ln H| over the allowed cells: the forbidden ones hold 0.
+    if not _certified(costs, sets, u, v, float(np.abs(values).max())):
+        cost = CostMatrix(values, "maximize", forbidden=h <= 0)
         result = solve_assignment(replicate_rows(cost, quota))
         columns = result.column_of_row
         sets = [sorted(columns[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
     label = "maximize, ln H; forbidden cells printed as 0"
-    trace = AssignmentTrace(label, cost.values, tuple(n for s in sets for n in s), quota)
+    trace = AssignmentTrace(label, values, tuple(n for s in sets for n in s), quota)
     return [(sets, trace)] * len(points)
 
 
@@ -664,12 +677,12 @@ def _max_select_sets(points, chan: ChannelRealization, partition_guard: int):
     quota = params.quota
     # Stable argsort of the flattened gains keeps ties in (link, sub-channel)
     # order, which makes the walk identical to repeated global argmax.
-    order = np.argsort(-h, axis=None, kind="stable")
+    order = np.argsort(-h, axis=None, kind="stable").tolist()
     sets: list[list[int]] = [[] for _ in range(params.num_links)]
-    taken = np.zeros(n_sub, dtype=bool)
+    taken = [False] * n_sub
     unfilled = params.num_links * quota
     for flat in order:
-        k, n = divmod(int(flat), n_sub)
+        k, n = divmod(flat, n_sub)
         if len(sets[k]) < quota and not taken[n]:
             sets[k].append(n)
             taken[n] = True

@@ -422,7 +422,7 @@ def scaling_bench(
                     allocators.OPTIMAL, params, chan, partition_guard=optimal_guard
                 )
             elif method == "hungarian":
-                costs, _ = allocators._high_snr_costs(chan.normalized_gains)
+                costs = allocators._high_snr_costs(chan.normalized_gains)
                 target = lambda: solve_capacitated(costs, params.quota)
             else:
                 target = lambda: allocate(allocators.MAX_SELECT, params, chan)

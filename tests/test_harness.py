@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import gc
 import math
 import os
 import pathlib
@@ -449,19 +450,27 @@ class TestChunkMemory:
         # At K=8, N=32 and 7 budgets a chunk holds 36 trials, so 40 trials
         # already fill one; 400 trials run 12 chunks and must peak within
         # 10% of that. Warm up first: the interpreter's free lists fill
-        # during the first sweeps and stay filled.
+        # during the first sweeps and stay filled. A full gc collection
+        # empties them, so none may run after the warm-up, or the peaks
+        # would depend on which tests ran before: collect first, and keep
+        # automatic collection off until both sweeps are measured.
         def sweep(trials):
             return cli_sweep_config(8, 32, trials, shadow_atten=1e-3, strategies=(MAX_SELECT,))
 
-        collect_rates(sweep(400))
+        gc.collect()
+        gc.disable()
         peaks = []
-        for trials in (40, 400):
-            tracemalloc.start()
-            try:
-                collect_rates(sweep(trials))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        try:
+            collect_rates(sweep(400))
+            for trials in (40, 400):
+                tracemalloc.start()
+                try:
+                    collect_rates(sweep(trials))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 

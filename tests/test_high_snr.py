@@ -6,7 +6,10 @@ solve's potentials certify them; every other draw takes the solve of the
 matrix with each row copied q times. The sets must be the replicated
 solve's, merged by link, on every draw: continuous, tie-heavy (integer
 gains) and forbidden-cell (fully blocked shadowing) ones. The solve
-counts show which path ran.
+counts show which path ran. When K divides N the core starts from a
+column reduction rather than from zero potentials, so there it is checked
+for an optimum proved by its own potentials, not for the zero start's
+floats.
 """
 
 import math
@@ -34,6 +37,7 @@ from multiband_alloc.harness import dump_instance
 from oracles import brute_force_assignment, selection_value
 
 SHAPES = [(2, 4), (4, 8), (3, 9), (8, 32)]
+SQUARE = [(2, 4), (4, 8), (8, 32), (16, 64)]
 KINDS = ["continuous", "integer", "blocked"]
 
 
@@ -118,6 +122,29 @@ def owned_sets(owner, rows):
     return sets
 
 
+def random_costs(seed, square):
+    """A seeded rows x cols list of normal costs at a random scale, rows <=
+    cols (equal if `square`), about 20% of its cells forbidden (+inf)."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 7))
+    cols = rows if square else int(rng.integers(rows + 1, 10))
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    return rows, cols, np.where(rng.random((rows, cols)) < 0.2, np.inf, values).tolist()
+
+
+def assert_duals_prove(costs, owner, u, v):
+    """Every column is owned, every allowed cell's reduced cost is >= 0 and
+    every owned one's 0, up to rounding relative to the largest |cost|."""
+    assert -1 not in owner
+    tol = 1e-12 * max(abs(c) for row in costs for c in row if c < math.inf)
+    for k, row in enumerate(costs):
+        for n, c in enumerate(row):
+            reduced = c - u[k] - v[n]
+            assert reduced >= -tol
+            if owner[n] == k:
+                assert abs(reduced) <= tol
+
+
 class TestCosts:
     def test_costs_are_math_log_bit_for_bit(self):
         params, chan = draw("blocked", 8, 32, seed=5)
@@ -148,7 +175,7 @@ class TestDifferential:
         for seed in range(40):
             k_links, n_sub = SHAPES[seed % len(SHAPES)]
             params, chan = draw("continuous", k_links, n_sub, seed=2000 + seed)
-            costs, _ = allocators._high_snr_costs(chan.normalized_gains)
+            costs = allocators._high_snr_costs(chan.normalized_gains)
             owner, _, _ = solve_capacitated(costs, params.quota)
             assert owned_sets(owner, k_links) == replicated_sets(params, chan), seed
 
@@ -169,13 +196,10 @@ class TestDifferential:
             assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_capacity_one_is_the_square_core(self):
-        # At capacity 1 every float operation is the square core's.
+        # At capacity 1 with fewer rows than columns the solve starts from
+        # zero potentials, and every float operation is the square core's.
         for seed in range(200):
-            rng = np.random.default_rng(4000 + seed)
-            rows = int(rng.integers(1, 7))
-            cols = int(rng.integers(rows, 10))
-            values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
-            costs = np.where(rng.random((rows, cols)) < 0.2, np.inf, values).tolist()
+            rows, cols, costs = random_costs(4000 + seed, square=False)
             try:
                 columns, u, v = _hungarian_min(costs)
             except InfeasibleError:
@@ -185,6 +209,25 @@ class TestDifferential:
             owner, cap_u, cap_v = solve_capacitated(costs, 1)
             assert [owner.index(r) for r in range(rows)] == columns
             assert (cap_u, cap_v) == (u, v)
+
+    def test_capacity_one_square_takes_the_core_columns(self):
+        # A square matrix starts from the column reduction instead, so its
+        # potentials differ from the core's; continuous costs have one
+        # optimum, which both return, and the potentials still prove it.
+        infeasible = 0
+        for seed in range(200):
+            rows, _, costs = random_costs(4500 + seed, square=True)
+            try:
+                columns, _, _ = _hungarian_min(costs)
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    solve_capacitated(costs, 1)
+                continue
+            owner, u, v = solve_capacitated(costs, 1)
+            assert [owner.index(r) for r in range(rows)] == columns
+            assert_duals_prove(costs, owner, u, v)
+        assert 0 < infeasible < 100
 
     def test_near_float_max_costs(self):
         # Tree steps shift potentials by about 1e308; none may overflow.
@@ -203,6 +246,53 @@ class TestDifferential:
         gains = np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0]])
         chan = realization_from_squared_gains(params, gains)
         with pytest.raises(InfeasibleError, match="^no complete assignment avoids the forbidden cells$"):
+            selected_sets(params, chan)
+
+
+class TestSquareStart:
+    """Draws with K * q == N start `solve_capacitated` from the column
+    reduction; the replicated solve starts from zero potentials."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SQUARE, ids=[f"k{k}_n{n}" for k, n in SQUARE])
+    def test_core_matches_the_replicated_solve(self, kind, shape):
+        draws = {4: 60, 8: 40, 32: 10, 64: 2}[shape[1]]
+        for seed in range(draws):
+            params, chan = draw(kind, *shape, seed=6000 + seed)
+            costs = allocators._high_snr_costs(chan.normalized_gains)
+            cost = replicate_rows(high_snr_cost_matrix(params, chan), params.quota)
+            try:
+                result = solve_assignment(cost)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_capacitated(costs, params.quota)
+                continue
+            owner, u, v = solve_capacitated(costs, params.quota)
+            sets = owned_sets(owner, params.num_links)
+            assert [len(s) for s in sets] == [params.quota] * params.num_links
+            assert_duals_prove(costs, owner, u, v)
+            cols = result.column_of_row
+            expected = [sorted(cols[k * params.quota : (k + 1) * params.quota]) for k in range(shape[0])]
+            if kind == "continuous":
+                assert sets == expected, seed
+            else:
+                # Ties: any optimum will do, at the replicated solve's value.
+                total = sum(-costs[k][n] for k, s in enumerate(sets) for n in s)
+                best = selection_value(cost, result)
+                assert total == pytest.approx(best, rel=1e-12, abs=1e-12), seed
+
+    def test_all_forbidden_column_keeps_its_message(self):
+        # Every link has two usable sub-channels, but no link may use
+        # sub-channel 3, so no choice owns all four.
+        params = params_for(2, 4)
+        gains = np.array([[1.0, 2.0, 3.0, 0.0], [3.0, 1.0, 2.0, 0.0]])
+        chan = realization_from_squared_gains(params, gains)
+        message = "^no complete assignment avoids the forbidden cells$"
+        with pytest.raises(InfeasibleError, match=message):
+            solve_assignment(replicate_rows(high_snr_cost_matrix(params, chan), 2))
+        with pytest.raises(InfeasibleError, match=message):
+            solve_capacitated(allocators._high_snr_costs(chan.normalized_gains), 2)
+        with pytest.raises(InfeasibleError, match=message):
             selected_sets(params, chan)
 
 
