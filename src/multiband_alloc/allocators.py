@@ -21,9 +21,13 @@ potentials prove them optimal (`_low_snr_sets`), `high_snr` solves one
 capacity-q assignment per trial and keeps it where its potentials prove it
 the unique optimum, falling back to the quota-replicated solve elsewhere
 (`_high_snr_sets`), and `optimal` water-fills one rate table for the whole
-grid. `allocate(tag, params, chan)` is the
-one entry point that runs a strategy: it dispatches through the table on a
-one-point grid. The trace keeps the assignment a Hungarian selection
+grid. Both Hungarian selections solve with the one augmenting-path loop,
+`assignment.solve_capacitated`, on lists of costs: `low_snr` at capacity
+1 on -P*H, `high_snr` at capacity q on -ln H and its fallback at capacity
+1 on those lists with every row copied q times; `_owned_sets` reads each
+link's columns from the solve's owners. `allocate(tag, params, chan)` is
+the one entry point that runs a strategy: it dispatches through the table
+on a one-point grid. The trace keeps the assignment a Hungarian selection
 solved, for instance dumps. The low_snr selection lists each link's
 assigned sub-channel first, which is where `concentrate` puts the budget.
 All strategies are scored with the same exact sum-rate formula; their
@@ -50,7 +54,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .assignment import CostMatrix, replicate_rows, solve_assignment, solve_capacitated
+from .assignment import CostMatrix, solve_capacitated
 from .channel import ChannelParams, ChannelRealization
 from .errors import GuardError, InfeasibleError, ValidationError
 from .power import water_fill
@@ -411,10 +415,11 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     index). The padding reads the assigned columns and H alone, so it runs
     once per distinct assignment of the grid.
 
-    Each point gets the columns its own `solve_assignment` would give, but
-    most points are not solved. Call a point scalable if its budgets are
-    one positive P for every link and each of its P*H products is 0 (a zero
-    gain) or a normal float. The first scalable point is solved; every
+    Each point gets the columns its own solve would give (`solve_capacitated`
+    at capacity 1 on -P*H, as `solve_assignment` solves the maximizing
+    `low_snr_cost_matrix`), but most points are not solved. Call a point
+    scalable if its budgets are one positive P for every link and each of
+    its P*H products is 0 (a zero gain) or a normal float. The first scalable point is solved; every
     later scalable point reuses its columns if that solve's potentials
     certify them (`_certified`) by a margin of tol * max P*H, tol =
     `_CERTIFY_TOL` = 1e-9. Every other point is solved on its own: budget 0,
@@ -449,16 +454,11 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
         if scalable[b] and shared is not None:
             columns = shared
         else:
-            result = solve_assignment(CostMatrix(values=cell, orientation="maximize"))
-            columns = result.column_of_row
-            # The core minimized -P*H, so its potentials are these negated.
-            if b == first and _certified(
-                (-cell).tolist(),
-                [[n] for n in columns],
-                [-x for x in result.row_potentials],
-                [-x for x in result.column_potentials],
-                float(cell.max()),
-            ):
+            costs = (-cell).tolist()
+            owner, u, v = solve_capacitated(costs, 1)
+            sets = _owned_sets(owner, len(costs))
+            columns = tuple(n for (n,) in sets)
+            if b == first and _certified(costs, sets, u, v, float(cell.max())):
                 shared = columns
         if columns not in padded:
             padded[columns] = _pad_round_robin(h, columns, quota)
@@ -509,6 +509,16 @@ def _certified(costs: list[list[float]], sets, u: list[float], v: list[float], s
     return True
 
 
+def _owned_sets(owner: list[int], num_links: int, copies: int = 1) -> list[list[int]]:
+    """Each link's columns, ascending, from the row owning each column
+    (-1 if none) that `solve_capacitated` returns; row r is link r // copies."""
+    sets: list[list[int]] = [[] for _ in range(num_links)]
+    for n, r in enumerate(owner):
+        if r >= 0:
+            sets[r // copies].append(n)
+    return sets
+
+
 def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> list[list[int]]:
     """Link k's set: columns[k], then quota - 1 round-robin picks of its
     highest-gain sub-channel left free (ties to the lowest index: `max`
@@ -534,9 +544,10 @@ def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     `solve_capacitated` solves it with each link's row at capacity quota.
     Its sets are kept when its potentials certify them (`_certified`, by
     tol * max |ln H| over the allowed cells): then they are the unique
-    optimum by far more than either solver's rounding (the argument of
-    `_low_snr_sets`), which is also what the replicated solve, every row
-    copied quota times (`replicate_rows`), returns. Any other draw (ties,
+    optimum by far more than either solve's rounding (the argument of
+    `_low_snr_sets`), which is also what the replicated solve returns: the
+    same loop at capacity 1 on the lists with every row copied quota
+    times, row r standing for link r // quota. Any other draw (ties,
     near-ties) takes that replicated solve, so the sets are the replicated
     solve's in every case.
     """
@@ -553,16 +564,11 @@ def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     costs = _high_snr_costs(h)
     values = _high_snr_values(h, costs)
     owner, u, v = solve_capacitated(costs, quota)
-    sets: list[list[int]] = [[] for _ in range(params.num_links)]
-    for n, k in enumerate(owner):
-        if k >= 0:
-            sets[k].append(n)
+    sets = _owned_sets(owner, params.num_links)
     # max |ln H| over the allowed cells: the forbidden ones hold 0.
     if not _certified(costs, sets, u, v, float(np.abs(values).max())):
-        cost = CostMatrix(values, "maximize", forbidden=h <= 0)
-        result = solve_assignment(replicate_rows(cost, quota))
-        columns = result.column_of_row
-        sets = [sorted(columns[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
+        owner, _, _ = solve_capacitated([row for row in costs for _ in range(quota)], 1)
+        sets = _owned_sets(owner, params.num_links, quota)
     label = "maximize, ln H; forbidden cells printed as 0"
     trace = AssignmentTrace(label, values, tuple(n for s in sets for n in s), quota)
     return [(sets, trace)] * len(points)

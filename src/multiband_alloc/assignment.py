@@ -1,20 +1,21 @@
 """Rectangular linear assignment, with rows of capacity one or q.
 
-A Hungarian (augmenting-path, dual-potential) solver handles minimize or
-maximize cost matrices with R rows <= C columns. Forbidden cells are
-missing edges: the solver never relaxes them, and a row whose shortest-path
-tree reaches no free column makes the problem infeasible (Crouse, "On
-implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
+One Hungarian (augmenting-path, dual-potential) loop, `solve_capacitated`,
+gives every row of an R x C list of costs q distinct columns, R * q <= C.
+Forbidden cells are missing edges: the loop never relaxes them, and a row
+whose shortest-path tree reaches no free column makes the problem
+infeasible (Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 2016). A row of capacity q joins a tree once, not
+once per copy as in the matrix with each row copied q times (the
+"similar persons" reduction: Bertsekas & Castanon, "The auction algorithm
+for the transportation problem", Annals of OR 1989). When q > 1 and its
+rows fill every column it first reduces the columns, so most units start
+owned and only the rest need an augmenting path (Jonker & Volgenant, "A
+shortest augmenting path algorithm for dense and sparse linear
+assignment problems", Computing 1987).
 
-`solve_capacitated` gives every row q distinct columns (capacity q) with
-the same augmenting-path core, visiting a row once per shortest-path tree
-where `replicate_rows` would make q copies of it compete (the "similar
-persons" reduction: Bertsekas & Castanon, "The auction algorithm for the
-transportation problem", Annals of OR 1989). When its rows fill every
-column it first reduces the columns, so most units start owned and only
-the rest need an augmenting path (Jonker & Volgenant, "A shortest
-augmenting path algorithm for dense and sparse linear assignment
-problems", Computing 1987).
+`solve_assignment` is the one-column-per-row case on a `CostMatrix` of
+either orientation, with a forbidden mask: the same loop at capacity 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "AssignmentResult",
     "solve_assignment",
     "solve_capacitated",
-    "replicate_rows",
 ]
 
 ORIENTATIONS = ("minimize", "maximize")
@@ -100,77 +100,12 @@ class AssignmentResult:
     column_potentials: tuple[float, ...] = field(default=(), compare=False)
 
 
-def _hungarian_min(costs: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
-    """Exact minimum-cost matching of every row of an R x C matrix, R <= C,
-    returned as (column of each row, row potentials u, column potentials v).
-
-    Augmenting-path Hungarian with row/column potentials over Python lists;
-    one shortest-path tree per row, column index C acting as its root, and
-    O(R^2 C) total work. A forbidden cell costs +inf: with u and v finite
-    its reduced cost is inf, never below a slack, so it is never relaxed,
-    and a row whose free slacks are all inf is infeasible. Each step's
-    shift of the slacks outside the tree by delta is applied as the next
-    step's scan reads them, the same subtraction on the same floats, so
-    the chosen columns and potentials are those of shifting them all at
-    once. At return c[i][j] - u[i] - v[j] >= 0 on every allowed cell, up to
-    rounding, and is 0 on the matched ones; v only ever decreases from 0,
-    and only on columns that end up matched.
-    """
-    rows, n = len(costs), len(costs[0])
-    u = [0.0] * rows
-    v = [0.0] * n
-    assigned_row = [-1] * n + [0]
-
-    for i in range(rows):
-        assigned_row[n] = i
-        j0 = n
-        min_slack = [math.inf] * n
-        path_prev = [n] * n
-        free = list(range(n))
-        tree = []
-        delta = 0.0
-
-        while assigned_row[j0] != -1:
-            i0 = assigned_row[j0]
-            row_costs, u0 = costs[i0], u[i0]
-            # The slacks of the free columns still owe the last step's delta.
-            shift, j1, delta = delta, -1, math.inf
-            for j in free:
-                slack = min_slack[j] - shift
-                reduced = row_costs[j] - u0 - v[j]
-                if reduced < slack:
-                    slack = reduced
-                    path_prev[j] = j0
-                min_slack[j] = slack
-                if slack < delta:
-                    j1, delta = j, slack
-            if j1 < 0:
-                raise InfeasibleError("no complete assignment avoids the forbidden cells")
-
-            # Shift potentials of the tree so the cheapest outgoing edge
-            # becomes tight; slacks of columns outside it shrink by delta.
-            u[i] += delta
-            for j in tree:
-                u[assigned_row[j]] += delta
-                v[j] -= delta
-
-            free.remove(j1)
-            tree.append(j1)
-            j0 = j1
-
-        while j0 != n:
-            assigned_row[j0] = assigned_row[path_prev[j0]]
-            j0 = path_prev[j0]
-
-    col_of_row = {r: j for j, r in enumerate(assigned_row[:n]) if r >= 0}
-    return [col_of_row[r] for r in range(rows)], u, v
-
-
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Solve the assignment problem exactly for either orientation.
 
-    Maximization runs through the minimizing core on the negated matrix,
-    and its potentials are negated back.
+    `solve_capacitated` at capacity 1 minimizes the matrix, negated when
+    maximizing, with forbidden cells +inf; a maximizing solve's potentials
+    are negated back.
 
     Raises
     ------
@@ -185,7 +120,11 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         if bad_rows.size:
             raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
         work = np.where(forbidden, np.inf, work)
-    columns, u, v = _hungarian_min(work.tolist())
+    owner, u, v = solve_capacitated(work.tolist(), 1)
+    columns = [0] * cost.num_rows
+    for j, i in enumerate(owner):
+        if i >= 0:
+            columns[i] = j
     if cost.orientation == "maximize":
         u, v = [-x for x in u], [-x for x in v]
     return AssignmentResult(tuple(columns), tuple(u), tuple(v))
@@ -198,23 +137,25 @@ def solve_capacitated(
     R x C list of costs, R * capacity <= C, returned as (row owning each
     column, -1 if none; row potentials u; column potentials v).
 
-    A forbidden cell costs +inf. This is the assignment `replicate_rows`
-    builds, solved without the copies: a row keeps one potential, and when
-    a shortest-path tree reaches a row through one of its columns, all of
-    the row's columns join the tree at that distance, so its matched edges
-    stay tight and the tree scans the row once, not once per copy. Rows are
-    filled in index order, one augmenting path per missing unit of
-    capacity, each step shifting the tree's potentials lazily as
-    `_hungarian_min` does. At return c[i][j] - u[i] - v[j] >= 0 on every
+    A forbidden cell costs +inf. This is the assignment of the matrix with
+    every row copied `capacity` times, solved without the copies: a row
+    keeps one potential, and when a shortest-path tree reaches a row
+    through one of its columns, all of the row's columns join the tree at
+    that distance, so its matched edges stay tight and the tree scans the
+    row once, not once per copy. Rows are filled in index order, one
+    augmenting path per missing unit of capacity. Each tree step finds the
+    free column of least slack and shifts the tree's potentials by it; the
+    slacks of the columns outside the tree owe that shift until the next
+    scan reads them, the same subtraction on the same floats as shifting
+    them all at once. At return c[i][j] - u[i] - v[j] >= 0 on every
     allowed cell, up to rounding, and is 0 on the matched ones. O(R C^2)
     work in all (capacity * R <= C augmentations, each scanning at most R
     rows).
 
-    Two starts. When R * capacity < C, u and v start at 0: at capacity 1
-    every float operation is `_hungarian_min`'s, in its order, and so are
-    the columns and potentials; v only ever decreases from 0, and only on
-    columns that end up owned, so every unowned column keeps v = 0.
-    When R * capacity == C every column ends up owned, and the solve starts
+    Two starts. At capacity 1, or when R * capacity < C, u and v start at
+    0; v only ever decreases from 0, and only on columns that end up
+    owned, so every unowned column keeps v = 0. When capacity > 1 and
+    R * capacity == C every column ends up owned, and the solve starts
     from a column reduction (Jonker & Volgenant): v[j] is column j's
     cheapest cost and the column goes to its first cheapest row while that
     row has room (a column with every cell forbidden keeps v = 0 and no
@@ -234,8 +175,10 @@ def solve_capacitated(
     v = [0.0] * n
     owner = [-1] * n
     columns: list[list[int]] = [[] for _ in range(rows)]
-    if rows * capacity == n:
-        # Column reduction: every reduced cost starts >= 0, the owned ones 0.
+    # Column reduction: every reduced cost starts >= 0, the owned ones 0.
+    # Capacity 1 keeps the zero start, whose tie-breaks are the columns
+    # pinned by tests/golden/assignment_columns.txt.
+    if capacity > 1 and rows * capacity == n:
         for j, column in enumerate(zip(*costs)):
             low = min(column)
             if low < math.inf:
@@ -252,7 +195,11 @@ def solve_capacitated(
             entry = {}  # the column through which each tree row joined
             tree_rows = [i]
             tree = list(columns[i])
-            free = [j for j in range(n) if owner[j] != i]
+            # A list display reuses a freed list; list(range(n)) allocates a
+            # new one each time, which doubles a `wide` sweep's gc passes.
+            free = [*range(n)]
+            for j in columns[i]:
+                free.remove(j)
             i0, delta = i, 0.0
 
             while True:
@@ -300,25 +247,3 @@ def solve_capacitated(
                 j1 = j0
 
     return owner, u, v
-
-
-def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:
-    """Stack `copies` consecutive duplicates of every row.
-
-    Solving the replicated matrix yields a quota-respecting multi-assignment:
-    replicated row r originates from row r // copies, so merging rows back to
-    their origin gives each original row `copies` distinct columns.
-    """
-    if not isinstance(copies, int) or copies < 1:
-        raise ValidationError("copies must be a positive integer")
-    if cost.num_rows * copies > cost.num_cols:
-        raise InfeasibleError(
-            f"quota infeasible: {cost.num_rows} rows x {copies} copies exceed "
-            f"{cost.num_cols} columns"
-        )
-    return CostMatrix(
-        values=np.repeat(cost.values, copies, axis=0),
-        orientation=cost.orientation,
-        forbidden=np.repeat(cost.forbidden, copies, axis=0),
-    )
-

@@ -2,6 +2,10 @@
 
 `brute_force_assignment` evaluates every injection of rows into columns,
 and `selection_value` is the objective of an assignment's selected cells;
+`hungarian_min` is a second, one-column-per-row augmenting-path loop that
+the package's capacitated loop must match float for float at capacity 1,
+`replicate_rows` copies every row of a matrix for a quota, and
+`hungarian_assignment` solves a `CostMatrix` with `hungarian_min`;
 `water_fill_by_set` is the closed-form water-fill of one set at a time,
 which the package's array `water_fill` must match bit for bit;
 `enumerate_partitions` yields every quota partition in enumeration order,
@@ -85,6 +89,101 @@ def selection_value(cost: CostMatrix, result: AssignmentResult) -> float:
     for i, j in enumerate(result.column_of_row):
         total += float(cost.values[i, j])
     return total
+
+
+def hungarian_min(costs: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """Exact minimum-cost matching of every row of an R x C matrix, R <= C,
+    returned as (column of each row, row potentials u, column potentials v).
+
+    Augmenting-path Hungarian with row/column potentials over Python lists;
+    one shortest-path tree per row, column index C acting as its root, and
+    O(R^2 C) total work. A forbidden cell costs +inf: with u and v finite
+    its reduced cost is inf, never below a slack, so it is never relaxed,
+    and a row whose free slacks are all inf is infeasible. Each step's
+    shift of the slacks outside the tree by delta is applied as the next
+    step's scan reads them, the same subtraction on the same floats, so
+    the chosen columns and potentials are those of shifting them all at
+    once. At return c[i][j] - u[i] - v[j] >= 0 on every allowed cell, up to
+    rounding, and is 0 on the matched ones; v only ever decreases from 0,
+    and only on columns that end up matched.
+    """
+    rows, n = len(costs), len(costs[0])
+    u = [0.0] * rows
+    v = [0.0] * n
+    assigned_row = [-1] * n + [0]
+
+    for i in range(rows):
+        assigned_row[n] = i
+        j0 = n
+        min_slack = [math.inf] * n
+        path_prev = [n] * n
+        free = list(range(n))
+        tree = []
+        delta = 0.0
+
+        while assigned_row[j0] != -1:
+            i0 = assigned_row[j0]
+            row_costs, u0 = costs[i0], u[i0]
+            # The slacks of the free columns still owe the last step's delta.
+            shift, j1, delta = delta, -1, math.inf
+            for j in free:
+                slack = min_slack[j] - shift
+                reduced = row_costs[j] - u0 - v[j]
+                if reduced < slack:
+                    slack = reduced
+                    path_prev[j] = j0
+                min_slack[j] = slack
+                if slack < delta:
+                    j1, delta = j, slack
+            if j1 < 0:
+                raise InfeasibleError("no complete assignment avoids the forbidden cells")
+
+            # Shift potentials of the tree so the cheapest outgoing edge
+            # becomes tight; slacks of columns outside it shrink by delta.
+            u[i] += delta
+            for j in tree:
+                u[assigned_row[j]] += delta
+                v[j] -= delta
+
+            free.remove(j1)
+            tree.append(j1)
+            j0 = j1
+
+        while j0 != n:
+            assigned_row[j0] = assigned_row[path_prev[j0]]
+            j0 = path_prev[j0]
+
+    col_of_row = {r: j for j, r in enumerate(assigned_row[:n]) if r >= 0}
+    return [col_of_row[r] for r in range(rows)], u, v
+
+
+def hungarian_assignment(cost: CostMatrix) -> AssignmentResult:
+    """The columns `hungarian_min` gives `cost` in its minimizing form
+    (negated when maximizing), forbidden cells +inf."""
+    work = cost.values if cost.orientation == "minimize" else -cost.values
+    columns, _, _ = hungarian_min(np.where(cost.forbidden, np.inf, work).tolist())
+    return AssignmentResult(column_of_row=tuple(columns))
+
+
+def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:
+    """Stack `copies` consecutive duplicates of every row.
+
+    Solving the replicated matrix yields a quota-respecting multi-assignment:
+    replicated row r originates from row r // copies, so merging rows back to
+    their origin gives each original row `copies` distinct columns.
+    """
+    if not isinstance(copies, int) or copies < 1:
+        raise ValidationError("copies must be a positive integer")
+    if cost.num_rows * copies > cost.num_cols:
+        raise InfeasibleError(
+            f"quota infeasible: {cost.num_rows} rows x {copies} copies exceed "
+            f"{cost.num_cols} columns"
+        )
+    return CostMatrix(
+        values=np.repeat(cost.values, copies, axis=0),
+        orientation=cost.orientation,
+        forbidden=np.repeat(cost.forbidden, copies, axis=0),
+    )
 
 
 def _as_gain_set(gains) -> np.ndarray:

@@ -7,6 +7,9 @@ continuous values, where a reordered subtraction can change a near-tie; a
 change that means to alter them regenerates the files and says so:
 
     PYTHONPATH=src python tests/test_assignment.py
+
+On the same matrices the solver must also match the oracle loop
+`oracles.hungarian_min` float for float, potentials included.
 """
 
 import pathlib
@@ -18,11 +21,10 @@ from multiband_alloc.assignment import (
     ORIENTATIONS,
     AssignmentResult,
     CostMatrix,
-    replicate_rows,
     solve_assignment,
 )
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
-from oracles import brute_force_assignment, selection_value
+from oracles import brute_force_assignment, hungarian_min, replicate_rows, selection_value
 
 COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.txt"
 COLUMN_CASES = 1000
@@ -228,6 +230,31 @@ class TestSolverMatchesOracle:
             slow = brute_force_assignment(cm)
             assert selection_value(cm, fast) == selection_value(cm, slow)
             assert not forbidden[np.arange(rows), list(fast.column_of_row)].any()
+
+
+class TestOracleLoop:
+    @pytest.mark.parametrize(
+        "case,count",
+        [(column_case, COLUMN_CASES), (float_column_case, FLOAT_COLUMN_CASES)],
+        ids=["integer", "float"],
+    )
+    def test_golden_cases_match_bit_for_bit(self, case, count):
+        # Columns and both potential lists, on every matrix of both column
+        # goldens; infeasible exactly when the oracle loop is.
+        for seed in range(count):
+            cost = case(seed)
+            sign = 1.0 if cost.orientation == "minimize" else -1.0
+            work = np.where(cost.forbidden, np.inf, sign * cost.values).tolist()
+            try:
+                columns, u, v = hungarian_min(work)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_assignment(cost)
+                continue
+            result = solve_assignment(cost)
+            assert result.column_of_row == tuple(columns), seed
+            assert result.row_potentials == tuple(sign * x for x in u), seed
+            assert result.column_potentials == tuple(sign * x for x in v), seed
 
 
 class TestStructuralProperties:

@@ -216,12 +216,13 @@ class TestRunSweep:
 
     def test_selections_run_once_per_trial(self, monkeypatch):
         # Each strategy selects once per trial over the whole budget grid.
-        # high_snr makes one capacitated solve per trial, which these
-        # continuous draws certify, so it never falls back to the
-        # replicated solve_assignment. low_snr solves budget 0 on its own
-        # (a zero budget scales nothing) and budget 0.1, the first positive
-        # uniform one; these draws certify 0.1's columns, so budget 10
-        # reuses them unsolved: 2 solve_assignment calls per trial.
+        # high_snr makes one solve_capacitated call per trial at capacity
+        # q = 2, which these continuous draws certify, so it never falls
+        # back to the replicated solve at capacity 1. low_snr solves at
+        # capacity 1: budget 0 on its own (a zero budget scales nothing)
+        # and budget 0.1, the first positive uniform one; these draws
+        # certify 0.1's columns, so budget 10 reuses them unsolved: 2
+        # capacity-1 solves per trial.
         # optimal's rate table is one water_fill call per trial; optimal's
         # and max_select's powers are one call each per chunk of trials, and
         # these 5 trials are one chunk. A passing chunk validates each
@@ -239,9 +240,14 @@ class TestRunSweep:
         for tag, spec in list(allocators.STRATEGIES.items()):
             counted = dataclasses.replace(spec, select=counting(tag, spec.select))
             monkeypatch.setitem(allocators.STRATEGIES, tag, counted)
+        original_solve = allocators.solve_capacitated
+
+        def solve_by_capacity(costs, capacity):
+            (solves if capacity == 1 else capacitated).append(1)
+            return original_solve(costs, capacity)
+
+        monkeypatch.setattr(allocators, "solve_capacitated", solve_by_capacity)
         for name, calls in [
-            ("solve_assignment", solves),
-            ("solve_capacitated", capacitated),
             ("water_fill", fills),
             ("validate_allocation", validations),
             ("validate_allocations", batch_checks),
@@ -543,17 +549,21 @@ class TestDumpInstance:
 
     @pytest.mark.parametrize("strategy", [LOW_SNR, HIGH_SNR])
     def test_reads_the_allocators_own_solve(self, strategy, monkeypatch):
-        # low_snr makes one square solve; high_snr one capacitated solve,
-        # certified on this continuous draw, so no replicated fallback.
-        calls = {"solve_assignment": [], "solve_capacitated": []}
-        for name, made in calls.items():
-            original = getattr(allocators, name)
-            counting = lambda *a, f=original, c=made: c.append(1) or f(*a)
-            for module in (allocators, harness):
-                monkeypatch.setattr(module, name, counting, raising=False)
+        # low_snr makes one solve at capacity 1; high_snr one at capacity
+        # q = 2, certified on this continuous draw, so no replicated
+        # fallback at capacity 1.
+        calls = {1: [], 2: []}
+        original = allocators.solve_capacitated
+
+        def counting(costs, capacity):
+            calls[capacity].append(1)
+            return original(costs, capacity)
+
+        for module in (allocators, harness):
+            monkeypatch.setattr(module, "solve_capacitated", counting)
         report = dump_instance(small_params(), seed=2, strategy=strategy)
         expected = (1, 0) if strategy == LOW_SNR else (0, 1)
-        assert (len(calls["solve_assignment"]), len(calls["solve_capacitated"])) == expected
+        assert (len(calls[1]), len(calls[2])) == expected
         assert "assignment:" in report
 
 

@@ -6,10 +6,11 @@ solve's potentials certify them; every other draw takes the solve of the
 matrix with each row copied q times. The sets must be the replicated
 solve's, merged by link, on every draw: continuous, tie-heavy (integer
 gains) and forbidden-cell (fully blocked shadowing) ones. The solve
-counts show which path ran. When K divides N the core starts from a
-column reduction rather than from zero potentials, so there it is checked
-for an optimum proved by its own potentials, not for the zero start's
-floats.
+counts show which path ran. When q > 1 and K divides N the core starts
+from a column reduction rather than from zero potentials, so there it is
+checked for an optimum proved by its own potentials, not for the zero
+start's floats. The replicated references solve with the oracle loop
+`oracles.hungarian_min`, not the package's.
 """
 
 import math
@@ -19,13 +20,7 @@ import pytest
 
 from multiband_alloc import allocators
 from multiband_alloc.allocators import HIGH_SNR, high_snr_cost_matrix
-from multiband_alloc.assignment import (
-    CostMatrix,
-    _hungarian_min,
-    replicate_rows,
-    solve_assignment,
-    solve_capacitated,
-)
+from multiband_alloc.assignment import CostMatrix, solve_capacitated
 from multiband_alloc.channel import (
     ChannelParams,
     realization_from_squared_gains,
@@ -34,9 +29,15 @@ from multiband_alloc.channel import (
 )
 from multiband_alloc.errors import InfeasibleError
 from multiband_alloc.harness import dump_instance
-from oracles import brute_force_assignment, selection_value
+from oracles import (
+    brute_force_assignment,
+    hungarian_assignment,
+    hungarian_min,
+    replicate_rows,
+    selection_value,
+)
 
-SHAPES = [(2, 4), (4, 8), (3, 9), (8, 32)]
+SHAPES = [(2, 4), (4, 8), (3, 9), (8, 32), (3, 3), (4, 4)]
 SQUARE = [(2, 4), (4, 8), (8, 32), (16, 64)]
 KINDS = ["continuous", "integer", "blocked"]
 
@@ -79,8 +80,8 @@ def replicated_sets(params, chan):
     for k, count in enumerate(usable.tolist()):
         if count < quota:
             raise InfeasibleError(f"link {k} has only {count} usable sub-channels; quota is {quota}")
-    result = solve_assignment(replicate_rows(high_snr_cost_matrix(params, chan), quota))
-    cols = result.column_of_row
+    cost = replicate_rows(high_snr_cost_matrix(params, chan), quota)
+    cols = hungarian_assignment(cost).column_of_row
     return [sorted(cols[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
 
 
@@ -98,20 +99,34 @@ def selected_sets(params, chan):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts of the capacitated solves and of the replicated fallbacks."""
+    """Counts of the capacitated solves and of the replicated fallbacks.
+
+    Both are `solve_capacitated` calls, and at quota 1 both have capacity
+    1, so a solve counts as a fallback when it follows a failed
+    certificate; a fallback must then be a capacity-1 solve of K * q rows.
+    """
     calls = {"capacitated": 0, "replicated": 0}
+    failed = []  # the K * q rows a fallback must solve, once per failed certificate
+    certified = allocators._certified
+
+    def counting_certified(costs, sets, *args):
+        ok = certified(costs, sets, *args)
+        if not ok:
+            failed.append(sum(map(len, sets)))
+        return ok
 
     def capacitated(costs, capacity):
-        calls["capacitated"] += 1
+        if failed:
+            assert (len(costs), capacity) == (failed.pop(), 1)
+            calls["replicated"] += 1
+        else:
+            calls["capacitated"] += 1
         return solve_capacitated(costs, capacity)
 
-    def replicated(cost):
-        calls["replicated"] += 1
-        return solve_assignment(cost)
-
+    monkeypatch.setattr(allocators, "_certified", counting_certified)
     monkeypatch.setattr(allocators, "solve_capacitated", capacitated)
-    monkeypatch.setattr(allocators, "solve_assignment", replicated)
-    return calls
+    yield calls
+    assert not failed  # every failed certificate was followed by its fallback
 
 
 def owned_sets(owner, rows):
@@ -122,14 +137,47 @@ def owned_sets(owner, rows):
     return sets
 
 
-def random_costs(seed, square):
-    """A seeded rows x cols list of normal costs at a random scale, rows <=
-    cols (equal if `square`), about 20% of its cells forbidden (+inf)."""
+def random_costs(seed, kind):
+    """A seeded rows x cols list of costs, about 20% of its cells forbidden
+    (+inf). "normal" draws normal costs at a random scale with rows < cols;
+    "square" the same with rows == cols; "integer" costs in {0, 1, 2} and
+    "all_equal" one integer everywhere, rows <= cols, both tie-heavy."""
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(1, 7))
-    cols = rows if square else int(rng.integers(rows + 1, 10))
-    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "square":
+        cols = rows
+    elif kind == "normal":
+        cols = int(rng.integers(rows + 1, 10))
+    else:
+        cols = int(rng.integers(rows, 10))
+    if kind in ("normal", "square"):
+        values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "integer":
+        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
+    else:
+        values = np.full((rows, cols), float(rng.integers(0, 3)))
     return rows, cols, np.where(rng.random((rows, cols)) < 0.2, np.inf, values).tolist()
+
+
+def capacity_one_matches_the_oracle(kind):
+    """Solve 200 seeded `random_costs(kind)` draws at capacity 1 and check
+    each against `hungarian_min`: the same columns, the same potentials bit
+    for bit, the same infeasibility message. Returns the infeasible count."""
+    infeasible = 0
+    for seed in range(200):
+        rows, cols, costs = random_costs(4000 + seed, kind)
+        try:
+            columns, u, v = hungarian_min(costs)
+        except InfeasibleError as exc:
+            infeasible += 1
+            with pytest.raises(InfeasibleError, match=f"^{exc}$"):
+                solve_capacitated(costs, 1)
+            continue
+        owner, cap_u, cap_v = solve_capacitated(costs, 1)
+        assert [owner.index(r) for r in range(rows)] == columns, (kind, seed)
+        assert owner.count(-1) == cols - rows, (kind, seed)
+        assert (cap_u, cap_v) == (u, v), (kind, seed)
+    return infeasible
 
 
 def assert_duals_prove(costs, owner, u, v):
@@ -196,37 +244,18 @@ class TestDifferential:
             assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_capacity_one_is_the_square_core(self):
-        # At capacity 1 with fewer rows than columns the solve starts from
-        # zero potentials, and every float operation is the square core's.
-        for seed in range(200):
-            rows, cols, costs = random_costs(4000 + seed, square=False)
-            try:
-                columns, u, v = _hungarian_min(costs)
-            except InfeasibleError:
-                with pytest.raises(InfeasibleError):
-                    solve_capacitated(costs, 1)
-                continue
-            owner, cap_u, cap_v = solve_capacitated(costs, 1)
-            assert [owner.index(r) for r in range(rows)] == columns
-            assert (cap_u, cap_v) == (u, v)
+        # At capacity 1 the solve starts from zero potentials, and every
+        # float operation is the oracle loop's: the same columns, the same
+        # potentials bit for bit, the same infeasibility. Wide continuous
+        # draws and tie-heavy ones (integer, all-equal) alike.
+        for kind in ("normal", "integer", "all_equal"):
+            assert capacity_one_matches_the_oracle(kind) < 100, kind
 
     def test_capacity_one_square_takes_the_core_columns(self):
-        # A square matrix starts from the column reduction instead, so its
-        # potentials differ from the core's; continuous costs have one
-        # optimum, which both return, and the potentials still prove it.
-        infeasible = 0
-        for seed in range(200):
-            rows, _, costs = random_costs(4500 + seed, square=True)
-            try:
-                columns, _, _ = _hungarian_min(costs)
-            except InfeasibleError:
-                infeasible += 1
-                with pytest.raises(InfeasibleError):
-                    solve_capacitated(costs, 1)
-                continue
-            owner, u, v = solve_capacitated(costs, 1)
-            assert [owner.index(r) for r in range(rows)] == columns
-            assert_duals_prove(costs, owner, u, v)
+        # A square matrix starts from zero potentials too, not from a column
+        # reduction, so it takes the oracle loop's columns and potentials.
+        infeasible = capacity_one_matches_the_oracle("square")
+        # Most draws are feasible; 17 are not.
         assert 0 < infeasible < 100
 
     def test_near_float_max_costs(self):
@@ -236,8 +265,7 @@ class TestDifferential:
         )
         owner, u, v = solve_capacitated((-values).tolist(), 2)
         assert all(map(math.isfinite, u + v))
-        result = solve_assignment(replicate_rows(CostMatrix(values, "maximize"), 2))
-        cols = result.column_of_row
+        cols = hungarian_assignment(replicate_rows(CostMatrix(values, "maximize"), 2)).column_of_row
         assert owned_sets(owner, 2) == [sorted(cols[:2]), sorted(cols[2:])]
 
     def test_infeasible_keeps_its_message(self):
@@ -250,8 +278,8 @@ class TestDifferential:
 
 
 class TestSquareStart:
-    """Draws with K * q == N start `solve_capacitated` from the column
-    reduction; the replicated solve starts from zero potentials."""
+    """Draws with q > 1 and K * q == N start `solve_capacitated` from the
+    column reduction; the replicated solve starts from zero potentials."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("shape", SQUARE, ids=[f"k{k}_n{n}" for k, n in SQUARE])
@@ -262,7 +290,7 @@ class TestSquareStart:
             costs = allocators._high_snr_costs(chan.normalized_gains)
             cost = replicate_rows(high_snr_cost_matrix(params, chan), params.quota)
             try:
-                result = solve_assignment(cost)
+                result = hungarian_assignment(cost)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     solve_capacitated(costs, params.quota)
@@ -289,7 +317,7 @@ class TestSquareStart:
         chan = realization_from_squared_gains(params, gains)
         message = "^no complete assignment avoids the forbidden cells$"
         with pytest.raises(InfeasibleError, match=message):
-            solve_assignment(replicate_rows(high_snr_cost_matrix(params, chan), 2))
+            hungarian_assignment(replicate_rows(high_snr_cost_matrix(params, chan), 2))
         with pytest.raises(InfeasibleError, match=message):
             solve_capacitated(allocators._high_snr_costs(chan.normalized_gains), 2)
         with pytest.raises(InfeasibleError, match=message):

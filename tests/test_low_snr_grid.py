@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from multiband_alloc import allocators
 from multiband_alloc.allocators import low_snr_cost_matrix
-from multiband_alloc.assignment import CostMatrix, solve_assignment
+from multiband_alloc.assignment import solve_assignment, solve_capacitated
 from multiband_alloc.channel import (
     ChannelParams,
     realization_from_squared_gains,
@@ -81,14 +81,16 @@ def per_point(points, chan):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The cost matrices `_low_snr_sets` hands to the solver."""
+    """The cost lists `_low_snr_sets` hands to the solver, each solved at
+    capacity 1."""
     calls = []
 
-    def counting(cost):
-        calls.append(cost)
-        return solve_assignment(cost)
+    def counting(costs, capacity):
+        assert capacity == 1
+        calls.append(costs)
+        return solve_capacitated(costs, capacity)
 
-    monkeypatch.setattr(allocators, "solve_assignment", counting)
+    monkeypatch.setattr(allocators, "solve_capacitated", counting)
     return calls
 
 
@@ -207,17 +209,12 @@ class TestFallback:
 
 
 def certified(values):
-    """`_certified` on the maximizing solve of `values`, read in the
-    minimizing form the square core solved (costs and potentials negated),
-    as `_low_snr_sets` reads it."""
-    result = solve_assignment(CostMatrix(values, "maximize"))
-    return allocators._certified(
-        (-values).tolist(),
-        [[n] for n in result.column_of_row],
-        [-x for x in result.row_potentials],
-        [-x for x in result.column_potentials],
-        float(values.max()),
-    )
+    """`_certified` on the capacity-1 solve of -`values`, the minimizing
+    form `_low_snr_sets` solves and reads."""
+    costs = (-values).tolist()
+    owner, u, v = solve_capacitated(costs, 1)
+    sets = allocators._owned_sets(owner, len(costs))
+    return allocators._certified(costs, sets, u, v, float(values.max()))
 
 
 class TestCertificate:
