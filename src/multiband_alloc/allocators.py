@@ -12,24 +12,29 @@ splits each link's budget over its set:
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
 The table `STRATEGIES` says this once: for each tag it names the selection
-and the power rule. A selection maps a budget grid to one (sets, trace) per
-point, as a function (points, chan, partition_guard): `high_snr` and
-`max_select` read the channel alone and repeat one result, `low_snr` builds
-every point's P*H in one multiply and solves one assignment per trial,
-reusing its columns at every other point where that solve's dual
-potentials prove them optimal (`_low_snr_sets`), `high_snr` solves one
-capacity-q assignment per trial and keeps it where its potentials prove it
-the unique optimum, falling back to the quota-replicated solve elsewhere
-(`_high_snr_sets`), and `optimal` water-fills one rate table for the whole
-grid. Both Hungarian selections solve with the one augmenting-path loop,
-`assignment.solve_capacitated`, on lists of costs: `low_snr` at capacity
-1 on -P*H, `high_snr` at capacity q on -ln H and its fallback at capacity
-1 on those lists with every row copied q times; `_owned_sets` reads each
-link's columns from the solve's owners. `allocate(tag, params, chan)` is
-the one entry point that runs a strategy: it dispatches through the table
-on a one-point grid. The trace keeps the assignment a Hungarian selection
-solved, for instance dumps. The low_snr selection lists each link's
-assigned sub-channel first, which is where `concentrate` puts the budget.
+and the power rule. A selection runs over a chunk of trials and a budget
+grid at once, as a function (points, gains, partition_guard) of the
+budget points and the chunk's (T, K, N) gain stack, and returns one
+(sets, trace) per (trial, point) cell, trial-major: `high_snr` and
+`max_select` read each trial's channel alone and repeat one result per
+point; `low_snr` builds every cell's P*H in one multiply and solves one
+assignment per trial, reusing its columns at every other point where that
+solve's dual potentials prove them optimal (`_low_snr_sets`); `high_snr`
+solves one capacity-q assignment per trial and keeps it where its
+potentials prove it the unique optimum, falling back to the
+quota-replicated solve elsewhere (`_high_snr_sets`); and `optimal`
+water-fills one rate table for every cell of the chunk, in bounded pieces,
+and searches each cell's partitions. Both Hungarian selections solve with
+the one augmenting-path loop, `assignment.solve_capacitated`, on lists of
+costs: `low_snr` at capacity 1 on -P*H, `high_snr` at capacity q on -ln H
+and its fallback at capacity 1 on those lists with every row copied q
+times; `_owned_sets` reads each link's columns from the solve's owners.
+`allocate(tag, params, chan)` is the one entry point that runs a strategy
+on one instance: it dispatches through the table on a one-point grid of
+one trial. The trace keeps the costs of the assignment a Hungarian
+selection solved, for instance dumps. The low_snr selection lists each
+link's assigned sub-channel first, which is where `concentrate` puts the
+budget.
 All strategies are scored with the same exact sum-rate formula; their
 regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
@@ -49,7 +54,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -110,18 +115,25 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class AssignmentTrace:
-    """The assignment a Hungarian strategy solved: the read-only K x N
-    values of its per-link cost matrix (forbidden cells 0), a label for its
-    entries, and the column of each row. Row r is link r, or link r // copies
-    when each link takes `copies` columns: high_snr lists each link's set
-    sorted, link by link, whichever solve chose it. A low_snr point whose
-    columns were reused from another point's solve keeps its own P*H values
-    and the columns its own solve gives."""
+    """The assignment a Hungarian strategy solved: a label for its per-link
+    matrix, the K x N costs its solve minimized (forbidden cells +inf), as
+    lists or a read-only array, and the column of each row. Row r is link
+    r, or link r // copies when each link takes `copies` columns: high_snr
+    lists each link's set sorted, link by link, whichever solve chose it.
+    A low_snr point whose columns were reused from another point's solve
+    keeps its own -P*H costs and the columns its own solve gives.
+
+    `values` is the maximizing matrix a dump prints, -costs with forbidden
+    cells 0; it is built on first read, and a sweep never reads it."""
 
     label: str
-    values: np.ndarray
+    costs: list[list[float]] | np.ndarray
     column_of_row: tuple[int, ...]
     copies: int | None = None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _maximize_values(self.costs)
 
 
 @dataclass(frozen=True)
@@ -364,15 +376,16 @@ def _apply_power(
     return powers
 
 
-def _low_snr_values(points, chan: ChannelRealization) -> np.ndarray:
-    """The read-only (B, K, N) P*H values of every point of a budget grid,
-    from one multiply; the first point with an overflowing product raises."""
+def _low_snr_values(points, gains: np.ndarray) -> np.ndarray:
+    """The read-only (T, B, K, N) P*H values of every point of a budget
+    grid on every trial of a (T, K, N) stack of gains, from one multiply;
+    the first (trial, point) with an overflowing product raises."""
     budgets = np.array([params.power_budgets for params in points])[:, :, None]
     with np.errstate(over="ignore"):
-        values = budgets * chan.normalized_gains
-    overflows = np.isinf(values).any(axis=(1, 2))
+        values = budgets * gains[:, None]
+    overflows = np.isinf(values).any(axis=(2, 3))
     if overflows.any():
-        params = points[int(np.argmax(overflows))]
+        params = points[int(np.argmax(overflows)) % len(points)]
         raise ValidationError(
             f"power budget {max(params.power_budgets):g} W times a normalized gain overflows"
         )
@@ -382,7 +395,8 @@ def _low_snr_values(points, chan: ChannelRealization) -> np.ndarray:
 
 def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
-    return CostMatrix(values=_low_snr_values([params], chan)[0], orientation="maximize")
+    values = _low_snr_values([params], chan.normalized_gains[None])[0, 0]
+    return CostMatrix(values=values, orientation="maximize")
 
 
 def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
@@ -392,28 +406,37 @@ def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
     return [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
 
 
-def _high_snr_values(h: np.ndarray, costs: list[list[float]]) -> np.ndarray:
-    """The read-only array of ln H from `_high_snr_costs`, zero-gain cells 0
-    as `CostMatrix` stores its forbidden cells."""
-    values = -np.array(costs)
-    values[h <= 0] = 0.0
+def _maximize_values(costs) -> np.ndarray:
+    """The read-only array of -`costs`, forbidden (+inf) cells 0 as
+    `CostMatrix` stores them."""
+    values = -np.array(costs, dtype=float)
+    values[values == -math.inf] = 0.0
     values.setflags(write=False)
     return values
+
+
+def _largest_allowed_cost(costs: list[list[float]]) -> float:
+    """max |c| over the allowed (finite) cells of the lists `costs`, in
+    which every row has one: the largest of |min| and |max finite|."""
+    top = max(map(max, costs))
+    if top == math.inf:
+        top = max(c for row in costs for c in row if c != math.inf)
+    return max(abs(min(map(min, costs))), abs(top))
 
 
 def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
     """Maximize matrix c[k, n] = ln H[k, n], zero-gain cells forbidden."""
     h = chan.normalized_gains
-    return CostMatrix(_high_snr_values(h, _high_snr_costs(h)), "maximize", forbidden=h <= 0)
+    return CostMatrix(_maximize_values(_high_snr_costs(h)), "maximize", forbidden=h <= 0)
 
 
-def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
+def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     """At each point, one sub-channel per link from the assignment
     maximizing the sum of P_k * H over links, listed first in its set. The
     remaining quota slots are padded round-robin over links in index order,
     each taking its highest-gain unassigned sub-channel (ties to the lowest
     index). The padding reads the assigned columns and H alone, so it runs
-    once per distinct assignment of the grid.
+    once per distinct assignment of a trial's grid.
 
     Each point gets the columns its own solve would give (`solve_capacitated`
     at capacity 1 on -P*H, as `solve_assignment` solves the maximizing
@@ -438,31 +461,38 @@ def _low_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     stays below K^2 * 2^-50 * max P'H (about 1e-12 at K = 32), orders of
     magnitude inside that margin, so a point's own solve cannot return any
     other assignment.
+
+    Over a (T, K, N) stack of gains the P*H values, their overflow check,
+    their negation and which points are scalable take one array pass for
+    every trial; the solves, certificates and padding run trial by trial.
     """
-    h = chan.normalized_gains
     quota = points[0].quota
-    values = _low_snr_values(points, chan)
+    values = _low_snr_values(points, gains)
+    costs = -values
+    costs.setflags(write=False)
     budgets = np.array([params.power_budgets for params in points])
     uniform = (budgets > 0).all(axis=1) & (budgets == budgets[:, :1]).all(axis=1)
-    normal = ((values >= _SMALLEST_NORMAL) | (h == 0)).all(axis=(1, 2))
-    scalable = (uniform & normal).tolist()
-    first = scalable.index(True) if True in scalable else -1
-    shared = None  # the first scalable point's columns, once certified
-    padded: dict[tuple[int, ...], list[list[int]]] = {}
+    normal = ((values >= _SMALLEST_NORMAL) | (gains[:, None] == 0)).all(axis=(2, 3))
+    scalable_cells = (uniform & normal).tolist()
     selections = []
-    for b, cell in enumerate(values):
-        if scalable[b] and shared is not None:
-            columns = shared
-        else:
-            costs = (-cell).tolist()
-            owner, u, v = solve_capacitated(costs, 1)
-            sets = _owned_sets(owner, len(costs))
-            columns = tuple(n for (n,) in sets)
-            if b == first and _certified(costs, sets, u, v, float(cell.max())):
-                shared = columns
-        if columns not in padded:
-            padded[columns] = _pad_round_robin(h, columns, quota)
-        selections.append((padded[columns], AssignmentTrace("maximize, P*H", cell, columns)))
+    for h, trial_values, trial_costs, scalable in zip(gains, values, costs, scalable_cells):
+        first = scalable.index(True) if True in scalable else -1
+        shared = None  # the first scalable point's columns, once certified
+        padded: dict[tuple[int, ...], list[list[int]]] = {}
+        for b, cell_costs in enumerate(trial_costs):
+            if scalable[b] and shared is not None:
+                columns = shared
+            else:
+                cost_lists = cell_costs.tolist()
+                owner, u, v = solve_capacitated(cost_lists, 1)
+                sets = _owned_sets(owner, len(cost_lists))
+                columns = tuple(n for (n,) in sets)
+                if b == first and _certified(cost_lists, sets, u, v, float(trial_values[b].max())):
+                    shared = columns
+            if columns not in padded:
+                padded[columns] = _pad_round_robin(h, columns, quota)
+            trace = AssignmentTrace("maximize, P*H", cell_costs, columns)
+            selections.append((padded[columns], trace))
     return selections
 
 
@@ -535,11 +565,12 @@ def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> lis
     return sets
 
 
-def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
+def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
     """Each link's quota of sub-channels, sorted, from the assignment on
     ln H that gives every link quota distinct ones with the largest sum;
     zero-gain cells are forbidden. The channel alone decides it, so every
-    point gets the same selection.
+    point of a trial gets the same selection; the trials of a (T, K, N)
+    stack of gains are solved in turn, so the first infeasible one raises.
 
     `solve_capacitated` solves it with each link's row at capacity quota.
     Its sets are kept when its potentials certify them (`_certified`, by
@@ -549,29 +580,28 @@ def _high_snr_sets(points, chan: ChannelRealization, partition_guard: int):
     same loop at capacity 1 on the lists with every row copied quota
     times, row r standing for link r // quota. Any other draw (ties,
     near-ties) takes that replicated solve, so the sets are the replicated
-    solve's in every case.
+    solve's in every case. The trace keeps the cost lists; a dump builds
+    the ln H array from them.
     """
-    params = points[0]
-    quota = params.quota
-    h = chan.normalized_gains
-    usable_counts = (h > 0).sum(axis=1)
-    short = np.flatnonzero(usable_counts < quota)
-    if short.size:
-        k = int(short[0])
-        raise InfeasibleError(
-            f"link {k} has only {int(usable_counts[k])} usable sub-channels; quota is {quota}"
-        )
-    costs = _high_snr_costs(h)
-    values = _high_snr_values(h, costs)
-    owner, u, v = solve_capacitated(costs, quota)
-    sets = _owned_sets(owner, params.num_links)
-    # max |ln H| over the allowed cells: the forbidden ones hold 0.
-    if not _certified(costs, sets, u, v, float(np.abs(values).max())):
-        owner, _, _ = solve_capacitated([row for row in costs for _ in range(quota)], 1)
-        sets = _owned_sets(owner, params.num_links, quota)
+    quota = points[0].quota
     label = "maximize, ln H; forbidden cells printed as 0"
-    trace = AssignmentTrace(label, values, tuple(n for s in sets for n in s), quota)
-    return [(sets, trace)] * len(points)
+    selections = []
+    for h, usable_counts in zip(gains, (gains > 0).sum(axis=2).tolist()):
+        short = [k for k, count in enumerate(usable_counts) if count < quota]
+        if short:
+            k = short[0]
+            raise InfeasibleError(
+                f"link {k} has only {usable_counts[k]} usable sub-channels; quota is {quota}"
+            )
+        costs = _high_snr_costs(h)
+        owner, u, v = solve_capacitated(costs, quota)
+        sets = _owned_sets(owner, len(costs))
+        if not _certified(costs, sets, u, v, _largest_allowed_cost(costs)):
+            owner, _, _ = solve_capacitated([row for row in costs for _ in range(quota)], 1)
+            sets = _owned_sets(owner, len(costs), quota)
+        trace = AssignmentTrace(label, costs, tuple(n for s in sets for n in s), quota)
+        selections += [(sets, trace)] * len(points)
+    return selections
 
 
 def partition_count(num_subchannels: int, num_links: int) -> int:
@@ -613,38 +643,50 @@ def _partition_levels(num_subchannels: int, num_links: int):
     return subsets, columns, tuple(picks)
 
 
-def _rate_table(points, h: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """(B, K, C) water-filled link rates: entry [b, k, i] is link k's rate
-    on the quota set `columns[i]` at the budgets of `points[b]`, the same
-    float the scorer gives that link in every partition that hands it that
-    set. The (B * K * C) sets are water-filled in chunks of at most
-    `_TABLE_CHUNK` elements (one set if a set is larger), each one
-    `water_fill` call and one `_link_sums` pass over flat lists."""
-    k_links = h.shape[0]
+def _rate_tables(points, gains: np.ndarray, columns: np.ndarray):
+    """Each trial's (B, K, C) water-filled link rates, in trial order, for
+    a (T, K, N) stack of gains: entry [b, k, i] is link k's rate on the
+    quota set `columns[i]` at the budgets of `points[b]`, the same float
+    the scorer gives that link in every partition that hands it that set.
+    The chunk's T * B * K * C sets form one table, water-filled in pieces
+    of at most `_TABLE_CHUNK` elements (one set if a set is larger), each
+    one `water_fill` call and one `_link_sums` pass over flat lists; a
+    piece may span trials, and every trial it completes is yielded before
+    the next piece, so no more than one trial's rates and one piece's are
+    held at once."""
+    trials, k_links, n_sub = gains.shape
     n_sets, quota = columns.shape
-    budgets = np.array([params.power_budgets for params in points]).ravel()
-    rows = budgets.size * n_sets
+    budgets = np.array([params.power_budgets for params in points]).ravel()  # b * K + k
+    per_trial = budgets.size * n_sets
+    rows = trials * per_trial
     step = max(1, _TABLE_CHUNK // quota)
+    links = gains.reshape(-1, n_sub)  # row t * K + k
+    bandwidths = np.array([params.subchannel_bandwidth for params in points])[:, None, None]
     sums: list[float] = []
     for start in range(0, rows, step):
         row = np.arange(start, min(start + step, rows))
-        link_of = row // n_sets  # b * K + k
-        gains = h[(link_of % k_links)[:, None], columns[row % n_sets]]
+        cell_link = row // n_sets  # (t * B + b) * K + k
+        link_budgets = budgets[cell_link % budgets.size]
+        link = cell_link // budgets.size * k_links + cell_link % k_links
+        link_gains = links[link[:, None], columns[row % n_sets]]
         with np.errstate(over="ignore"):
-            snr = water_fill(gains, budgets[link_of]).powers * gains
-        sums += _link_sums(snr.ravel().tolist(), quota, budgets[link_of])
-    bandwidths = np.array([params.subchannel_bandwidth for params in points])
-    return bandwidths[:, None, None] * np.array(sums).reshape(len(points), k_links, n_sets)
+            snr = water_fill(link_gains, link_budgets).powers * link_gains
+        sums += _link_sums(snr.ravel().tolist(), quota, link_budgets)
+        done = len(sums) // per_trial * per_trial
+        if done:
+            yield from bandwidths * np.array(sums[:done]).reshape(-1, len(points), k_links, n_sets)
+            del sums[:done]
 
 
-def _optimal_sets(points, chan: ChannelRealization, partition_guard: int):
+def _optimal_sets(points, gains: np.ndarray, partition_guard: int):
     """At each point, the partition with the best water-filled rate:
     exhaustive search over K * C(N, floor(N/K)) link rates from one rate
-    table for the whole grid. The first partition with the highest rate
-    wins, in enumeration order. The search folds the links into one array
-    of partition totals per point over `_partition_levels`, cached per
-    (N, K); the structure and the fold each hold about one integer or float
-    per partition."""
+    table for every point of every trial of a (T, K, N) stack of gains.
+    The first partition with the highest rate wins, in enumeration order.
+    The search folds the links into one array of partition totals per
+    (trial, point) over `_partition_levels`, cached per (N, K); the
+    structure and the fold each hold about one integer or float per
+    partition."""
     n_sub = points[0].num_subchannels
     k_links = points[0].num_links
     count = partition_count(n_sub, k_links)
@@ -655,58 +697,64 @@ def _optimal_sets(points, chan: ChannelRealization, partition_guard: int):
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
     selections = []
-    for rates in _rate_table(points, chan.normalized_gains, columns):
-        # Partition totals add the link rates in index order, as the scorer
-        # does, with partitions in enumeration order; argmax keeps the
-        # first maximum.
-        totals = rates[0]
-        for k, pick in enumerate(picks, start=1):
-            totals = (totals[:, None] + rates[k, pick]).ravel()
-        i = int(np.argmax(totals))
-        sets = []
-        for pick in reversed(picks):
-            i, j = divmod(i, pick.shape[1])
-            sets.insert(0, subsets[pick[i, j]])
-        selections.append(([subsets[i], *sets], None))
+    for table in _rate_tables(points, gains, columns):
+        for rates in table:
+            # Partition totals add the link rates in index order, as the
+            # scorer does, with partitions in enumeration order; argmax
+            # keeps the first maximum.
+            totals = rates[0]
+            for k, pick in enumerate(picks, start=1):
+                totals = (totals[:, None] + rates[k, pick]).ravel()
+            i = int(np.argmax(totals))
+            sets = []
+            for pick in reversed(picks):
+                i, j = divmod(i, pick.shape[1])
+                sets.insert(0, subsets[pick[i, j]])
+            selections.append(([subsets[i], *sets], None))
     return selections
 
 
-def _max_select_sets(points, chan: ChannelRealization, partition_guard: int):
+def _max_select_sets(points, gains: np.ndarray, partition_guard: int):
     """Greedy walk: repeatedly hand the globally strongest remaining gain to
     its link until every quota is filled. Only links with unfilled quota
     and still-unassigned sub-channels compete; ties break toward the lowest
     (link, sub-channel) pair. The channel alone decides it, so every point
-    gets the same selection."""
-    params = points[0]
-    h = chan.normalized_gains
-    n_sub = params.num_subchannels
-    quota = params.quota
-    # Stable argsort of the flattened gains keeps ties in (link, sub-channel)
-    # order, which makes the walk identical to repeated global argmax.
-    order = np.argsort(-h, axis=None, kind="stable").tolist()
-    sets: list[list[int]] = [[] for _ in range(params.num_links)]
-    taken = [False] * n_sub
-    unfilled = params.num_links * quota
-    for flat in order:
-        k, n = divmod(flat, n_sub)
-        if len(sets[k]) < quota and not taken[n]:
-            sets[k].append(n)
-            taken[n] = True
-            unfilled -= 1
-            if unfilled == 0:
-                break
-    return [(sets, None)] * len(points)
+    of a trial gets the same selection."""
+    trials, k_links, n_sub = gains.shape
+    quota = points[0].quota
+    # Stable argsort of each trial's flattened gains keeps ties in (link,
+    # sub-channel) order, which makes the walk identical to repeated
+    # global argmax.
+    orders = np.argsort(-gains.reshape(trials, -1), axis=1, kind="stable").tolist()
+    selections = []
+    for order in orders:
+        sets: list[list[int]] = [[] for _ in range(k_links)]
+        taken = [False] * n_sub
+        unfilled = k_links * quota
+        for flat in order:
+            k, n = divmod(flat, n_sub)
+            if len(sets[k]) < quota and not taken[n]:
+                sets[k].append(n)
+                taken[n] = True
+                unfilled -= 1
+                if unfilled == 0:
+                    break
+        selections += [(sets, None)] * len(points)
+    return selections
 
 
 @dataclass(frozen=True)
 class Strategy:
     """One entry of `STRATEGIES`.
 
-    `select(points, chan, partition_guard)` takes a budget grid, a list of
-    params that differ only in their budgets, and returns one (sets, trace)
-    per point, equal to what it returns for that point alone; only
-    `optimal` reads the guard, before any other work. `power_rule` is None
-    where the caller names the rule (max_select).
+    `select(points, gains, partition_guard)` takes a budget grid, a list of
+    params that differ only in their budgets, and the (T, K, N) normalized
+    gains of T trials, and returns one (sets, trace) per (trial, point)
+    cell, trial-major: cell t * B + b equals what it returns for point b
+    alone on trial t alone. If a trial fails, it raises the error of the
+    first failing trial, as that trial alone would. Only `optimal` reads
+    the guard, before any other work. `power_rule` is None where the
+    caller names the rule (max_select).
     """
 
     select: Callable
@@ -742,15 +790,15 @@ def allocate(
     max_select_power_rule: str = DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> Allocation:
     """Select one strategy's sets and power them, dispatching by tag
-    through `STRATEGIES` on a one-point grid. Only `optimal` reads
+    through `STRATEGIES` on a one-point grid of one trial. Only `optimal` reads
     `partition_guard` and only `max_select` uses `max_select_power_rule`,
     but a bad guard or rule is rejected for every tag."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
     check_partition_guard(partition_guard)
     check_power_rule(max_select_power_rule)
-    selections = STRATEGIES[strategy].select([params], chan, partition_guard)
     gains = chan.normalized_gains[None]
+    selections = STRATEGIES[strategy].select([params], gains, partition_guard)
     return power_selections(strategy, [params], gains, [0], selections, max_select_power_rule)[0]
 
 

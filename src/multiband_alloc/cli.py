@@ -95,10 +95,11 @@ def parse_budget_grid(text: str) -> tuple[float, ...]:
         raise ValidationError("budget grid needs at least one point")
     if points == 1:
         return (lo,)
+    # Before the order check: NaN and inf endpoints are not out of order.
+    if not all(0.0 <= b < np.inf for b in (lo, hi)):
+        raise ValidationError("budgets must be finite and >= 0")
     if not lo < hi:
         raise ValidationError("budget grid needs LO < HI")
-    if not (0.0 <= lo and hi < np.inf):
-        raise ValidationError("budgets must be finite and >= 0")
     if spacing == "log":
         if lo <= 0:
             raise ValidationError("log-spaced budget grid needs LO > 0")

@@ -7,14 +7,15 @@ the trials run in contiguous chunks, each bounded by
 `allocators._TABLE_CHUNK` elements of trials x budgets x K x N. A chunk
 samples each trial's realization from its own (seed, trial) stream and
 runs each strategy once over all its (trial, budget) cells: one
-`allocators.STRATEGIES` selection call per trial returns every point's
-sets, which are then powered in one `allocators.power_selections` call for
-the whole chunk (one `water_fill` for the water-filled rules) and scored in
-one `allocators.exact_sum_rates` loop, after one array check of all the
-cells' invariants (`allocators.validate_allocations`). If any cell fails,
-the chunk's trials are replayed cell by cell, in trial order, budget-major
-then in strategy order, so the sweep raises the error of the first failing
-cell.
+`allocators.STRATEGIES` selection call on the chunk's stack of gains
+returns every cell's sets, which are then powered in one
+`allocators.power_selections` call (one `water_fill` for the water-filled
+rules) and scored in one `allocators.exact_sum_rates` loop, after one array
+check of all the cells' invariants (`allocators.validate_allocations`).
+A selection that fails raises its first failing trial's error. If any
+cell fails, the chunk's trials are replayed cell by cell, in trial order,
+budget-major then in strategy order, so the sweep raises the error of the
+first failing cell.
 """
 
 from __future__ import annotations
@@ -162,13 +163,12 @@ def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
 def _strategy_pass(config: SweepConfig, strategy: str, points, chans, gains):
     """One strategy's exact rates, and its approximate ones if the score
     mode is "both" and it has one (else None), on every cell of a chunk:
-    cell c is trial c // B at budget c % B. The strategy selects once per
-    trial, then one `power_selections` call powers every cell and one
-    `exact_sum_rates` call validates them in one array check and scores
-    them. Its per-cell objects are freed on return, before the next
-    strategy's pass."""
-    select = STRATEGIES[strategy].select
-    selections = [s for chan in chans for s in select(points, chan, config.partition_guard)]
+    cell c is trial c // B at budget c % B. One selection call over the
+    chunk's (T, K, N) `gains` selects every cell, then one
+    `power_selections` call powers them and one `exact_sum_rates` call
+    validates them in one array check and scores them. Its per-cell
+    objects are freed on return, before the next strategy's pass."""
+    selections = STRATEGIES[strategy].select(points, gains, config.partition_guard)
     cell_points = points * len(chans)
     cell_trials = np.repeat(np.arange(len(chans)), len(points))
     allocs = power_selections(

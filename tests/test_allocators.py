@@ -756,11 +756,20 @@ def grid_instances(num_links, num_subchannels):
         yield params, inject(params, rng.integers(0, 3, size=(num_links, num_subchannels)))
 
 
-def selection_outcome(select, points, chan):
-    """A selection's (sets, trace) per point in comparable form, or the
-    type and message of the error it raised."""
+def grid_points(params):
+    """The budget grid of the grid-versus-point checks: five uniform
+    budgets, 0 included, and one that differs by link."""
+    points = [params.with_uniform_budget(b) for b in (0.0, 1e-3, 0.1, 1.0, 1e3)]
+    points.append(replace(params, power_budgets=tuple(0.5 * (k + 1) for k in range(params.num_links))))
+    return points
+
+
+def selection_outcome(select, points, gains):
+    """A selection's (sets, trace) per (trial, point) cell of the (T, K, N)
+    stack `gains` in comparable form, or the type and message of the error
+    it raised."""
     try:
-        selections = select(points, chan, allocators.DEFAULT_PARTITION_GUARD)
+        selections = select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
     except AllocationError as exc:
         return type(exc), str(exc)
     return [
@@ -793,10 +802,10 @@ class TestGridSelection:
                 instances = instances[1::2]
         select = allocators.STRATEGIES[tag].select
         for params, chan in instances:
-            points = [params.with_uniform_budget(b) for b in (0.0, 1e-3, 0.1, 1.0, 1e3)]
-            points.append(replace(params, power_budgets=tuple(0.5 * (k + 1) for k in range(num_links))))
-            grid = selection_outcome(select, points, chan)
-            alone = [selection_outcome(select, [point], chan) for point in points]
+            points = grid_points(params)
+            gains = chan.normalized_gains[None]
+            grid = selection_outcome(select, points, gains)
+            alone = [selection_outcome(select, [point], gains) for point in points]
             if isinstance(grid, tuple):
                 # The grid raises the error of its first failing point.
                 assert grid == next(o for o in alone if isinstance(o, tuple))
@@ -805,8 +814,96 @@ class TestGridSelection:
 
     def test_overflow_names_the_first_failing_point(self):
         params = unit_params()
-        chan = inject(params, np.full((2, 4), 4.0))
+        gains = inject(params, np.full((2, 4), 4.0)).normalized_gains[None]
         points = [params.with_uniform_budget(b) for b in (1.0, 1e308)]
         for tag in (LOW_SNR, OPTIMAL):
             with pytest.raises(ValidationError, match=r"power budget 1e\+308 W"):
-                allocators.STRATEGIES[tag].select(points, chan, allocators.DEFAULT_PARTITION_GUARD)
+                allocators.STRATEGIES[tag].select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+
+
+class TestChunkSelection:
+    """A selection over a (T, K, N) stack of trials gives every trial what
+    that trial alone gives, and a failing stack raises the error of its
+    first failing trial."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (3, 7), (4, 8)])
+    @pytest.mark.parametrize(
+        "tag,chunk",
+        [
+            (LOW_SNR, None),
+            (HIGH_SNR, None),
+            (OPTIMAL, None),
+            (OPTIMAL, 0.0),
+            (OPTIMAL, 0.55),
+            (OPTIMAL, 2.5),
+            (MAX_SELECT, None),
+        ],
+        ids=[
+            "low_snr",
+            "high_snr",
+            "optimal",
+            "optimal_chunk1",
+            "optimal_split",
+            "optimal_span",
+            "max_select",
+        ],
+    )
+    def test_stack_matches_each_trial(self, monkeypatch, tag, chunk, num_links, num_subchannels, trials):
+        draws = [chan.normalized_gains for _, chan in grid_instances(num_links, num_subchannels)]
+        points = grid_points(unit_params(num_links, num_subchannels))
+        if chunk is not None:
+            # Pieces of `chunk` trials' table rows (at least one row): one
+            # row each, a little over half a trial's rows, so every trial
+            # spans two or three pieces, or two and a half trials' rows.
+            quota = num_subchannels // num_links
+            rows = len(points) * num_links * math.comb(num_subchannels, quota)
+            monkeypatch.setattr(allocators, "_TABLE_CHUNK", quota * max(1, int(chunk * rows)))
+        solves = []
+        original_solve = allocators.solve_capacitated
+        monkeypatch.setattr(
+            allocators, "solve_capacitated", lambda *a: solves.append(1) or original_solve(*a)
+        )
+        select = allocators.STRATEGIES[tag].select
+        # Windows over the draws, wrapping round, so every draw is in one.
+        starts = range(0, len(draws), trials)
+        stacks = [np.stack([draws[(i + j) % len(draws)] for j in range(trials)]) for i in starts]
+        for gains in stacks:
+            solves.clear()
+            stacked = selection_outcome(select, points, gains)
+            stacked_solves = len(solves)
+            solves.clear()
+            alone = [selection_outcome(select, points, g[None]) for g in gains]
+            errors = [o for o in alone if isinstance(o, tuple)]
+            if errors:
+                assert stacked == errors[0]
+            else:
+                assert stacked == [cell for o in alone for cell in o]
+                # The stack solves what its trials alone solve.
+                assert stacked_solves == len(solves)
+
+    @pytest.mark.parametrize("tag", [LOW_SNR, OPTIMAL])
+    def test_overflow_names_the_first_failing_trial(self, tag):
+        # Trial 1 overflows only at budget 1e300, trial 2 already at 1e290,
+        # the earlier point: the stack must name trial 1's.
+        params = unit_params()
+        points = [params.with_uniform_budget(b) for b in (1.0, 1e290, 1e300)]
+        gains = np.stack([np.full((2, 4), scale) for scale in (1.0, 1e9, 1e19)])
+        select = allocators.STRATEGIES[tag].select
+        for trial in (1, 2):
+            with pytest.raises(ValidationError) as alone:
+                select(points, gains[trial : trial + 1], allocators.DEFAULT_PARTITION_GUARD)
+            assert ("1e+300" if trial == 1 else "1e+290") in str(alone.value)
+        with pytest.raises(ValidationError) as stacked:
+            select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+        assert str(stacked.value) == "power budget 1e+300 W times a normalized gain overflows"
+
+    def test_infeasible_names_the_first_failing_trial(self):
+        params = unit_params()
+        points = [params.with_uniform_budget(b) for b in (0.1, 10.0)]
+        gains = np.ones((3, 2, 4))
+        gains[1, 0, 1:] = 0.0  # link 0 keeps one usable sub-channel
+        gains[2, 1, :3] = 0.0  # link 1 keeps one usable sub-channel
+        with pytest.raises(InfeasibleError) as stacked:
+            allocators._high_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+        assert str(stacked.value) == "link 0 has only 1 usable sub-channels; quota is 2"

@@ -214,8 +214,9 @@ class TestRunSweep:
             assert row.mean_rate == pytest.approx(expected, rel=1e-12)
             assert row.std_rate == 0.0
 
-    def test_selections_run_once_per_trial(self, monkeypatch):
-        # Each strategy selects once per trial over the whole budget grid.
+    def test_selections_run_once_per_chunk(self, monkeypatch):
+        # Each strategy selects once per chunk of trials over the whole
+        # budget grid; these 5 trials are one chunk.
         # high_snr makes one solve_capacitated call per trial at capacity
         # q = 2, which these continuous draws certify, so it never falls
         # back to the replicated solve at capacity 1. low_snr solves at
@@ -223,10 +224,11 @@ class TestRunSweep:
         # and budget 0.1, the first positive uniform one; these draws
         # certify 0.1's columns, so budget 10 reuses them unsolved: 2
         # capacity-1 solves per trial.
-        # optimal's rate table is one water_fill call per trial; optimal's
-        # and max_select's powers are one call each per chunk of trials, and
-        # these 5 trials are one chunk. A passing chunk validates each
-        # strategy's cells in one batched check and no cell on its own.
+        # optimal's rate table for the chunk is one water_fill call (its
+        # 5 * 3 * 2 * 6 sets of 2 fill one piece); optimal's and
+        # max_select's powers are one call each per chunk. A passing chunk
+        # validates each strategy's cells in one batched check and no cell
+        # on its own.
         selections = {tag: 0 for tag in allocators.STRATEGIES}
         solves, capacitated, fills, validations, batch_checks = [], [], [], [], []
 
@@ -258,10 +260,10 @@ class TestRunSweep:
             )
         trials, budgets = 5, (0.0, 0.1, 10.0)
         run_sweep(small_config(trials=trials, budget_grid=budgets))
-        assert selections == {tag: trials for tag in STRATEGY_ORDER}
+        assert selections == {tag: 1 for tag in STRATEGY_ORDER}
         assert len(solves) == 2 * trials
         assert len(capacitated) == trials
-        assert len(fills) == trials + 2
+        assert len(fills) == 1 + 2
         assert len(validations) == 0
         assert len(batch_checks) == len(STRATEGY_ORDER)
 
@@ -826,6 +828,13 @@ class TestCliMain:
     def test_bad_budget_grid_exit_code(self, tmp_path):
         out = tmp_path / "x.csv"
         assert cli.main(["sweep", "--budgets", "10:1:5", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "1:nan:3", "inf:inf:2"])
+    def test_non_finite_budget_grid_names_finiteness(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--budgets", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: budgets must be finite and >= 0\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

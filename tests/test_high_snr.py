@@ -94,7 +94,8 @@ def outcome(select, params, chan):
 
 
 def selected_sets(params, chan):
-    return allocators._high_snr_sets([params], chan, allocators.DEFAULT_PARTITION_GUARD)[0][0]
+    gains = chan.normalized_gains[None]
+    return allocators._high_snr_sets([params], gains, allocators.DEFAULT_PARTITION_GUARD)[0][0]
 
 
 @pytest.fixture
@@ -199,7 +200,7 @@ class TestCosts:
         h = chan.normalized_gains
         assert (h == 0).any() and (h > 0).any()
         values = high_snr_cost_matrix(params, chan).values
-        trace = allocators._high_snr_sets([params], chan, 1)[0][1]
+        trace = allocators._high_snr_sets([params], chan.normalized_gains[None], 1)[0][1]
         for k in range(8):
             for n in range(32):
                 expected = math.log(h[k, n]) if h[k, n] > 0 else 0.0

@@ -95,7 +95,8 @@ def solves(monkeypatch):
 
 
 def grid_outcome(points, chan):
-    selections = allocators._low_snr_sets(points, chan, allocators.DEFAULT_PARTITION_GUARD)
+    gains = chan.normalized_gains[None]
+    selections = allocators._low_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
     return [
         (sets, trace.values.tobytes(), trace.column_of_row) for sets, trace in selections
     ]
