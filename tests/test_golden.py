@@ -43,6 +43,12 @@ CASES = {
     ),
     "dump_low_k8_n32": (["dump", "--strategy", "low", *K8_N32, *SHADOWED], 0),
     "dump_high_k8_n32": (["dump", "--strategy", "high", *K8_N32, *SHADOWED], 0),
+    # Three zero-gain cells: forbidden in high_snr's ln H costs, printed as 0.
+    "dump_high_seed2_forbidden": (
+        ["dump", "--strategy", "high", "--seed", "2", "--shadow-prob", "0.3"], 0
+    ),
+    # Budget 0: every power is 0, so the assignment line cannot come from them.
+    "dump_low_budget0": (["dump", "--strategy", "low", "--seed", "3", "--budget", "0"], 0),
     **{
         f"dump_{short}": (["dump", "--strategy", short, "--seed", "3", "--budget", "10"], 0)
         for short in cli.STRATEGY_SHORT
