@@ -15,7 +15,7 @@ The table `STRATEGIES` says this once: for each tag it names the selection
 and the power rule. A selection runs over a chunk of trials and a budget
 grid at once, as a function (points, gains, partition_guard) of the
 budget points and the chunk's (T, K, N) gain stack, and returns one
-(sets, trace) per (trial, point) cell, trial-major: `high_snr` and
+list of K sets per (trial, point) cell, trial-major: `high_snr` and
 `max_select` read each trial's channel alone and repeat one result per
 point; `low_snr` builds every cell's P*H in one multiply and solves one
 assignment per trial, reusing its columns at every other point where that
@@ -31,10 +31,9 @@ and its fallback at capacity 1 on those lists with every row copied q
 times; `_owned_sets` reads each link's columns from the solve's owners.
 `allocate(tag, params, chan)` is the one entry point that runs a strategy
 on one instance: it dispatches through the table on a one-point grid of
-one trial. The trace keeps the costs of the assignment a Hungarian
-selection solved, for instance dumps. The low_snr selection lists each
-link's assigned sub-channel first, which is where `concentrate` puts the
-budget.
+one trial. The low_snr selection lists each link's assigned sub-channel
+first, which is where `concentrate` puts the budget and what an instance
+dump prints as its assignment.
 All strategies are scored with the same exact sum-rate formula; their
 regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
@@ -54,12 +53,12 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .assignment import CostMatrix, solve_capacitated
+from .assignment import solve_capacitated
 from .channel import ChannelParams, ChannelRealization
 from .errors import GuardError, InfeasibleError, ValidationError
 from .power import water_fill
@@ -72,7 +71,6 @@ __all__ = [
     "STRATEGY_ORDER",
     "APPROX_RATES",
     "Allocation",
-    "AssignmentTrace",
     "RateReport",
     "validate_allocation",
     "validate_allocations",
@@ -80,8 +78,6 @@ __all__ = [
     "exact_sum_rates",
     "linear_approx_rate",
     "log_approx_rate",
-    "low_snr_cost_matrix",
-    "high_snr_cost_matrix",
     "Strategy",
     "STRATEGIES",
     "allocate",
@@ -114,42 +110,17 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
-class AssignmentTrace:
-    """The assignment a Hungarian strategy solved: a label for its per-link
-    matrix, the K x N costs its solve minimized (forbidden cells +inf), as
-    lists or a read-only array, and the column of each row. Row r is link
-    r, or link r // copies when each link takes `copies` columns: high_snr
-    lists each link's set sorted, link by link, whichever solve chose it.
-    A low_snr point whose columns were reused from another point's solve
-    keeps its own -P*H costs and the columns its own solve gives.
-
-    `values` is the maximizing matrix a dump prints, -costs with forbidden
-    cells 0; it is built on first read, and a sweep never reads it."""
-
-    label: str
-    costs: list[list[float]] | np.ndarray
-    column_of_row: tuple[int, ...]
-    copies: int | None = None
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _maximize_values(self.costs)
-
-
-@dataclass(frozen=True)
 class Allocation:
     """Sub-channel sets and transmit powers chosen by one strategy.
 
     `subchannels_of_link[k]` is the sorted, pairwise-disjoint set assigned to
     link k (size floor(N/K)); `powers` is the K x N matrix of transmit powers
-    in W, zero outside the assigned sets. `trace` holds the assignment the
-    strategy solved, if it solved one.
+    in W, zero outside the assigned sets.
     """
 
     subchannels_of_link: tuple[tuple[int, ...], ...]
     powers: np.ndarray
     strategy_tag: str
-    trace: AssignmentTrace | None = None
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=float)
@@ -393,26 +364,11 @@ def _low_snr_values(points, gains: np.ndarray) -> np.ndarray:
     return values
 
 
-def low_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
-    """Maximize matrix c[k, n] = P_k * H[k, n] for the one-per-link assignment."""
-    values = _low_snr_values([params], chan.normalized_gains[None])[0, 0]
-    return CostMatrix(values=values, orientation="maximize")
-
-
 def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
     """high_snr's costs -ln H as lists for `solve_capacitated`, +inf on
     zero gains. ln is `math.log` over `h.tolist()`, so its bits do not
     depend on which CPU features numpy dispatches to."""
     return [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
-
-
-def _maximize_values(costs) -> np.ndarray:
-    """The read-only array of -`costs`, forbidden (+inf) cells 0 as
-    `CostMatrix` stores them."""
-    values = -np.array(costs, dtype=float)
-    values[values == -math.inf] = 0.0
-    values.setflags(write=False)
-    return values
 
 
 def _largest_allowed_cost(costs: list[list[float]]) -> float:
@@ -424,12 +380,6 @@ def _largest_allowed_cost(costs: list[list[float]]) -> float:
     return max(abs(min(map(min, costs))), abs(top))
 
 
-def high_snr_cost_matrix(params: ChannelParams, chan: ChannelRealization) -> CostMatrix:
-    """Maximize matrix c[k, n] = ln H[k, n], zero-gain cells forbidden."""
-    h = chan.normalized_gains
-    return CostMatrix(_maximize_values(_high_snr_costs(h)), "maximize", forbidden=h <= 0)
-
-
 def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     """At each point, one sub-channel per link from the assignment
     maximizing the sum of P_k * H over links, listed first in its set. The
@@ -439,8 +389,7 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     once per distinct assignment of a trial's grid.
 
     Each point gets the columns its own solve would give (`solve_capacitated`
-    at capacity 1 on -P*H, as `solve_assignment` solves the maximizing
-    `low_snr_cost_matrix`), but most points are not solved. Call a point
+    at capacity 1 on -P*H), but most points are not solved. Call a point
     scalable if its budgets are one positive P for every link and each of
     its P*H products is 0 (a zero gain) or a normal float. The first scalable point is solved; every
     later scalable point reuses its columns if that solve's potentials
@@ -469,7 +418,6 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     quota = points[0].quota
     values = _low_snr_values(points, gains)
     costs = -values
-    costs.setflags(write=False)
     budgets = np.array([params.power_budgets for params in points])
     uniform = (budgets > 0).all(axis=1) & (budgets == budgets[:, :1]).all(axis=1)
     normal = ((values >= _SMALLEST_NORMAL) | (gains[:, None] == 0)).all(axis=(2, 3))
@@ -491,8 +439,7 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
                     shared = columns
             if columns not in padded:
                 padded[columns] = _pad_round_robin(h, columns, quota)
-            trace = AssignmentTrace("maximize, P*H", cell_costs, columns)
-            selections.append((padded[columns], trace))
+            selections.append(padded[columns])
     return selections
 
 
@@ -580,11 +527,9 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
     same loop at capacity 1 on the lists with every row copied quota
     times, row r standing for link r // quota. Any other draw (ties,
     near-ties) takes that replicated solve, so the sets are the replicated
-    solve's in every case. The trace keeps the cost lists; a dump builds
-    the ln H array from them.
+    solve's in every case.
     """
     quota = points[0].quota
-    label = "maximize, ln H; forbidden cells printed as 0"
     selections = []
     for h, usable_counts in zip(gains, (gains > 0).sum(axis=2).tolist()):
         short = [k for k, count in enumerate(usable_counts) if count < quota]
@@ -599,8 +544,7 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
         if not _certified(costs, sets, u, v, _largest_allowed_cost(costs)):
             owner, _, _ = solve_capacitated([row for row in costs for _ in range(quota)], 1)
             sets = _owned_sets(owner, len(costs), quota)
-        trace = AssignmentTrace(label, costs, tuple(n for s in sets for n in s), quota)
-        selections += [(sets, trace)] * len(points)
+        selections += [sets] * len(points)
     return selections
 
 
@@ -710,7 +654,7 @@ def _optimal_sets(points, gains: np.ndarray, partition_guard: int):
             for pick in reversed(picks):
                 i, j = divmod(i, pick.shape[1])
                 sets.insert(0, subsets[pick[i, j]])
-            selections.append(([subsets[i], *sets], None))
+            selections.append([subsets[i], *sets])
     return selections
 
 
@@ -739,7 +683,7 @@ def _max_select_sets(points, gains: np.ndarray, partition_guard: int):
                 unfilled -= 1
                 if unfilled == 0:
                     break
-        selections += [(sets, None)] * len(points)
+        selections += [sets] * len(points)
     return selections
 
 
@@ -749,7 +693,7 @@ class Strategy:
 
     `select(points, gains, partition_guard)` takes a budget grid, a list of
     params that differ only in their budgets, and the (T, K, N) normalized
-    gains of T trials, and returns one (sets, trace) per (trial, point)
+    gains of T trials, and returns one list of K sets per (trial, point)
     cell, trial-major: cell t * B + b equals what it returns for point b
     alone on trial t alone. If a trial fails, it raises the error of the
     first failing trial, as that trial alone would. Only `optimal` reads
@@ -789,17 +733,25 @@ def allocate(
     partition_guard: int = DEFAULT_PARTITION_GUARD,
     max_select_power_rule: str = DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> Allocation:
-    """Select one strategy's sets and power them, dispatching by tag
-    through `STRATEGIES` on a one-point grid of one trial. Only `optimal` reads
-    `partition_guard` and only `max_select` uses `max_select_power_rule`,
-    but a bad guard or rule is rejected for every tag."""
+    """Run one strategy on one instance: `_selection` picks its sets and
+    `power_selections` powers them by the strategy's rule. Only `optimal`
+    reads `partition_guard` and only `max_select` uses
+    `max_select_power_rule`, but a bad guard or rule is rejected for every
+    tag."""
+    sets = _selection(strategy, params, chan, partition_guard, max_select_power_rule)
+    gains = chan.normalized_gains[None]
+    return power_selections(strategy, [params], gains, [0], [sets], max_select_power_rule)[0]
+
+
+def _selection(strategy, params, chan, partition_guard, max_select_power_rule) -> list:
+    """One instance's K sets, in selection order: the tag's `STRATEGIES`
+    selection on a one-point grid of one trial, after rejecting an unknown
+    tag, a guard below 1 or an unknown max_select power rule."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
     check_partition_guard(partition_guard)
     check_power_rule(max_select_power_rule)
-    gains = chan.normalized_gains[None]
-    selections = STRATEGIES[strategy].select([params], gains, partition_guard)
-    return power_selections(strategy, [params], gains, [0], selections, max_select_power_rule)[0]
+    return STRATEGIES[strategy].select([params], chan.normalized_gains[None], partition_guard)[0]
 
 
 def power_selections(
@@ -810,15 +762,15 @@ def power_selections(
     selections,
     max_select_power_rule: str,
 ) -> list[Allocation]:
-    """Power C selections (sets, trace) of one strategy by its rule, one
-    `_apply_power` call for all of them, selection c at the budgets of
-    the params `points[c]` on the gains `gains[trials[c]]` of a (T, K, N)
-    stack of realizations, and package each cell's sets, sorted."""
+    """Power C selections of one strategy, each a list of K sets, by its
+    rule: one `_apply_power` call for all of them, selection c at the
+    budgets of the params `points[c]` on the gains `gains[trials[c]]` of a
+    (T, K, N) stack of realizations; then package each cell's sets,
+    sorted."""
     rule = STRATEGIES[strategy].power_rule or max_select_power_rule
     budgets = np.array([params.power_budgets for params in points])
-    sets = np.array([cell_sets for cell_sets, _ in selections])
-    powers = _apply_power(rule, gains, trials, sets, budgets)
+    powers = _apply_power(rule, gains, trials, np.array(selections), budgets)
     return [
-        Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy, trace)
-        for (cell_sets, trace), cell_powers in zip(selections, powers)
+        Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy)
+        for cell_sets, cell_powers in zip(selections, powers)
     ]

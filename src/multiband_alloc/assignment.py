@@ -14,120 +14,17 @@ owned and only the rest need an augmenting path (Jonker & Volgenant, "A
 shortest augmenting path algorithm for dense and sparse linear
 assignment problems", Computing 1987).
 
-`solve_assignment` is the one-column-per-row case on a `CostMatrix` of
-either orientation, with a forbidden mask: the same loop at capacity 1.
+Costs come in one format: R lists of C floats, minimized, +inf on the
+forbidden cells. A caller that maximizes negates its values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import InfeasibleError
 
-from .errors import InfeasibleError, ValidationError
-
-__all__ = [
-    "CostMatrix",
-    "AssignmentResult",
-    "solve_assignment",
-    "solve_capacitated",
-]
-
-ORIENTATIONS = ("minimize", "maximize")
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """R x C matrix of finite assignment costs plus an optional forbidden mask.
-
-    Rows are assignees, columns are items; R <= C is required. The solver
-    never reads an entry under the forbidden mask.
-    """
-
-    values: np.ndarray
-    orientation: str
-    forbidden: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.size == 0:
-            raise ValidationError("cost matrix must be a non-empty 2-D matrix")
-        rows, cols = values.shape
-        if rows > cols:
-            raise ValidationError(f"cost matrix needs rows <= columns, got {rows}x{cols}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValidationError(f"orientation must be one of {ORIENTATIONS}")
-        if self.forbidden is None:
-            mask = np.zeros(values.shape, dtype=bool)
-        else:
-            mask = np.array(self.forbidden, dtype=bool)
-            if mask.shape != values.shape:
-                raise ValidationError("forbidden mask shape must match the cost matrix")
-        if not np.isfinite(values[~mask]).all():
-            raise ValidationError("allowed cost cells must be finite")
-        # Forbidden slots are zero for display (the dump prints them as 0);
-        # the solver never reads them.
-        values[mask] = 0.0
-        values.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "forbidden", mask)
-
-    @property
-    def num_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class AssignmentResult:
-    """Optimal row-to-column mapping and the dual potentials that prove it.
-
-    `column_of_row[i]` is the column assigned to row i; columns are pairwise
-    distinct. `row_potentials` u and `column_potentials` v are the solver's
-    duals in the cost's orientation: up to rounding, every allowed cell has
-    values[i, j] - u[i] - v[j] >= 0 when minimizing (<= 0 when maximizing),
-    with equality on the assigned cells, and every unassigned column has
-    v = 0 exactly. Results compare by their columns alone.
-    """
-
-    column_of_row: tuple[int, ...]
-    row_potentials: tuple[float, ...] = field(default=(), compare=False)
-    column_potentials: tuple[float, ...] = field(default=(), compare=False)
-
-
-def solve_assignment(cost: CostMatrix) -> AssignmentResult:
-    """Solve the assignment problem exactly for either orientation.
-
-    `solve_capacitated` at capacity 1 minimizes the matrix, negated when
-    maximizing, with forbidden cells +inf; a maximizing solve's potentials
-    are negated back.
-
-    Raises
-    ------
-    InfeasibleError
-        If some row has all cells forbidden, or no complete assignment can
-        avoid forbidden cells.
-    """
-    forbidden = cost.forbidden
-    work = cost.values if cost.orientation == "minimize" else -cost.values
-    if forbidden.any():
-        bad_rows = np.flatnonzero(forbidden.all(axis=1))
-        if bad_rows.size:
-            raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
-        work = np.where(forbidden, np.inf, work)
-    owner, u, v = solve_capacitated(work.tolist(), 1)
-    columns = [0] * cost.num_rows
-    for j, i in enumerate(owner):
-        if i >= 0:
-            columns[i] = j
-    if cost.orientation == "maximize":
-        u, v = [-x for x in u], [-x for x in v]
-    return AssignmentResult(tuple(columns), tuple(u), tuple(v))
+__all__ = ["solve_capacitated"]
 
 
 def solve_capacitated(

@@ -150,10 +150,10 @@ def parse_methods(text: str) -> tuple[str, ...]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value file; '#' starts a comment, blank lines skipped."""
+    """Read a flat key=value UTF-8 file; '#' starts a comment, blank lines skipped."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -165,7 +165,7 @@ def read_config_file(path: str) -> dict[str, str]:
                 if key not in SWEEP_FLAGS:
                     raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read config file {path}: {err}") from None
     return values
 
@@ -226,8 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(out_path: str | None) -> None:
-    """Fail before any work runs if the output directory is missing or read-only."""
-    if out_path is not None and not os.access(os.path.dirname(out_path) or ".", os.W_OK):
+    """Fail before any work runs if the output path is a directory, or the
+    directory it names is missing or read-only."""
+    if out_path is None:
+        return
+    if os.path.isdir(out_path):
+        raise ValidationError(f"cannot write --out {out_path}: it is a directory")
+    if not os.access(os.path.dirname(out_path) or ".", os.W_OK):
         raise ValidationError(f"cannot write --out {out_path}: no writable directory")
 
 

@@ -16,6 +16,10 @@ A selection that fails raises its first failing trial's error. If any
 cell fails, the chunk's trials are replayed cell by cell, in trial order,
 budget-major then in strategy order, so the sweep raises the error of the
 first failing cell.
+
+An instance dump takes one selection from `allocators.STRATEGIES` and
+renders the two Hungarian strategies' solved matrix and assignment from
+it: the sweep path never builds either.
 """
 
 from __future__ import annotations
@@ -294,7 +298,7 @@ def sweep_rows_to_csv(rows: list[SweepRow], score_mode: str = "exact") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_lines(label: str, matrix: np.ndarray, fmt: str = ".17g") -> list[str]:
+def _matrix_lines(label: str, matrix, fmt: str = ".17g") -> list[str]:
     lines = [f"{label}:"]
     for row in matrix:
         lines.append("  " + " ".join(format(x, fmt) for x in row))
@@ -311,19 +315,19 @@ def dump_instance(
 ) -> str:
     """Text report of one seeded instance under one strategy.
 
-    For the two Hungarian strategies the cost matrix and assignment are the
-    ones the allocator solved; `optimal` runs under `partition_guard`.
-    Floats are printed with 17 significant digits so rates recomputed from
-    the printed gains and powers reproduce the printed rate.
+    The sets are the strategy's own selection, powered by its rule;
+    `optimal` runs under `partition_guard`. The two Hungarian strategies
+    also print the matrix they maximize and the assignment their selection
+    holds: low_snr's P*H and each link's first sub-channel, high_snr's
+    ln H (forbidden zero-gain cells as 0) and each link's sorted set, row r
+    standing for link r // quota. Floats are printed with 17 significant
+    digits so rates recomputed from the printed gains and powers reproduce
+    the printed rate.
     """
     chan = sample_realization(params, trial_rng(seed, 0))
-    alloc = allocate(
-        strategy,
-        params,
-        chan,
-        partition_guard=partition_guard,
-        max_select_power_rule=max_select_power_rule,
-    )
+    gains = chan.normalized_gains[None]
+    sets = allocators._selection(strategy, params, chan, partition_guard, max_select_power_rule)
+    alloc = power_selections(strategy, [params], gains, [0], [sets], max_select_power_rule)[0]
     report = exact_sum_rate(params, chan, alloc)
 
     lines = [
@@ -342,13 +346,16 @@ def dump_instance(
     lines += _matrix_lines("normalized_gains", chan.normalized_gains)
     lines += _matrix_lines("shadow_mask", chan.shadow_mask.astype(int), "d")
 
-    trace = alloc.trace
-    if trace is not None:
-        lines += _matrix_lines(f"cost_matrix ({trace.label})", trace.values)
-        pairs = (
-            f"{r}->{c}" if trace.copies is None else f"{r}(link {r // trace.copies})->{c}"
-            for r, c in enumerate(trace.column_of_row)
-        )
+    if strategy == allocators.LOW_SNR:
+        values = allocators._low_snr_values([params], gains)[0, 0]
+        lines += _matrix_lines("cost_matrix (maximize, P*H)", values)
+        lines.append("assignment: " + " ".join(f"{k}->{s[0]}" for k, s in enumerate(sets)))
+    elif strategy == allocators.HIGH_SNR:
+        h = chan.normalized_gains.tolist()
+        log_h = [[math.log(g) if g > 0 else 0.0 for g in row] for row in h]
+        lines += _matrix_lines("cost_matrix (maximize, ln H; forbidden cells printed as 0)", log_h)
+        columns = [n for s in alloc.subchannels_of_link for n in s]
+        pairs = (f"{r}(link {r // params.quota})->{n}" for r, n in enumerate(columns))
         lines.append("assignment: " + " ".join(pairs))
 
     lines.append("subchannels_of_link:")

@@ -1,11 +1,14 @@
 """Exhaustive oracles the tests check the package against.
 
+Assignments take the package's one cost format, R lists of C floats,
+minimized, +inf on forbidden cells: `minimizing_lists` builds them from a
+matrix of either orientation and a forbidden mask, and `assigned_columns`
+reads each row's column from the package's capacity-1 solve.
 `brute_force_assignment` evaluates every injection of rows into columns,
 and `selection_value` is the objective of an assignment's selected cells;
 `hungarian_min` is a second, one-column-per-row augmenting-path loop that
 the package's capacitated loop must match float for float at capacity 1,
-`replicate_rows` copies every row of a matrix for a quota, and
-`hungarian_assignment` solves a `CostMatrix` with `hungarian_min`;
+and `replicate_rows` copies every row of the lists for a quota;
 `water_fill_by_set` is the closed-form water-fill of one set at a time,
 which the package's array `water_fill` must match bit for bit;
 `enumerate_partitions` yields every quota partition in enumeration order,
@@ -21,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from multiband_alloc.allocators import OPTIMAL, Allocation, _score
-from multiband_alloc.assignment import AssignmentResult, CostMatrix
+from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import WaterFillResult
 
@@ -43,27 +46,49 @@ def _enumerate_injections(num_cols: int, num_rows: int) -> np.ndarray:
     return prefixes
 
 
-def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> AssignmentResult:
-    """Exhaustive assignment oracle: evaluates every injection of rows into columns.
+def minimizing_lists(values, orientation: str, forbidden=None) -> list[list[float]]:
+    """The cost lists that minimize the matrix `values` in its orientation
+    ("minimize", or "maximize" by negation), +inf on the cells of the
+    boolean mask `forbidden`."""
+    work = np.array(values, dtype=float)
+    if orientation == "maximize":
+        work = -work
+    if forbidden is not None:
+        work[np.asarray(forbidden, dtype=bool)] = np.inf
+    return work.tolist()
 
-    Same contract as :func:`solve_assignment`; intended for validation only.
+
+def _check_rows(costs: list[list[float]]) -> None:
+    """Name the first row of `costs` with no allowed (finite) cell."""
+    for i, row in enumerate(costs):
+        if min(row) == math.inf:
+            raise InfeasibleError(f"row {i} has no allowed cells")
+
+
+def assigned_columns(costs: list[list[float]]) -> tuple[int, ...]:
+    """Each row's column in `solve_capacitated(costs, 1)`; a row with no
+    allowed cell raises first, naming it."""
+    _check_rows(costs)
+    owner, _, _ = solve_capacitated(costs, 1)
+    return tuple(owner.index(i) for i in range(len(costs)))
+
+
+def brute_force_assignment(costs: list[list[float]], max_columns: int = 10) -> tuple[int, ...]:
+    """Exhaustive assignment oracle: evaluates every injection of rows into
+    columns of the minimizing lists `costs` and returns each row's column.
+
+    Same contract as `assigned_columns`; intended for validation only.
     Forbidden cells cost infinity, so an injection through one never wins,
     and no injection with a finite total means no complete assignment. The
     candidate count is C! / (C-R)!, so matrices wider than `max_columns`
     are rejected.
     """
-    if cost.num_cols > max_columns:
-        raise GuardError(
-            f"oracle size guard: {cost.num_cols} columns exceed the limit of {max_columns}"
-        )
-    allowed = ~cost.forbidden
-    bad_rows = np.flatnonzero(~allowed.any(axis=1))
-    if bad_rows.size:
-        raise InfeasibleError(f"row {int(bad_rows[0])} has no allowed cells")
-    signed = cost.values if cost.orientation == "minimize" else -cost.values
-    work = np.where(allowed, signed, np.inf)
-    rows, _ = work.shape
-    perms = _enumerate_injections(cost.num_cols, rows)
+    rows, cols = len(costs), len(costs[0])
+    if cols > max_columns:
+        raise GuardError(f"oracle size guard: {cols} columns exceed the limit of {max_columns}")
+    _check_rows(costs)
+    work = np.array(costs, dtype=float)
+    perms = _enumerate_injections(cols, rows)
     row_idx = np.arange(rows)[None, :]
 
     best_val = np.inf
@@ -78,16 +103,16 @@ def brute_force_assignment(cost: CostMatrix, max_columns: int = 10) -> Assignmen
 
     if best_cols is None:
         raise InfeasibleError("no complete assignment avoids the forbidden cells")
-    return AssignmentResult(column_of_row=tuple(int(c) for c in best_cols))
+    return tuple(int(c) for c in best_cols)
 
 
-def selection_value(cost: CostMatrix, result: AssignmentResult) -> float:
-    """Canonical objective of an assignment: the selected cells of the
-    original matrix summed in row order, so equal selections from the solver
-    and the oracle give bit-identical values."""
+def selection_value(values, columns) -> float:
+    """Canonical objective of an assignment: the cells `values[i][columns[i]]`
+    summed in row order, so equal selections from the solver and the
+    oracle give bit-identical values."""
     total = 0.0
-    for i, j in enumerate(result.column_of_row):
-        total += float(cost.values[i, j])
+    for i, j in enumerate(columns):
+        total += float(values[i][j])
     return total
 
 
@@ -157,33 +182,21 @@ def hungarian_min(costs: list[list[float]]) -> tuple[list[int], list[float], lis
     return [col_of_row[r] for r in range(rows)], u, v
 
 
-def hungarian_assignment(cost: CostMatrix) -> AssignmentResult:
-    """The columns `hungarian_min` gives `cost` in its minimizing form
-    (negated when maximizing), forbidden cells +inf."""
-    work = cost.values if cost.orientation == "minimize" else -cost.values
-    columns, _, _ = hungarian_min(np.where(cost.forbidden, np.inf, work).tolist())
-    return AssignmentResult(column_of_row=tuple(columns))
+def replicate_rows(costs: list[list[float]], copies: int) -> list[list[float]]:
+    """Stack `copies` consecutive duplicates of every row of the lists `costs`.
 
-
-def replicate_rows(cost: CostMatrix, copies: int) -> CostMatrix:
-    """Stack `copies` consecutive duplicates of every row.
-
-    Solving the replicated matrix yields a quota-respecting multi-assignment:
+    Solving the replicated lists yields a quota-respecting multi-assignment:
     replicated row r originates from row r // copies, so merging rows back to
     their origin gives each original row `copies` distinct columns.
     """
     if not isinstance(copies, int) or copies < 1:
         raise ValidationError("copies must be a positive integer")
-    if cost.num_rows * copies > cost.num_cols:
+    rows, cols = len(costs), len(costs[0])
+    if rows * copies > cols:
         raise InfeasibleError(
-            f"quota infeasible: {cost.num_rows} rows x {copies} copies exceed "
-            f"{cost.num_cols} columns"
+            f"quota infeasible: {rows} rows x {copies} copies exceed {cols} columns"
         )
-    return CostMatrix(
-        values=np.repeat(cost.values, copies, axis=0),
-        orientation=cost.orientation,
-        forbidden=np.repeat(cost.forbidden, copies, axis=0),
-    )
+    return [row for row in costs for _ in range(copies)]
 
 
 def _as_gain_set(gains) -> np.ndarray:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from multiband_alloc.assignment import CostMatrix, solve_assignment
+from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.channel import ChannelParams
 from multiband_alloc.harness import (
     SweepConfig,
@@ -34,6 +34,7 @@ from oracles import (
     concentrate_on_best,
     enumerate_partitions,
     equal_split,
+    minimizing_lists,
     selection_value,
 )
 
@@ -102,10 +103,12 @@ def test_criterion_1_hungarian_matches_oracle_exactly(capfd):
                 values = rng.normal(size=(rows, cols)) * 10
             orientation = "maximize" if trial % 2 else "minimize"
             forbidden = feasible_forbidden_mask(rng, rows, cols) if trial % 4 < 2 else None
-            cm = CostMatrix(values, orientation, forbidden)
-            fast = solve_assignment(cm)
-            slow = brute_force_assignment(cm)
-            assert selection_value(cm, fast) == selection_value(cm, slow)
+            # Maximizing by negation, forbidden cells +inf.
+            costs = minimizing_lists(values, orientation, forbidden)
+            owner, _, _ = solve_capacitated(costs, 1)
+            fast = [owner.index(i) for i in range(rows)]
+            slow = brute_force_assignment(costs)
+            assert selection_value(values, fast) == selection_value(values, slow)
             compared += 1
         elapsed = time.perf_counter() - start
         assert compared >= 1000

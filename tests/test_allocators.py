@@ -16,14 +16,11 @@ from multiband_alloc.allocators import (
     Allocation,
     allocate,
     exact_sum_rate,
-    high_snr_cost_matrix,
     linear_approx_rate,
     log_approx_rate,
-    low_snr_cost_matrix,
     partition_count,
     validate_allocation,
 )
-from multiband_alloc.assignment import solve_assignment
 from multiband_alloc.channel import (
     ChannelParams,
     realization_from_squared_gains,
@@ -32,7 +29,13 @@ from multiband_alloc.channel import (
 )
 from multiband_alloc.errors import AllocationError, GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import water_fill
-from oracles import enumerate_partitions, optimal_by_enumeration, selection_value
+from oracles import (
+    assigned_columns,
+    enumerate_partitions,
+    minimizing_lists,
+    optimal_by_enumeration,
+    selection_value,
+)
 
 LOG2_5 = math.log2(5.0)
 LOG2_3 = math.log2(3.0)
@@ -398,8 +401,9 @@ class TestLowSnr:
     def test_hand_traced_example(self):
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        cost = low_snr_cost_matrix(params, chan)
-        assert selection_value(cost, solve_assignment(cost)) == 6.0
+        values = allocators._low_snr_values([params], chan.normalized_gains[None])[0, 0]
+        columns = assigned_columns(minimizing_lists(values, "maximize"))
+        assert selection_value(values, columns) == 6.0
         alloc = allocate(LOW_SNR, params, chan)
         assert alloc.powers[0, 0] == 1.0
         assert alloc.powers[1, 1] == 1.0
@@ -419,9 +423,9 @@ class TestLowSnr:
     def test_budget_scales_cost_matrix(self):
         params = unit_params(budgets=(2.0, 0.5))
         chan = inject(params, [[1.0, 3.0, 1.0, 1.0], [1.0, 1.0, 4.0, 1.0]])
-        cost = low_snr_cost_matrix(params, chan)
-        assert cost.values[0, 1] == 6.0
-        assert cost.values[1, 2] == 2.0
+        values = allocators._low_snr_values([params], chan.normalized_gains[None])[0, 0]
+        assert values[0, 1] == 6.0
+        assert values[1, 2] == 2.0
 
     def test_all_zero_row_still_allocates(self):
         params = unit_params()
@@ -765,25 +769,20 @@ def grid_points(params):
 
 
 def selection_outcome(select, points, gains):
-    """A selection's (sets, trace) per (trial, point) cell of the (T, K, N)
-    stack `gains` in comparable form, or the type and message of the error
-    it raised."""
+    """A selection's sets per (trial, point) cell of the (T, K, N) stack
+    `gains` in comparable form, or the type and message of the error it
+    raised."""
     try:
         selections = select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
     except AllocationError as exc:
         return type(exc), str(exc)
-    return [
-        (
-            tuple(tuple(s) for s in sets),
-            None if trace is None else (trace.label, trace.values.tobytes(), trace.column_of_row),
-        )
-        for sets, trace in selections
-    ]
+    return [tuple(tuple(s) for s in sets) for sets in selections]
 
 
 class TestGridSelection:
     """A selection over a budget grid gives every point what that point
-    alone gives: the same sets and the same solved assignment."""
+    alone gives: the same sets in the same order, so low_snr's assigned
+    sub-channels too."""
 
     @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (3, 7), (4, 8), (2, 12)])
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Assignment solver vs the exhaustive oracle, plus structural properties.
 
+Each matrix is built as values, an orientation and a forbidden mask and
+solved as the lists `oracles.minimizing_lists` makes of it, at capacity 1.
+
 The chosen columns (which the CSV and dump bytes depend on) are pinned by
 `golden/assignment_columns.txt` on tie-heavy integer matrices, where every
 float operation is exact, and by `golden/assignment_float_columns.txt` on
@@ -17,19 +20,22 @@ import pathlib
 import numpy as np
 import pytest
 
-from multiband_alloc.assignment import (
-    ORIENTATIONS,
-    AssignmentResult,
-    CostMatrix,
-    solve_assignment,
+from multiband_alloc.assignment import solve_capacitated
+from multiband_alloc.errors import GuardError, InfeasibleError
+from oracles import (
+    assigned_columns,
+    brute_force_assignment,
+    hungarian_min,
+    minimizing_lists,
+    replicate_rows,
+    selection_value,
 )
-from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
-from oracles import brute_force_assignment, hungarian_min, replicate_rows, selection_value
 
 COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.txt"
 COLUMN_CASES = 1000
 FLOAT_COLUMNS_GOLDEN = COLUMNS_GOLDEN.with_name("assignment_float_columns.txt")
 FLOAT_COLUMN_CASES = 500
+ORIENTATIONS = ("minimize", "maximize")
 
 
 def feasible_forbidden_mask(rng, rows, cols, density=0.4):
@@ -40,11 +46,11 @@ def feasible_forbidden_mask(rng, rows, cols, density=0.4):
     return mask
 
 
-def column_case(seed: int) -> CostMatrix:
+def column_case(seed: int) -> list[list[float]]:
     """Tie-heavy matrix number `seed` of the column golden: values in {0, 1, 2}
     or all equal, forbidden probability 0 or 0.3, either orientation; shapes
     up to 6x9, and every 50 seeds a 2x32 and an 8x32 matrix, each row
-    replicated 4 times (8x32 and 32x32)."""
+    replicated 4 times (8x32 and 32x32); as minimizing lists."""
     rng = np.random.default_rng(seed)
     if seed % 50 >= 48:
         rows, cols, copies = (2, 32, 4) if seed % 50 == 48 else (8, 32, 4)
@@ -58,17 +64,17 @@ def column_case(seed: int) -> CostMatrix:
         values = rng.integers(0, 3, size=(rows, cols)).astype(float)
     forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
     orientation = ORIENTATIONS[int(rng.integers(2))]
-    return replicate_rows(CostMatrix(values, orientation, forbidden), copies)
+    return replicate_rows(minimizing_lists(values, orientation, forbidden), copies)
 
 
-def float_column_case(seed: int) -> CostMatrix:
+def float_column_case(seed: int) -> list[list[float]]:
     """Continuous-valued matrix number `seed` of the float column golden.
 
     Seed % 4 picks the shape: up to 6x9, 2x4, 8x32, or 8x32 with each row
     replicated 4 times (32x32). Seed // 4 % 2 picks the values: normal
     draws, or 1 + a multiple of 1e-12 (near-ties whose sums round). Seed
     // 8 % 2 adds forbidden cells (probability 0.2, one complete assignment
-    kept before replication). Either orientation.
+    kept before replication). Either orientation; as minimizing lists.
     """
     rng = np.random.default_rng(10_000 + seed)
     shape = seed % 4
@@ -86,108 +92,74 @@ def float_column_case(seed: int) -> CostMatrix:
     if seed // 8 % 2:
         forbidden = feasible_forbidden_mask(rng, rows, cols, density=0.2)
     orientation = ORIENTATIONS[int(rng.integers(2))]
-    return replicate_rows(CostMatrix(values, orientation, forbidden), copies)
+    return replicate_rows(minimizing_lists(values, orientation, forbidden), copies)
 
 
 def column_line(seed: int, case=column_case) -> str:
     """The golden line of matrix `case(seed)`: its columns, or the infeasibility message."""
     try:
-        cols = solve_assignment(case(seed)).column_of_row
+        cols = assigned_columns(case(seed))
     except InfeasibleError as exc:
         return f"{seed}: {exc}"
     return f"{seed}: " + " ".join(map(str, cols))
 
 
-class TestCostMatrix:
-    def test_basic_construction(self):
-        cm = CostMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), "minimize")
-        assert cm.num_rows == 2 and cm.num_cols == 2
-        assert not cm.forbidden.any()
-
-    def test_forbidden_cells_zeroed_out_of_arithmetic(self):
-        values = np.array([[np.inf, 2.0], [3.0, 4.0]])
-        forbidden = np.array([[True, False], [False, False]])
-        cm = CostMatrix(values, "maximize", forbidden)
-        assert cm.values[0, 0] == 0.0
-        assert np.isfinite(cm.values).all()
-
-    def test_arrays_read_only(self):
-        cm = CostMatrix(np.ones((2, 3)), "minimize")
-        with pytest.raises(ValueError):
-            cm.values[0, 0] = 9.0
-
-    @pytest.mark.parametrize(
-        "values,orientation,forbidden",
-        [
-            (np.ones((3, 2)), "minimize", None),  # more rows than columns
-            (np.ones(4), "minimize", None),  # not 2-D
-            (np.ones((0, 3)), "minimize", None),  # empty
-            (np.array([[np.nan, 1.0]]), "minimize", None),  # non-finite allowed cell
-            (np.ones((2, 2)), "largest", None),  # bad orientation
-            (np.ones((2, 2)), "minimize", np.zeros((2, 3), dtype=bool)),  # mask shape
-        ],
-    )
-    def test_rejects_invalid(self, values, orientation, forbidden):
-        with pytest.raises(ValidationError):
-            CostMatrix(values, orientation, forbidden)
-
-
 class TestKnownSolutions:
     def test_identity_dominant_maximize(self):
-        cost = CostMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "maximize")
-        res = solve_assignment(cost)
-        assert res.column_of_row == (0, 1)
-        assert selection_value(cost, res) == 2.0
+        values = [[1.0, 0.0], [0.0, 1.0]]
+        cols = assigned_columns(minimizing_lists(values, "maximize"))
+        assert cols == (0, 1)
+        assert selection_value(values, cols) == 2.0
 
     def test_rectangular_two_by_four(self):
-        cost = CostMatrix(np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]), "maximize")
-        res = solve_assignment(cost)
-        assert res.column_of_row == (0, 1)
-        assert selection_value(cost, res) == 6.0
+        values = [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]
+        cols = assigned_columns(minimizing_lists(values, "maximize"))
+        assert cols == (0, 1)
+        assert selection_value(values, cols) == 6.0
 
     def test_all_equal_matrix(self):
-        cost = CostMatrix(np.full((5, 5), 3.0), "maximize")
-        res = solve_assignment(cost)
-        assert sorted(res.column_of_row) == [0, 1, 2, 3, 4]
-        assert selection_value(cost, res) == 15.0
+        values = np.full((5, 5), 3.0)
+        cols = assigned_columns(minimizing_lists(values, "maximize"))
+        assert sorted(cols) == [0, 1, 2, 3, 4]
+        assert selection_value(values, cols) == 15.0
 
     def test_all_equal_rectangular_matrix(self):
         # The low_snr tie at budget 0: every row takes the lowest free column.
-        cost = CostMatrix(np.zeros((3, 7)), "maximize")
-        res = solve_assignment(cost)
-        assert res.column_of_row == (0, 1, 2)
-        assert selection_value(cost, res) == 0.0
+        values = np.zeros((3, 7))
+        cols = assigned_columns(minimizing_lists(values, "maximize"))
+        assert cols == (0, 1, 2)
+        assert selection_value(values, cols) == 0.0
 
     def test_one_by_one(self):
-        cost = CostMatrix(np.array([[7.0]]), "minimize")
-        res = solve_assignment(cost)
-        assert res == AssignmentResult(column_of_row=(0,))
-        assert selection_value(cost, res) == 7.0
+        cols = assigned_columns([[7.0]])
+        assert cols == (0,)
+        assert selection_value([[7.0]], cols) == 7.0
 
     def test_near_float_max_values(self):
         # Each tree step shifts potentials by about 1e308; none may overflow.
         values = [[1.2e308, 1.0e308], [1.1e308, 0.9e308]]
-        assert solve_assignment(CostMatrix(values, "maximize")).column_of_row == (0, 1)
+        assert assigned_columns(minimizing_lists(values, "maximize")) == (0, 1)
 
     def test_minimize_picks_cheapest(self):
-        cost = CostMatrix(np.array([[10.0, 1.0], [1.0, 10.0]]), "minimize")
-        res = solve_assignment(cost)
-        assert res.column_of_row == (1, 0)
-        assert selection_value(cost, res) == 2.0
+        values = [[10.0, 1.0], [1.0, 10.0]]
+        cols = assigned_columns(values)
+        assert cols == (1, 0)
+        assert selection_value(values, cols) == 2.0
 
 
 class TestOracle:
     def test_one_by_one(self):
-        cost = CostMatrix(np.array([[5.0]]), "maximize")
-        assert selection_value(cost, brute_force_assignment(cost)) == 5.0
+        costs = minimizing_lists([[5.0]], "maximize")
+        assert selection_value([[5.0]], brute_force_assignment(costs)) == 5.0
 
     def test_known_rectangular(self):
-        cost = CostMatrix(np.array([[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]), "maximize")
-        assert selection_value(cost, brute_force_assignment(cost)) == 6.0
+        values = [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]]
+        cols = brute_force_assignment(minimizing_lists(values, "maximize"))
+        assert selection_value(values, cols) == 6.0
 
     def test_size_guard(self):
         with pytest.raises(GuardError):
-            brute_force_assignment(CostMatrix(np.ones((2, 11)), "minimize"))
+            brute_force_assignment(np.ones((2, 11)).tolist())
 
 
 class TestSolverMatchesOracle:
@@ -198,11 +170,11 @@ class TestSolverMatchesOracle:
             cols = int(rng.integers(rows, 8))
             values = rng.normal(size=(rows, cols)) * 10
             orientation = "maximize" if trial % 2 else "minimize"
-            cm = CostMatrix(values, orientation)
-            fast = solve_assignment(cm)
-            slow = brute_force_assignment(cm)
-            assert selection_value(cm, fast) == selection_value(cm, slow)
-            assert len(set(fast.column_of_row)) == rows
+            costs = minimizing_lists(values, orientation)
+            fast = assigned_columns(costs)
+            slow = brute_force_assignment(costs)
+            assert selection_value(values, fast) == selection_value(values, slow)
+            assert len(set(fast)) == rows
 
     def test_exact_equality_on_integer_ties(self):
         # Small integer range forces massive objective ties; equality must
@@ -213,9 +185,9 @@ class TestSolverMatchesOracle:
             cols = int(rng.integers(rows, 8))
             values = rng.integers(-3, 4, size=(rows, cols)).astype(float)
             orientation = "maximize" if trial % 2 else "minimize"
-            cm = CostMatrix(values, orientation)
-            fast, slow = solve_assignment(cm), brute_force_assignment(cm)
-            assert selection_value(cm, fast) == selection_value(cm, slow)
+            costs = minimizing_lists(values, orientation)
+            fast, slow = assigned_columns(costs), brute_force_assignment(costs)
+            assert selection_value(values, fast) == selection_value(values, slow)
 
     def test_exact_equality_with_forbidden_cells(self):
         rng = np.random.default_rng(161)
@@ -225,11 +197,11 @@ class TestSolverMatchesOracle:
             values = rng.normal(size=(rows, cols))
             forbidden = feasible_forbidden_mask(rng, rows, cols)
             orientation = "maximize" if trial % 2 else "minimize"
-            cm = CostMatrix(values, orientation, forbidden)
-            fast = solve_assignment(cm)
-            slow = brute_force_assignment(cm)
-            assert selection_value(cm, fast) == selection_value(cm, slow)
-            assert not forbidden[np.arange(rows), list(fast.column_of_row)].any()
+            costs = minimizing_lists(values, orientation, forbidden)
+            fast = assigned_columns(costs)
+            slow = brute_force_assignment(costs)
+            assert selection_value(values, fast) == selection_value(values, slow)
+            assert not forbidden[np.arange(rows), list(fast)].any()
 
 
 class TestOracleLoop:
@@ -242,19 +214,17 @@ class TestOracleLoop:
         # Columns and both potential lists, on every matrix of both column
         # goldens; infeasible exactly when the oracle loop is.
         for seed in range(count):
-            cost = case(seed)
-            sign = 1.0 if cost.orientation == "minimize" else -1.0
-            work = np.where(cost.forbidden, np.inf, sign * cost.values).tolist()
+            costs = case(seed)
             try:
-                columns, u, v = hungarian_min(work)
+                columns, u, v = hungarian_min(costs)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    solve_assignment(cost)
+                    solve_capacitated(costs, 1)
                 continue
-            result = solve_assignment(cost)
-            assert result.column_of_row == tuple(columns), seed
-            assert result.row_potentials == tuple(sign * x for x in u), seed
-            assert result.column_potentials == tuple(sign * x for x in v), seed
+            owner, cap_u, cap_v = solve_capacitated(costs, 1)
+            assert [owner.index(i) for i in range(len(costs))] == columns, seed
+            assert cap_u == u, seed
+            assert cap_v == v, seed
 
 
 class TestStructuralProperties:
@@ -267,9 +237,9 @@ class TestStructuralProperties:
             shift = float(rng.integers(1, 15))
             shifted = values.copy()
             shifted[0] += shift
-            base, moved = CostMatrix(values, "maximize"), CostMatrix(shifted, "maximize")
-            base_value = selection_value(base, solve_assignment(base))
-            assert selection_value(moved, solve_assignment(moved)) == base_value + shift
+            base_value = selection_value(values, assigned_columns(minimizing_lists(values, "maximize")))
+            moved = assigned_columns(minimizing_lists(shifted, "maximize"))
+            assert selection_value(shifted, moved) == base_value + shift
 
     def test_negation_swaps_orientations(self):
         rng = np.random.default_rng(55)
@@ -277,63 +247,55 @@ class TestStructuralProperties:
             rows = int(rng.integers(1, 6))
             cols = int(rng.integers(rows, 8))
             values = rng.normal(size=(rows, cols))
-            hi, lo = CostMatrix(values, "maximize"), CostMatrix(-values, "minimize")
-            assert selection_value(hi, solve_assignment(hi)) == -selection_value(lo, solve_assignment(lo))
+            hi = assigned_columns(minimizing_lists(values, "maximize"))
+            lo = assigned_columns(minimizing_lists(-values, "minimize"))
+            assert selection_value(values, hi) == -selection_value(-values, lo)
 
 
 class TestPotentials:
     @pytest.mark.parametrize("seed", range(40))
     def test_potentials_prove_the_columns(self, seed):
-        # Up to rounding, reduced costs are >= 0 (minimize) or <= 0
-        # (maximize) on allowed cells and 0 on assigned ones; unassigned
-        # columns have potential 0 exactly.
-        cost = float_column_case(seed)
+        # Up to rounding, reduced costs are >= 0 on allowed cells and 0 on
+        # assigned ones; unassigned columns have potential 0 exactly.
+        costs = np.array(float_column_case(seed))
         try:
-            result = solve_assignment(cost)
+            owner, u, v = solve_capacitated(costs.tolist(), 1)
         except InfeasibleError:
             return
-        sign = 1.0 if cost.orientation == "minimize" else -1.0
-        u, v = np.array(result.row_potentials), np.array(result.column_potentials)
-        reduced = sign * (cost.values - u[:, None] - v[None, :])
-        scale = np.abs(cost.values).max()
-        assert (reduced[~cost.forbidden] >= -1e-12 * scale).all()
-        rows = np.arange(cost.num_rows)
-        assert np.abs(reduced[rows, list(result.column_of_row)]).max() <= 1e-12 * scale
-        unassigned = np.setdiff1d(np.arange(cost.num_cols), result.column_of_row)
+        allowed = costs < np.inf
+        u, v = np.array(u), np.array(v)
+        reduced = costs - u[:, None] - v[None, :]
+        scale = np.abs(costs[allowed]).max()
+        assert (reduced[allowed] >= -1e-12 * scale).all()
+        rows = np.arange(len(costs))
+        columns = [owner.index(i) for i in rows]
+        assert np.abs(reduced[rows, columns]).max() <= 1e-12 * scale
+        unassigned = [j for j, i in enumerate(owner) if i < 0]
         assert (v[unassigned] == 0.0).all()
-
-    def test_potentials_do_not_take_part_in_equality(self):
-        cost = CostMatrix(np.array([[1.0, 2.0]]), "maximize")
-        assert solve_assignment(cost) == AssignmentResult(column_of_row=(1,))
 
 
 class TestReplicateRows:
     def test_construction_order(self):
-        cm = CostMatrix(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), "maximize")
-        rep = replicate_rows(cm, 2)
-        assert rep.values.shape == (4, 4)
-        assert np.array_equal(rep.values[0], rep.values[1])
-        assert np.array_equal(rep.values[2], rep.values[3])
-        assert np.array_equal(rep.values[0], cm.values[0])
+        costs = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
+        rep = replicate_rows(costs, 2)
+        assert len(rep) == 4
+        assert rep[0] == rep[1] == costs[0]
+        assert rep[2] == rep[3] == costs[1]
 
     def test_copies_one_is_identity(self):
-        cm = CostMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), "minimize")
-        rep = replicate_rows(cm, 1)
-        assert np.array_equal(rep.values, cm.values)
-        assert rep.orientation == cm.orientation
+        costs = [[1.0, 2.0], [3.0, 4.0]]
+        assert replicate_rows(costs, 1) == costs
 
     def test_quota_infeasible(self):
-        cm = CostMatrix(np.ones((2, 4)), "maximize")
         with pytest.raises(InfeasibleError):
-            replicate_rows(cm, 3)
+            replicate_rows(np.ones((2, 4)).tolist(), 3)
 
     def test_replicated_solution_recovers_block_partition(self):
         # ln-gain costs for two links whose good channels are disjoint.
         h = np.array([[4.0, 3.0, 1.0, 1.0], [1.0, 1.0, 4.0, 3.0]])
-        cm = CostMatrix(np.log(h), "maximize")
-        res = solve_assignment(replicate_rows(cm, 2))
+        cols = assigned_columns(replicate_rows(minimizing_lists(np.log(h), "maximize"), 2))
         merged = {0: set(), 1: set()}
-        for rep_row, col in enumerate(res.column_of_row):
+        for rep_row, col in enumerate(cols):
             merged[rep_row // 2].add(col)
         assert merged[0] == {0, 1}
         assert merged[1] == {2, 3}
@@ -342,18 +304,18 @@ class TestReplicateRows:
 class TestInfeasibility:
     def test_all_forbidden_row_named(self):
         forbidden = np.array([[False, False], [True, True]])
-        cm = CostMatrix(np.ones((2, 2)), "maximize", forbidden)
+        costs = minimizing_lists(np.ones((2, 2)), "maximize", forbidden)
         with pytest.raises(InfeasibleError, match="row 1"):
-            solve_assignment(cm)
+            assigned_columns(costs)
 
     def test_no_complete_assignment(self):
         # Both rows can only use column 1, so no complete assignment exists.
         forbidden = np.array([[True, False], [True, False]])
-        cm = CostMatrix(np.ones((2, 2)), "maximize", forbidden)
+        costs = minimizing_lists(np.ones((2, 2)), "maximize", forbidden)
         with pytest.raises(InfeasibleError):
-            solve_assignment(cm)
+            assigned_columns(costs)
         with pytest.raises(InfeasibleError):
-            brute_force_assignment(cm)
+            brute_force_assignment(costs)
 
 
 class TestScipyCrossCheck:
@@ -363,8 +325,7 @@ class TestScipyCrossCheck:
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(hash(shape) % (2**32))
         values = rng.normal(size=shape)
-        cost = CostMatrix(values, orientation)
-        ours = selection_value(cost, solve_assignment(cost))
+        ours = selection_value(values, assigned_columns(minimizing_lists(values, orientation)))
         rows, cols = scipy_opt.linear_sum_assignment(
             values, maximize=(orientation == "maximize")
         )

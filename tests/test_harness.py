@@ -770,10 +770,11 @@ class TestCliMain:
             raise AssertionError(f"{stage} ran before --out was checked")
 
         monkeypatch.setattr(harness, stage, must_not_run)
-        out = tmp_path / "missing" / "x.csv"
-        assert cli.main([*command, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # A missing directory, and a path that names an existing directory.
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main([*command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -877,3 +878,11 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"trials = 5\n\xff\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from multiband_alloc import allocators
-from multiband_alloc.allocators import HIGH_SNR, high_snr_cost_matrix
-from multiband_alloc.assignment import CostMatrix, solve_capacitated
+from multiband_alloc.allocators import HIGH_SNR
+from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.channel import (
     ChannelParams,
     realization_from_squared_gains,
@@ -29,13 +29,7 @@ from multiband_alloc.channel import (
 )
 from multiband_alloc.errors import InfeasibleError
 from multiband_alloc.harness import dump_instance
-from oracles import (
-    brute_force_assignment,
-    hungarian_assignment,
-    hungarian_min,
-    replicate_rows,
-    selection_value,
-)
+from oracles import brute_force_assignment, hungarian_min, replicate_rows, selection_value
 
 SHAPES = [(2, 4), (4, 8), (3, 9), (8, 32), (3, 3), (4, 4)]
 SQUARE = [(2, 4), (4, 8), (8, 32), (16, 64)]
@@ -72,6 +66,11 @@ def draw(kind, num_links, num_subchannels, seed):
     return params, realization_from_squared_gains(params, gains)
 
 
+def replicated_costs(params, chan):
+    """high_snr's -ln H lists with every row copied quota times."""
+    return replicate_rows(allocators._high_snr_costs(chan.normalized_gains), params.quota)
+
+
 def replicated_sets(params, chan):
     """Each link's sorted set from the replicated solve of ln H, after the
     check that every link has quota usable sub-channels."""
@@ -80,8 +79,7 @@ def replicated_sets(params, chan):
     for k, count in enumerate(usable.tolist()):
         if count < quota:
             raise InfeasibleError(f"link {k} has only {count} usable sub-channels; quota is {quota}")
-    cost = replicate_rows(high_snr_cost_matrix(params, chan), quota)
-    cols = hungarian_assignment(cost).column_of_row
+    cols, _, _ = hungarian_min(replicated_costs(params, chan))
     return [sorted(cols[k * quota : (k + 1) * quota]) for k in range(params.num_links)]
 
 
@@ -95,7 +93,7 @@ def outcome(select, params, chan):
 
 def selected_sets(params, chan):
     gains = chan.normalized_gains[None]
-    return allocators._high_snr_sets([params], gains, allocators.DEFAULT_PARTITION_GUARD)[0][0]
+    return allocators._high_snr_sets([params], gains, allocators.DEFAULT_PARTITION_GUARD)[0]
 
 
 @pytest.fixture
@@ -196,16 +194,21 @@ def assert_duals_prove(costs, owner, u, v):
 
 class TestCosts:
     def test_costs_are_math_log_bit_for_bit(self):
+        # The solved costs are -ln H, +inf on zero gains, and the dump of
+        # the same draw prints ln H, 0 on zero gains.
         params, chan = draw("blocked", 8, 32, seed=5)
         h = chan.normalized_gains
         assert (h == 0).any() and (h > 0).any()
-        values = high_snr_cost_matrix(params, chan).values
-        trace = allocators._high_snr_sets([params], chan.normalized_gains[None], 1)[0][1]
+        costs = allocators._high_snr_costs(h)
+        lines = dump_instance(params, seed=5, strategy=HIGH_SNR).splitlines()
+        start = lines.index("cost_matrix (maximize, ln H; forbidden cells printed as 0):") + 1
+        printed = [[float(x) for x in line.split()] for line in lines[start : start + 8]]
         for k in range(8):
             for n in range(32):
                 expected = math.log(h[k, n]) if h[k, n] > 0 else 0.0
-                assert values[k, n].tobytes() == np.float64(expected).tobytes()
-                assert trace.values[k, n].tobytes() == np.float64(expected).tobytes()
+                cost = -expected if h[k, n] > 0 else math.inf
+                assert np.float64(costs[k][n]).tobytes() == np.float64(cost).tobytes()
+                assert np.float64(printed[k][n]).tobytes() == np.float64(expected).tobytes()
 
 
 class TestDifferential:
@@ -233,15 +236,15 @@ class TestDifferential:
     def test_optimum_matches_the_injection_oracle(self, kind, shape):
         for seed in range(4):
             params, chan = draw(kind, *shape, seed=3000 + seed)
-            cost = replicate_rows(high_snr_cost_matrix(params, chan), params.quota)
+            costs = replicated_costs(params, chan)
             try:
-                best = selection_value(cost, brute_force_assignment(cost))
+                best = selection_value(costs, brute_force_assignment(costs))
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     selected_sets(params, chan)
                 continue
             sets = selected_sets(params, chan)
-            total = sum(cost.values[k * params.quota, n] for k, s in enumerate(sets) for n in s)
+            total = sum(costs[k * params.quota][n] for k, s in enumerate(sets) for n in s)
             assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_capacity_one_is_the_square_core(self):
@@ -266,7 +269,7 @@ class TestDifferential:
         )
         owner, u, v = solve_capacitated((-values).tolist(), 2)
         assert all(map(math.isfinite, u + v))
-        cols = hungarian_assignment(replicate_rows(CostMatrix(values, "maximize"), 2)).column_of_row
+        cols, _, _ = hungarian_min(replicate_rows((-values).tolist(), 2))
         assert owned_sets(owner, 2) == [sorted(cols[:2]), sorted(cols[2:])]
 
     def test_infeasible_keeps_its_message(self):
@@ -289,9 +292,9 @@ class TestSquareStart:
         for seed in range(draws):
             params, chan = draw(kind, *shape, seed=6000 + seed)
             costs = allocators._high_snr_costs(chan.normalized_gains)
-            cost = replicate_rows(high_snr_cost_matrix(params, chan), params.quota)
+            replicated = replicated_costs(params, chan)
             try:
-                result = hungarian_assignment(cost)
+                cols, _, _ = hungarian_min(replicated)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     solve_capacitated(costs, params.quota)
@@ -300,14 +303,13 @@ class TestSquareStart:
             sets = owned_sets(owner, params.num_links)
             assert [len(s) for s in sets] == [params.quota] * params.num_links
             assert_duals_prove(costs, owner, u, v)
-            cols = result.column_of_row
             expected = [sorted(cols[k * params.quota : (k + 1) * params.quota]) for k in range(shape[0])]
             if kind == "continuous":
                 assert sets == expected, seed
             else:
                 # Ties: any optimum will do, at the replicated solve's value.
                 total = sum(-costs[k][n] for k, s in enumerate(sets) for n in s)
-                best = selection_value(cost, result)
+                best = -selection_value(replicated, cols)
                 assert total == pytest.approx(best, rel=1e-12, abs=1e-12), seed
 
     def test_all_forbidden_column_keeps_its_message(self):
@@ -318,7 +320,7 @@ class TestSquareStart:
         chan = realization_from_squared_gains(params, gains)
         message = "^no complete assignment avoids the forbidden cells$"
         with pytest.raises(InfeasibleError, match=message):
-            hungarian_assignment(replicate_rows(high_snr_cost_matrix(params, chan), 2))
+            hungarian_min(replicated_costs(params, chan))
         with pytest.raises(InfeasibleError, match=message):
             solve_capacitated(allocators._high_snr_costs(chan.normalized_gains), 2)
         with pytest.raises(InfeasibleError, match=message):

@@ -3,10 +3,10 @@
 `allocators._low_snr_sets` solves the first positive uniform budget whose
 P*H products are all zero or normal and reuses its columns at every other
 such budget when the solve's potentials certify them. Every point must
-still get exactly what its own `solve_assignment(low_snr_cost_matrix(...))`
-gives: the same columns, the same P*H values in its trace and the same
-padded sets. The solve counts show when the certificate was used: a grid
-that falls back solves every point.
+still get exactly what its own capacity-1 solve of -P*H gives: the same
+columns, listed first in each link's set, and the same padded sets. The
+solve counts show when the certificate was used: a grid that falls back
+solves every point.
 """
 
 from dataclasses import replace
@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiband_alloc import allocators
-from multiband_alloc.allocators import low_snr_cost_matrix
-from multiband_alloc.assignment import solve_assignment, solve_capacitated
+from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.channel import (
     ChannelParams,
     realization_from_squared_gains,
     sample_realization,
     trial_rng,
 )
+from oracles import assigned_columns, minimizing_lists
 
 GRIDS = {
     "7log": np.geomspace(1e-3, 1e3, 7),
@@ -69,13 +69,12 @@ def pad_reference(h, columns, quota):
 
 
 def per_point(points, chan):
-    """Each point solved on its own, as (sets, P*H bytes, columns)."""
+    """Each point's sets, from its own solve of P*H."""
     outcome = []
     for point in points:
-        cost = low_snr_cost_matrix(point, chan)
-        columns = solve_assignment(cost).column_of_row
-        sets = pad_reference(chan.normalized_gains, columns, point.quota)
-        outcome.append((sets, cost.values.tobytes(), columns))
+        values = np.array(point.power_budgets)[:, None] * chan.normalized_gains
+        columns = assigned_columns(minimizing_lists(values, "maximize"))
+        outcome.append(pad_reference(chan.normalized_gains, columns, point.quota))
     return outcome
 
 
@@ -96,10 +95,7 @@ def solves(monkeypatch):
 
 def grid_outcome(points, chan):
     gains = chan.normalized_gains[None]
-    selections = allocators._low_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
-    return [
-        (sets, trace.values.tobytes(), trace.column_of_row) for sets, trace in selections
-    ]
+    return allocators._low_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
 
 
 def check_grid(points, chan, solves):
