@@ -1,18 +1,28 @@
 """Assignment solver vs the exhaustive oracle, plus structural properties.
 
 Each matrix is built as values, an orientation and a forbidden mask and
-solved as the lists `oracles.minimizing_lists` makes of it, at capacity 1.
+solved as the lists `oracles.minimizing_lists` makes of it, at capacity 1
+unless a test says otherwise.
 
 The chosen columns (which the CSV and dump bytes depend on) are pinned by
-`golden/assignment_columns.txt` on tie-heavy integer matrices, where every
-float operation is exact, and by `golden/assignment_float_columns.txt` on
-continuous values, where a reordered subtraction can change a near-tie; a
-change that means to alter them regenerates the files and says so:
+three goldens. At capacity 1, `golden/assignment_columns.txt` holds
+tie-heavy integer matrices, where every float operation is exact, and
+`golden/assignment_float_columns.txt` continuous values, where a reordered
+subtraction can change a near-tie. Their cases that copy each row 4 times
+(32x32 lists) pin the capacity-1 core on a shape `high_snr` no longer
+solves, as it copies no rows; only `low_snr` solves at capacity 1, on its
+K x N lists. At capacity q > 1,
+`golden/assignment_capacity_columns.txt` holds tie-heavy integer lists
+from both starts (K * q == N and K * q < N): the tie-break `high_snr`
+returns. A change that means to alter them regenerates the files and says
+so:
 
     PYTHONPATH=src python tests/test_assignment.py
 
-On the same matrices the solver must also match the oracle loop
-`oracles.hungarian_min` float for float, potentials included.
+On the capacity-1 matrices the solver must also match the oracle loop
+`oracles.hungarian_min` float for float, potentials included; on the
+capacity-q lists it must reach the optimum of that loop's solve of the
+lists with every row copied q times.
 """
 
 import pathlib
@@ -35,6 +45,8 @@ COLUMNS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "assignment_columns.
 COLUMN_CASES = 1000
 FLOAT_COLUMNS_GOLDEN = COLUMNS_GOLDEN.with_name("assignment_float_columns.txt")
 FLOAT_COLUMN_CASES = 500
+CAPACITY_COLUMNS_GOLDEN = COLUMNS_GOLDEN.with_name("assignment_capacity_columns.txt")
+CAPACITY_COLUMN_CASES = 500
 ORIENTATIONS = ("minimize", "maximize")
 
 
@@ -93,6 +105,41 @@ def float_column_case(seed: int) -> list[list[float]]:
         forbidden = feasible_forbidden_mask(rng, rows, cols, density=0.2)
     orientation = ORIENTATIONS[int(rng.integers(2))]
     return replicate_rows(minimizing_lists(values, orientation, forbidden), copies)
+
+
+def capacity_column_case(seed: int) -> tuple[list[list[float]], int]:
+    """Tie-heavy lists number `seed` of the capacity golden and their
+    capacity q > 1: values in {0, 1, 2} or all equal, forbidden probability
+    0 or 0.3, either orientation, up to 5 rows at q in 2..3. Even seeds
+    fill every column (K * q == N, the column-reduction start), odd seeds
+    leave 1 to 3 idle (K * q < N, the zero start); every 50 seeds an 8x32
+    and a 7x32 list at q = 4, one of each start."""
+    rng = np.random.default_rng(20_000 + seed)
+    if seed % 50 >= 48:
+        rows, capacity = (8, 4) if seed % 50 == 48 else (7, 4)
+        cols = 32
+    else:
+        rows = int(rng.integers(1, 6))
+        capacity = int(rng.integers(2, 4))
+        cols = rows * capacity + (0 if seed % 2 == 0 else int(rng.integers(1, 4)))
+    if rng.random() < 0.25:
+        values = np.full((rows, cols), float(rng.integers(0, 3)))
+    else:
+        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
+    forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
+    orientation = ORIENTATIONS[int(rng.integers(2))]
+    return minimizing_lists(values, orientation, forbidden), capacity
+
+
+def capacity_column_line(seed: int) -> str:
+    """The golden line of `capacity_column_case(seed)`: the row owning each
+    column (-1 if none), or the infeasibility message."""
+    costs, capacity = capacity_column_case(seed)
+    try:
+        owner, _, _ = solve_capacitated(costs, capacity)
+    except InfeasibleError as exc:
+        return f"{seed}: {exc}"
+    return f"{seed}: " + " ".join(map(str, owner))
 
 
 def column_line(seed: int, case=column_case) -> str:
@@ -226,6 +273,23 @@ class TestOracleLoop:
             assert cap_u == u, seed
             assert cap_v == v, seed
 
+    def test_capacity_golden_cases_reach_the_replicated_optimum(self):
+        # Integer costs sum exactly, so any optimum has the value of the
+        # oracle loop's solve of the lists with every row copied q times.
+        for seed in range(CAPACITY_COLUMN_CASES):
+            costs, capacity = capacity_column_case(seed)
+            replicated = replicate_rows(costs, capacity)
+            try:
+                columns, _, _ = hungarian_min(replicated)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_capacitated(costs, capacity)
+                continue
+            owner, _, _ = solve_capacitated(costs, capacity)
+            assert [owner.count(k) for k in range(len(costs))] == [capacity] * len(costs), seed
+            total = sum(costs[k][n] for n, k in enumerate(owner) if k >= 0)
+            assert total == selection_value(replicated, columns), seed
+
 
 class TestStructuralProperties:
     def test_row_shift_changes_objective_by_exactly_that_constant(self):
@@ -338,6 +402,11 @@ def test_columns_match_golden():
     assert [column_line(seed) for seed in range(COLUMN_CASES)] == expected
 
 
+def test_capacity_columns_match_golden():
+    expected = CAPACITY_COLUMNS_GOLDEN.read_text().splitlines()
+    assert [capacity_column_line(seed) for seed in range(CAPACITY_COLUMN_CASES)] == expected
+
+
 def test_float_columns_match_golden():
     expected = FLOAT_COLUMNS_GOLDEN.read_text().splitlines()
     lines = [column_line(seed, float_column_case) for seed in range(FLOAT_COLUMN_CASES)]
@@ -348,4 +417,7 @@ if __name__ == "__main__":
     COLUMNS_GOLDEN.write_text("".join(column_line(seed) + "\n" for seed in range(COLUMN_CASES)))
     FLOAT_COLUMNS_GOLDEN.write_text(
         "".join(column_line(seed, float_column_case) + "\n" for seed in range(FLOAT_COLUMN_CASES))
+    )
+    CAPACITY_COLUMNS_GOLDEN.write_text(
+        "".join(capacity_column_line(seed) + "\n" for seed in range(CAPACITY_COLUMN_CASES))
     )
