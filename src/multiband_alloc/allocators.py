@@ -6,8 +6,7 @@ link (surplus sub-channels stay idle when K does not divide N); the rule
 splits each link's budget over its set:
 
 - low_snr: one-per-link assignment on P*H, then `concentrate`;
-- high_snr: assignment on ln H at capacity q per link (certified, with a
-  replicated fallback), then `equal_split`;
+- high_snr: assignment on ln H at capacity q per link, then `equal_split`;
 - optimal: the best water-filled partition, then `water_fill`;
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
@@ -20,15 +19,12 @@ list of K sets per (trial, point) cell, trial-major: `high_snr` and
 point; `low_snr` builds every cell's P*H in one multiply and solves one
 assignment per trial, reusing its columns at every other point where that
 solve's dual potentials prove them optimal (`_low_snr_sets`); `high_snr`
-solves one capacity-q assignment per trial and keeps it where its
-potentials prove it the unique optimum, falling back to the
-quota-replicated solve elsewhere (`_high_snr_sets`); and `optimal`
-water-fills one rate table for every cell of the chunk, in bounded pieces,
-and searches each cell's partitions. Both Hungarian selections solve with
-the one augmenting-path loop, `assignment.solve_capacitated`, on lists of
-costs: `low_snr` at capacity 1 on -P*H, `high_snr` at capacity q on -ln H
-and its fallback at capacity 1 on those lists with every row copied q
-times; `_owned_sets` reads each link's columns from the solve's owners.
+solves one capacity-q assignment per trial and takes its sets
+(`_high_snr_sets`); and `optimal` water-fills one rate table for every
+cell of the chunk, in bounded pieces, and searches each cell's
+partitions. Both Hungarian selections solve with the one augmenting-path
+loop, `assignment.solve_capacitated`, on lists of costs: `low_snr` at
+capacity 1 on -P*H, `high_snr` at capacity q on -ln H.
 `allocate(tag, params, chan)` is the one entry point that runs a strategy
 on one instance: it dispatches through the table on a one-point grid of
 one trial. The low_snr selection lists each link's assigned sub-channel
@@ -103,8 +99,8 @@ _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 # Most water-filled elements `optimal`'s rate table holds at once.
 _TABLE_CHUNK = 1 << 16
-# Margin, relative to the largest |cost| of an allowed cell, by which a
-# certified assignment must beat every other one (`_certified`).
+# Margin, relative to the largest P*H of a trial's solved point, by which
+# `low_snr`'s certified assignment must beat every other one (`_certified`).
 _CERTIFY_TOL = 1e-9
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
@@ -371,15 +367,6 @@ def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
     return [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
 
 
-def _largest_allowed_cost(costs: list[list[float]]) -> float:
-    """max |c| over the allowed (finite) cells of the lists `costs`, in
-    which every row has one: the largest of |min| and |max finite|."""
-    top = max(map(max, costs))
-    if top == math.inf:
-        top = max(c for row in costs for c in row if c != math.inf)
-    return max(abs(min(map(min, costs))), abs(top))
-
-
 def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     """At each point, one sub-channel per link from the assignment
     maximizing the sum of P_k * H over links, listed first in its set. The
@@ -433,9 +420,8 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
             else:
                 cost_lists = cell_costs.tolist()
                 owner, u, v = solve_capacitated(cost_lists, 1)
-                sets = _owned_sets(owner, len(cost_lists))
-                columns = tuple(n for (n,) in sets)
-                if b == first and _certified(cost_lists, sets, u, v, float(trial_values[b].max())):
+                columns = tuple(map(owner.index, range(len(cost_lists))))
+                if b == first and _certified(cost_lists, owner, u, v, float(trial_values[b].max())):
                     shared = columns
             if columns not in padded:
                 padded[columns] = _pad_round_robin(h, columns, quota)
@@ -443,28 +429,25 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     return selections
 
 
-def _certified(costs: list[list[float]], sets, u: list[float], v: list[float], scale: float) -> bool:
-    """True if a minimizing solve of the K x N list `costs` (forbidden
-    cells +inf) that gave row k the columns `sets[k]`, with row potentials
-    u and column potentials v, is proved by them to beat every other choice
-    of as many columns per row by more than tol * `scale`, the largest
+def _certified(
+    costs: list[list[float]], owner: list[int], u: list[float], v: list[float], scale: float
+) -> bool:
+    """True if the capacity-1 solve of the K x N list `costs` (minimized,
+    forbidden cells +inf) that gave column n to row `owner[n]` (-1 if
+    none), with row potentials u and column potentials v, is proved by them
+    to beat every other assignment by more than tol * `scale`, the largest
     |cost| of an allowed cell; tol = `_CERTIFY_TOL` (see `_low_snr_sets`).
 
     Call an edge near if its reduced cost c[k][n] - u[k] - v[n] is at most
-    that margin. Another choice differs from this one by alternating
+    that margin. Another assignment differs from this one by alternating
     cycles and by alternating paths ending in a column this one leaves
-    free (every row keeps its count, so no path ends at a row); each costs
-    at least the reduced costs of its new edges, as the solvers leave v = 0
-    on unowned columns and v <= 0 on owned ones whenever a column is left
-    unowned (with every column owned there is no such path). So the proof
+    free (every row keeps its column, so no path ends at a row); each
+    costs at least the reduced costs of its new edges, as the zero start
+    leaves v = 0 on unowned columns and v <= 0 on owned ones. So the proof
     holds when no near unmatched edge reaches a free column, and the near
     unmatched edges, read as row k -> the row owning column n, form no
     cycle.
     """
-    owner = [-1] * len(v)
-    for k, columns in enumerate(sets):
-        for n in columns:
-            owner[n] = k
     margin = _CERTIFY_TOL * scale
     near = []  # near[k]: the rows owning a column that row k reaches by a near edge
     for k, (row, uk) in enumerate(zip(costs, u)):
@@ -486,13 +469,13 @@ def _certified(costs: list[list[float]], sets, u: list[float], v: list[float], s
     return True
 
 
-def _owned_sets(owner: list[int], num_links: int, copies: int = 1) -> list[list[int]]:
-    """Each link's columns, ascending, from the row owning each column
-    (-1 if none) that `solve_capacitated` returns; row r is link r // copies."""
+def _owned_sets(owner: list[int], num_links: int) -> list[list[int]]:
+    """Each link's columns, ascending, from the link owning each column
+    (-1 if none) that `solve_capacitated` returns."""
     sets: list[list[int]] = [[] for _ in range(num_links)]
-    for n, r in enumerate(owner):
-        if r >= 0:
-            sets[r // copies].append(n)
+    for n, k in enumerate(owner):
+        if k >= 0:
+            sets[k].append(n)
     return sets
 
 
@@ -519,15 +502,11 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
     point of a trial gets the same selection; the trials of a (T, K, N)
     stack of gains are solved in turn, so the first infeasible one raises.
 
-    `solve_capacitated` solves it with each link's row at capacity quota.
-    Its sets are kept when its potentials certify them (`_certified`, by
-    tol * max |ln H| over the allowed cells): then they are the unique
-    optimum by far more than either solve's rounding (the argument of
-    `_low_snr_sets`), which is also what the replicated solve returns: the
-    same loop at capacity 1 on the lists with every row copied quota
-    times, row r standing for link r // quota. Any other draw (ties,
-    near-ties) takes that replicated solve, so the sets are the replicated
-    solve's in every case.
+    One `solve_capacitated` call per trial solves it, each link's row at
+    capacity quota, and its owners are the sets. Where several choices
+    tie for the optimum (exactly equal ln H sums, which continuous gains
+    give with probability zero), the sets are whichever optimum that solve
+    reaches, pinned by `tests/golden/assignment_capacity_columns.txt`.
     """
     quota = points[0].quota
     selections = []
@@ -538,13 +517,8 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
             raise InfeasibleError(
                 f"link {k} has only {usable_counts[k]} usable sub-channels; quota is {quota}"
             )
-        costs = _high_snr_costs(h)
-        owner, u, v = solve_capacitated(costs, quota)
-        sets = _owned_sets(owner, len(costs))
-        if not _certified(costs, sets, u, v, _largest_allowed_cost(costs)):
-            owner, _, _ = solve_capacitated([row for row in costs for _ in range(quota)], 1)
-            sets = _owned_sets(owner, len(costs), quota)
-        selections += [sets] * len(points)
+        owner, _, _ = solve_capacitated(_high_snr_costs(h), quota)
+        selections += [_owned_sets(owner, len(h))] * len(points)
     return selections
 
 

@@ -226,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(out_path: str | None) -> None:
-    """Fail before any work runs if the output path is a directory, or the
-    directory it names is missing or read-only."""
+    """Fail before any work runs if the output path is empty or a
+    directory, or the directory it names is missing or read-only."""
     if out_path is None:
         return
+    if not out_path:
+        raise ValidationError("cannot write --out: the path is empty")
     if os.path.isdir(out_path):
         raise ValidationError(f"cannot write --out {out_path}: it is a directory")
     if not os.access(os.path.dirname(out_path) or ".", os.W_OK):

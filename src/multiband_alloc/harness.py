@@ -392,7 +392,7 @@ def scaling_bench(
     """Median wall time per method per dimension over `reps` repetitions.
 
     "hungarian" times high_snr's capacity-q assignment solve on -ln H (the
-    core a sweep runs, without its certificate), "optimal" the
+    solve a sweep runs), "optimal" the
     exhaustive partition search (a rate table that water-fills
     K * C(N, floor(N/K)) sets in chunks, plus one rate-table lookup per
     partition and link), run with

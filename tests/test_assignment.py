@@ -58,6 +58,19 @@ def feasible_forbidden_mask(rng, rows, cols, density=0.4):
     return mask
 
 
+def tie_heavy_lists(rng, rows: int, cols: int) -> list[list[float]]:
+    """A rows x cols matrix drawn from `rng` as minimizing lists: values in
+    {0, 1, 2} or (one time in four) all equal, forbidden probability 0 or
+    0.3, either orientation."""
+    if rng.random() < 0.25:
+        values = np.full((rows, cols), float(rng.integers(0, 3)))
+    else:
+        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
+    forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
+    orientation = ORIENTATIONS[int(rng.integers(2))]
+    return minimizing_lists(values, orientation, forbidden)
+
+
 def column_case(seed: int) -> list[list[float]]:
     """Tie-heavy matrix number `seed` of the column golden: values in {0, 1, 2}
     or all equal, forbidden probability 0 or 0.3, either orientation; shapes
@@ -70,13 +83,7 @@ def column_case(seed: int) -> list[list[float]]:
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(rows, 10))
         copies = 1
-    if rng.random() < 0.25:
-        values = np.full((rows, cols), float(rng.integers(0, 3)))
-    else:
-        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
-    forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
-    orientation = ORIENTATIONS[int(rng.integers(2))]
-    return replicate_rows(minimizing_lists(values, orientation, forbidden), copies)
+    return replicate_rows(tie_heavy_lists(rng, rows, cols), copies)
 
 
 def float_column_case(seed: int) -> list[list[float]]:
@@ -108,12 +115,11 @@ def float_column_case(seed: int) -> list[list[float]]:
 
 
 def capacity_column_case(seed: int) -> tuple[list[list[float]], int]:
-    """Tie-heavy lists number `seed` of the capacity golden and their
-    capacity q > 1: values in {0, 1, 2} or all equal, forbidden probability
-    0 or 0.3, either orientation, up to 5 rows at q in 2..3. Even seeds
-    fill every column (K * q == N, the column-reduction start), odd seeds
-    leave 1 to 3 idle (K * q < N, the zero start); every 50 seeds an 8x32
-    and a 7x32 list at q = 4, one of each start."""
+    """Tie-heavy lists number `seed` of the capacity golden
+    (`tie_heavy_lists`) and their capacity q > 1: up to 5 rows at q in
+    2..3. Even seeds fill every column (K * q == N, the column-reduction
+    start), odd seeds leave 1 to 3 idle (K * q < N, the zero start); every
+    50 seeds an 8x32 and a 7x32 list at q = 4, one of each start."""
     rng = np.random.default_rng(20_000 + seed)
     if seed % 50 >= 48:
         rows, capacity = (8, 4) if seed % 50 == 48 else (7, 4)
@@ -122,13 +128,7 @@ def capacity_column_case(seed: int) -> tuple[list[list[float]], int]:
         rows = int(rng.integers(1, 6))
         capacity = int(rng.integers(2, 4))
         cols = rows * capacity + (0 if seed % 2 == 0 else int(rng.integers(1, 4)))
-    if rng.random() < 0.25:
-        values = np.full((rows, cols), float(rng.integers(0, 3)))
-    else:
-        values = rng.integers(0, 3, size=(rows, cols)).astype(float)
-    forbidden = rng.random((rows, cols)) < (0.3 if rng.random() < 0.5 else 0.0)
-    orientation = ORIENTATIONS[int(rng.integers(2))]
-    return minimizing_lists(values, orientation, forbidden), capacity
+    return tie_heavy_lists(rng, rows, cols), capacity
 
 
 def capacity_column_line(seed: int) -> str:

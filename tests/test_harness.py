@@ -218,12 +218,10 @@ class TestRunSweep:
         # Each strategy selects once per chunk of trials over the whole
         # budget grid; these 5 trials are one chunk.
         # high_snr makes one solve_capacitated call per trial at capacity
-        # q = 2, which these continuous draws certify, so it never falls
-        # back to the replicated solve at capacity 1. low_snr solves at
-        # capacity 1: budget 0 on its own (a zero budget scales nothing)
-        # and budget 0.1, the first positive uniform one; these draws
-        # certify 0.1's columns, so budget 10 reuses them unsolved: 2
-        # capacity-1 solves per trial.
+        # q = 2 and nothing else. low_snr solves at capacity 1: budget 0 on
+        # its own (a zero budget scales nothing) and budget 0.1, the first
+        # positive uniform one; these draws certify 0.1's columns, so
+        # budget 10 reuses them unsolved: 2 capacity-1 solves per trial.
         # optimal's rate table for the chunk is one water_fill call (its
         # 5 * 3 * 2 * 6 sets of 2 fill one piece); optimal's and
         # max_select's powers are one call each per chunk. A passing chunk
@@ -552,8 +550,7 @@ class TestDumpInstance:
     @pytest.mark.parametrize("strategy", [LOW_SNR, HIGH_SNR])
     def test_reads_the_allocators_own_solve(self, strategy, monkeypatch):
         # low_snr makes one solve at capacity 1; high_snr one at capacity
-        # q = 2, certified on this continuous draw, so no replicated
-        # fallback at capacity 1.
+        # q = 2.
         calls = {1: [], 2: []}
         original = allocators.solve_capacitated
 
@@ -770,8 +767,9 @@ class TestCliMain:
             raise AssertionError(f"{stage} ran before --out was checked")
 
         monkeypatch.setattr(harness, stage, must_not_run)
-        # A missing directory, and a path that names an existing directory.
-        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        # A missing directory, a path that names an existing directory, and
+        # an empty path (whose dirname "" would read as the writable ".").
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
             assert cli.main([*command, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -210,8 +210,7 @@ def certified(values):
     form `_low_snr_sets` solves and reads."""
     costs = (-values).tolist()
     owner, u, v = solve_capacitated(costs, 1)
-    sets = allocators._owned_sets(owner, len(costs))
-    return allocators._certified(costs, sets, u, v, float(values.max()))
+    return allocators._certified(costs, owner, u, v, float(values.max()))
 
 
 class TestCertificate:
