@@ -16,15 +16,16 @@ grid at once, as a function (points, gains, partition_guard) of the
 budget points and the chunk's (T, K, N) gain stack, and returns one
 list of K sets per (trial, point) cell, trial-major: `high_snr` and
 `max_select` read each trial's channel alone and repeat one result per
-point; `low_snr` builds every cell's P*H in one multiply and solves one
-assignment per trial, reusing its columns at every other point where that
-solve's dual potentials prove them optimal (`_low_snr_sets`); `high_snr`
-solves one capacity-q assignment per trial and takes its sets
-(`_high_snr_sets`); and `optimal` water-fills one rate table for every
-cell of the chunk, in bounded pieces, and searches each cell's
-partitions. Both Hungarian selections solve with the one augmenting-path
-loop, `assignment.solve_capacitated`, on lists of costs: `low_snr` at
-capacity 1 on -P*H, `high_snr` at capacity q on -ln H.
+point; `low_snr` checks every cell's P*H for overflow in one multiply and
+solves one assignment per trial and distinct budget ratio, since scaling
+all budgets by one factor leaves the best assignment unchanged
+(`_low_snr_sets`); `high_snr` solves one capacity-q assignment per trial
+and takes its sets (`_high_snr_sets`); and `optimal` water-fills one rate
+table for every cell of the chunk, in bounded pieces, and searches each
+cell's partitions. Both Hungarian selections solve with the one
+augmenting-path loop, `assignment.solve_capacitated`, on lists of costs:
+`low_snr` at capacity 1 on -(P / max P)*H, `high_snr` at capacity q on
+-ln H.
 `allocate(tag, params, chan)` is the one entry point that runs a strategy
 on one instance: it dispatches through the table on a one-point grid of
 one trial. The low_snr selection lists each link's assigned sub-channel
@@ -99,10 +100,6 @@ _LN2 = math.log(2.0)
 _BUDGET_SLACK = 1e-9
 # Most water-filled elements `optimal`'s rate table holds at once.
 _TABLE_CHUNK = 1 << 16
-# Margin, relative to the largest P*H of a trial's solved point, by which
-# `low_snr`'s certified assignment must beat every other one (`_certified`).
-_CERTIFY_TOL = 1e-9
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -372,101 +369,34 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     maximizing the sum of P_k * H over links, listed first in its set. The
     remaining quota slots are padded round-robin over links in index order,
     each taking its highest-gain unassigned sub-channel (ties to the lowest
-    index). The padding reads the assigned columns and H alone, so it runs
-    once per distinct assignment of a trial's grid.
+    index).
 
-    Each point gets the columns its own solve would give (`solve_capacitated`
-    at capacity 1 on -P*H), but most points are not solved. Call a point
-    scalable if its budgets are one positive P for every link and each of
-    its P*H products is 0 (a zero gain) or a normal float. The first scalable point is solved; every
-    later scalable point reuses its columns if that solve's potentials
-    certify them (`_certified`) by a margin of tol * max P*H, tol =
-    `_CERTIFY_TOL` = 1e-9. Every other point is solved on its own: budget 0,
-    budgets that differ by link, subnormal or underflowing products, and
-    every point of a grid whose certificate fails (ties, near-ties).
-
-    Why that is exact. Scalable points' matrices are one matrix scaled:
-    fl(P' H) = (P'/P) fl(P H) up to a relative 2^-52 per entry, so the
-    first solve's potentials scaled by P'/P leave every reduced cost within
-    about 2^-52 * max P'H of its scaled value. A certificate says every
-    other assignment crosses a non-matching edge whose reduced cost exceeds
-    the margin, while the others are >= 0 and the matched ones 0 up to the
-    solver's rounding; so at every scalable point the certified assignment
-    is the unique optimum, by about 1e-9 * max P'H. The solver's own
-    rounding, a few ulps of its potentials summed over at most 2K edges,
-    stays below K^2 * 2^-50 * max P'H (about 1e-12 at K = 32), orders of
-    magnitude inside that margin, so a point's own solve cannot return any
-    other assignment.
-
-    Over a (T, K, N) stack of gains the P*H values, their overflow check,
-    their negation and which points are scalable take one array pass for
-    every trial; the solves, certificates and padding run trial by trial.
+    Scaling every budget by one factor scales every assignment's sum by it,
+    so a point solves `solve_capacitated` at capacity 1 on -(P_k / max P) *
+    H, its budget ratios times the gains (all zero when every budget is 0).
+    Within a trial, points with the same ratios share one solve and one
+    padding: a grid of uniform budgets solves -H once per trial, plus once
+    for budget 0. Where two assignments' P*H sums tie to within rounding,
+    the columns may differ from those of a solve of -P*H itself. The P*H
+    overflow check runs first, over every (trial, point) in one multiply.
     """
     quota = points[0].quota
-    values = _low_snr_values(points, gains)
-    costs = -values
-    budgets = np.array([params.power_budgets for params in points])
-    uniform = (budgets > 0).all(axis=1) & (budgets == budgets[:, :1]).all(axis=1)
-    normal = ((values >= _SMALLEST_NORMAL) | (gains[:, None] == 0)).all(axis=(2, 3))
-    scalable_cells = (uniform & normal).tolist()
+    _low_snr_values(points, gains)
+    ratios = []
+    for params in points:
+        top = max(params.power_budgets)
+        ratios.append(tuple(p / top if top > 0 else 0.0 for p in params.power_budgets))
+    scales = {ratio: np.array(ratio)[:, None] for ratio in ratios}
     selections = []
-    for h, trial_values, trial_costs, scalable in zip(gains, values, costs, scalable_cells):
-        first = scalable.index(True) if True in scalable else -1
-        shared = None  # the first scalable point's columns, once certified
-        padded: dict[tuple[int, ...], list[list[int]]] = {}
-        for b, cell_costs in enumerate(trial_costs):
-            if scalable[b] and shared is not None:
-                columns = shared
-            else:
-                cost_lists = cell_costs.tolist()
-                owner, u, v = solve_capacitated(cost_lists, 1)
-                columns = tuple(map(owner.index, range(len(cost_lists))))
-                if b == first and _certified(cost_lists, owner, u, v, float(trial_values[b].max())):
-                    shared = columns
-            if columns not in padded:
-                padded[columns] = _pad_round_robin(h, columns, quota)
-            selections.append(padded[columns])
+    for h in gains:
+        padded: dict[tuple[float, ...], list[list[int]]] = {}
+        for ratio in ratios:
+            if ratio not in padded:
+                costs = (-(scales[ratio] * h)).tolist()
+                owner, _, _ = solve_capacitated(costs, 1)
+                padded[ratio] = _pad_round_robin(h, tuple(map(owner.index, range(len(h)))), quota)
+            selections.append(padded[ratio])
     return selections
-
-
-def _certified(
-    costs: list[list[float]], owner: list[int], u: list[float], v: list[float], scale: float
-) -> bool:
-    """True if the capacity-1 solve of the K x N list `costs` (minimized,
-    forbidden cells +inf) that gave column n to row `owner[n]` (-1 if
-    none), with row potentials u and column potentials v, is proved by them
-    to beat every other assignment by more than tol * `scale`, the largest
-    |cost| of an allowed cell; tol = `_CERTIFY_TOL` (see `_low_snr_sets`).
-
-    Call an edge near if its reduced cost c[k][n] - u[k] - v[n] is at most
-    that margin. Another assignment differs from this one by alternating
-    cycles and by alternating paths ending in a column this one leaves
-    free (every row keeps its column, so no path ends at a row); each
-    costs at least the reduced costs of its new edges, as the zero start
-    leaves v = 0 on unowned columns and v <= 0 on owned ones. So the proof
-    holds when no near unmatched edge reaches a free column, and the near
-    unmatched edges, read as row k -> the row owning column n, form no
-    cycle.
-    """
-    margin = _CERTIFY_TOL * scale
-    near = []  # near[k]: the rows owning a column that row k reaches by a near edge
-    for k, (row, uk) in enumerate(zip(costs, u)):
-        owners = set()
-        for c, vn, m in zip(row, v, owner):
-            if c - uk - vn <= margin:
-                owners.add(m)
-        owners.discard(k)  # its own columns
-        if -1 in owners:
-            return False
-        near.append(owners)
-    # Peel rows with no near edge into the rows left; a cycle never peels.
-    left = set(range(len(costs)))
-    while left:
-        peel = {k for k in left if not near[k] & left}
-        if not peel:
-            return False
-        left -= peel
-    return True
 
 
 def _owned_sets(owner: list[int], num_links: int) -> list[list[int]]:
@@ -745,6 +675,6 @@ def power_selections(
     budgets = np.array([params.power_budgets for params in points])
     powers = _apply_power(rule, gains, trials, np.array(selections), budgets)
     return [
-        Allocation(tuple(tuple(sorted(s)) for s in cell_sets), cell_powers, strategy)
+        Allocation(map(sorted, cell_sets), cell_powers, strategy)
         for cell_sets, cell_powers in zip(selections, powers)
     ]

@@ -93,11 +93,12 @@ def parse_budget_grid(text: str) -> tuple[float, ...]:
         raise ValidationError(f"bad budget grid {text!r}: {err}") from None
     if points < 1:
         raise ValidationError("budget grid needs at least one point")
-    if points == 1:
-        return (lo,)
-    # Before the order check: NaN and inf endpoints are not out of order.
+    # Before the one-point shortcut and the order check: NaN and inf
+    # endpoints are neither skipped nor out of order.
     if not all(0.0 <= b < np.inf for b in (lo, hi)):
         raise ValidationError("budgets must be finite and >= 0")
+    if points == 1:
+        return (lo,)
     if not lo < hi:
         raise ValidationError("budget grid needs LO < HI")
     if spacing == "log":

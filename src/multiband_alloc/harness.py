@@ -318,11 +318,12 @@ def dump_instance(
     The sets are the strategy's own selection, powered by its rule;
     `optimal` runs under `partition_guard`. The two Hungarian strategies
     also print the matrix they maximize and the assignment their selection
-    holds: low_snr's P*H and each link's first sub-channel, high_snr's
-    ln H (forbidden zero-gain cells as 0) and each link's sorted set, row r
-    standing for link r // quota. Floats are printed with 17 significant
-    digits so rates recomputed from the printed gains and powers reproduce
-    the printed rate.
+    holds: low_snr's P*H (its solve reads (P / max P)*H, the same
+    assignment problem scaled) and each link's first sub-channel,
+    high_snr's ln H (forbidden zero-gain cells as 0) and each link's
+    sorted set, row r standing for link r // quota. Floats are printed
+    with 17 significant digits so rates recomputed from the printed gains
+    and powers reproduce the printed rate.
     """
     chan = sample_realization(params, trial_rng(seed, 0))
     gains = chan.normalized_gains[None]

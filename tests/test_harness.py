@@ -218,10 +218,9 @@ class TestRunSweep:
         # Each strategy selects once per chunk of trials over the whole
         # budget grid; these 5 trials are one chunk.
         # high_snr makes one solve_capacitated call per trial at capacity
-        # q = 2 and nothing else. low_snr solves at capacity 1: budget 0 on
-        # its own (a zero budget scales nothing) and budget 0.1, the first
-        # positive uniform one; these draws certify 0.1's columns, so
-        # budget 10 reuses them unsolved: 2 capacity-1 solves per trial.
+        # q = 2 and nothing else. low_snr solves at capacity 1 once per
+        # distinct budget ratio: budget 0 (all-zero costs) and -H, which
+        # budgets 0.1 and 10 share: 2 capacity-1 solves per trial.
         # optimal's rate table for the chunk is one water_fill call (its
         # 5 * 3 * 2 * 6 sets of 2 fill one piece); optimal's and
         # max_select's powers are one call each per chunk. A passing chunk
@@ -630,10 +629,14 @@ class TestBudgetGridParsing:
         assert cli.parse_budget_grid("1:100:3log") == pytest.approx((1.0, 10.0, 100.0))
 
     def test_single_point(self):
+        # One point is LO: HI needs no order, only a finite value >= 0.
         assert cli.parse_budget_grid("5:9:1") == (5.0,)
+        assert cli.parse_budget_grid("1e308:1e308:1") == (1e308,)
+        assert cli.parse_budget_grid("1e-3:1e-3:1") == (1e-3,)
 
     @pytest.mark.parametrize(
-        "text", ["1:2", "a:2:3", "1:2:0", "3:2:4", "0:10:3log", "1:2:3:4"]
+        "text",
+        ["1:2", "a:2:3", "1:2:0", "3:2:4", "0:10:3log", "1:2:3:4", "1:inf:1", "1:nan:1", "1:-3:1"],
     )
     def test_rejects_bad_grids(self, text):
         with pytest.raises(ValidationError):
