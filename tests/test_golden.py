@@ -35,6 +35,18 @@ CASES = {
         0,
     ),
     "sweep_seed1_exit3": (["sweep", "--seed", "1"], 3),
+    # 300 trials: numpy's pairwise summation over the trial axis (unrolled
+    # above 8 values, blocked above 128).
+    "sweep_k2_n4_trials300_score_both": (
+        ["sweep", "--trials", "300", "--score", "both", *SHADOWED], 0
+    ),
+    # One trial: the std column's trials == 1 branch, at the shape of
+    # perfbench's `exact` workload.
+    "sweep_k4_n8_trials1": (
+        ["sweep", "--links", "4", "--subchannels", "8", "--bandwidth", "8",
+         "--trials", "1", *SHADOWED],
+        0,
+    ),
     # Budget 0 is a point whose low_snr assignment is solved on its own.
     "sweep_k4_n8_lin_budget0": (
         ["sweep", "--links", "4", "--subchannels", "8", "--bandwidth", "8",
