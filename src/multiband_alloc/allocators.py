@@ -36,11 +36,12 @@ regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
 C cells at once, as a sweep does for one strategy over every (trial,
 budget) cell of a chunk of trials: cell c reads its trial's gains from a
-(T, K, N) stack of realizations by index, never from a per-cell copy.
-`allocate` and `exact_sum_rate` are the one-cell case. Before scoring,
-`validate_allocations` checks the C cells in one array check over their
-(C, K, q) sets and (C, K, N) powers; only when a cell fails does it run
-the one-cell `validate_allocation` on each cell in turn, so the first
+(T, K, N) stack of realizations by index, never from a per-cell copy; the
+scores are a (C, K) array of link rates and (C,) totals. `allocate` and
+`exact_sum_rate` (row 0, as a `RateReport`) are the one-cell case. Before
+scoring, `validate_allocations` checks the C cells in one array check over
+their (C, K, q) sets and (C, K, N) powers; only when a cell fails does it
+run the one-cell `validate_allocation` on each cell in turn, so the first
 failing cell raises with that check's message.
 """
 
@@ -236,14 +237,14 @@ def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
     return sums
 
 
-def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray) -> list[RateReport]:
-    """Exact rates of C cells at once: cell c scores its K sets `sets[c]`,
-    each of the same size, with the K x N powers `powers[c]` of a (C, K, N)
-    array on the gains `gains[trials[c]]` of a (T, K, N) array, under the
+def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray):
+    """Exact (C, K) link rates and (C,) totals of C cells: cell c scores its
+    K equal-sized sets `sets[c]` with the powers `powers[c]` of a (C, K, N)
+    array on the gains `gains[trials[c]]` of a (T, K, N) stack, under the
     params `points[c]`. One `_link_sums` call sums every link over its set
-    in set order; link k's rate is (B/N) times its sum, and the total adds
-    links in index order, so every caller gets bit-identical scores for
-    equal allocations."""
+    in set order; a link's rate is (B/N) times its sum, and the totals add
+    the link columns from 0.0 in index order (`sum(axis=1)` regroups them
+    from K = 8 on), so every caller gets bit-identical scores."""
     sets = np.asarray(sets)
     cells, k_links, quota = sets.shape
     cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
@@ -251,23 +252,19 @@ def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray) -> list[
     with np.errstate(over="ignore"):
         snr = powers[cell, link, sets] * gains[trial, link, sets]
     budgets = [budget for params in points for budget in params.power_budgets]
-    sums = _link_sums(snr.ravel().tolist(), quota, budgets)
-    reports = []
-    for c, params in enumerate(points):
-        link_sums = sums[c * k_links : (c + 1) * k_links]
-        per_link = tuple(params.subchannel_bandwidth * s for s in link_sums)
-        total = 0.0
-        for rate in per_link:
-            total += rate
-        reports.append(RateReport(per_link, total))
-    return reports
+    sums = np.reshape(_link_sums(snr.ravel().tolist(), quota, budgets), (cells, k_links))
+    per_link = np.array([params.subchannel_bandwidth for params in points])[:, None] * sums
+    totals = np.zeros(cells)
+    for rates in per_link.T:
+        totals += rates
+    return per_link, totals
 
 
-def exact_sum_rates(points, gains: np.ndarray, trials, allocs) -> list[RateReport]:
+def exact_sum_rates(points, gains: np.ndarray, trials, allocs):
     """Score C allocations with the exact objective, allocation c under the
     params `points[c]` on the normalized gains `gains[trials[c]]` of a
     (T, K, N) stack of realizations: one `validate_allocations` call checks
-    them all first, then one `_score` call scores them."""
+    them all first, then `_score` returns their link rates and totals."""
     sets, powers = validate_allocations(points, allocs)
     return _score(points, gains, trials, sets, powers)
 
@@ -279,9 +276,10 @@ def exact_sum_rate(
 
     R_k = (B/N) * sum over assigned n of log2(1 + p_{k,n} * H_{k,n}); the
     report carries each link's rate and their total. The allocation is
-    validated first. This is `exact_sum_rates` for one allocation.
+    validated first. This is row 0 of `exact_sum_rates` for one allocation.
     """
-    return exact_sum_rates([params], chan.normalized_gains[None], [0], [alloc])[0]
+    per_link, totals = exact_sum_rates([params], chan.normalized_gains[None], [0], [alloc])
+    return RateReport(tuple(per_link[0].tolist()), totals.item())
 
 
 def linear_approx_rate(

@@ -228,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out(out_path: str | None) -> None:
     """Fail before any work runs if the output path is empty or a
-    directory, or the directory it names is missing or read-only."""
+    directory, or the path it lies in is not a writable directory."""
     if out_path is None:
         return
     if not out_path:
         raise ValidationError("cannot write --out: the path is empty")
     if os.path.isdir(out_path):
         raise ValidationError(f"cannot write --out {out_path}: it is a directory")
-    if not os.access(os.path.dirname(out_path) or ".", os.W_OK):
+    parent = os.path.dirname(out_path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise ValidationError(f"cannot write --out {out_path}: no writable directory")
 
 

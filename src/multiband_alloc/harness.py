@@ -10,12 +10,15 @@ runs each strategy once over all its (trial, budget) cells: one
 `allocators.STRATEGIES` selection call on the chunk's stack of gains
 returns every cell's sets, which are then powered in one
 `allocators.power_selections` call (one `water_fill` for the water-filled
-rules) and scored in one `allocators.exact_sum_rates` loop, after one array
-check of all the cells' invariants (`allocators.validate_allocations`).
+rules) and scored by one `allocators.exact_sum_rates` call into an array of
+totals, after one array check of all the cells' invariants
+(`allocators.validate_allocations`).
 A selection that fails raises its first failing trial's error. If any
 cell fails, the chunk's trials are replayed cell by cell, in trial order,
 budget-major then in strategy order, so the sweep raises the error of the
-first failing cell.
+first failing cell. `run_sweep` reduces the sweep's (B, S, T) rates over
+their trial axis once per statistic but the median, which
+`statistics.median` takes row by row.
 
 An instance dump takes one selection from `allocators.STRATEGIES` and
 renders the two Hungarian strategies' solved matrix and assignment from
@@ -178,7 +181,7 @@ def _strategy_pass(config: SweepConfig, strategy: str, points, chans, gains):
     allocs = power_selections(
         strategy, cell_points, gains, cell_trials, selections, config.max_select_power_rule
     )
-    exact = [report.total_rate for report in exact_sum_rates(cell_points, gains, cell_trials, allocs)]
+    _, exact = exact_sum_rates(cell_points, gains, cell_trials, allocs)
     if config.score_mode != "both" or strategy not in APPROX_RATES:
         return exact, None
     rate = APPROX_RATES[strategy]
@@ -245,34 +248,31 @@ def collect_rates(config: SweepConfig) -> SweepSamples:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Aggregate a sweep into rows, budget-major then strategy order."""
     samples = collect_rates(config)
-    has_optimal = allocators.OPTIMAL in config.strategies
-    opt_idx = config.strategies.index(allocators.OPTIMAL) if has_optimal else -1
-    rows = []
-    for bi, budget in enumerate(config.budget_grid):
-        opt_rates = samples.exact[bi, opt_idx] if has_optimal else None
-        for si, strategy in enumerate(config.strategies):
-            rates = samples.exact[bi, si]
-            gap = None
-            if has_optimal:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gaps = np.where(opt_rates > 0, (opt_rates - rates) / opt_rates, 0.0)
-                gap = float(gaps.mean())
-            approx = None
-            if samples.approx is not None and strategy in APPROX_RATES:
-                approx = float(samples.approx[bi, si].mean())
-            rows.append(
-                SweepRow(
-                    budget=budget,
-                    strategy=strategy,
-                    trials=config.trials,
-                    mean_rate=float(rates.mean()),
-                    std_rate=float(rates.std(ddof=1)) if config.trials > 1 else 0.0,
-                    median_rate=statistics.median(rates.tolist()),
-                    mean_gap_vs_optimal=gap,
-                    mean_approx_rate=approx,
-                )
-            )
-    return rows
+    exact = samples.exact
+    means = exact.mean(axis=2).tolist()
+    stds = (exact.std(axis=2, ddof=1) if config.trials > 1 else np.zeros(exact.shape[:2])).tolist()
+    gaps = approx = None
+    if allocators.OPTIMAL in config.strategies:
+        opt = exact[:, [config.strategies.index(allocators.OPTIMAL)]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = np.where(opt > 0, (opt - exact) / opt, 0.0).mean(axis=2).tolist()
+    if samples.approx is not None:
+        approx = samples.approx.mean(axis=2).tolist()
+    rates = exact.tolist()
+    return [
+        SweepRow(
+            budget=budget,
+            strategy=strategy,
+            trials=config.trials,
+            mean_rate=means[bi][si],
+            std_rate=stds[bi][si],
+            median_rate=statistics.median(rates[bi][si]),
+            mean_gap_vs_optimal=gaps[bi][si] if gaps else None,
+            mean_approx_rate=approx[bi][si] if approx and strategy in APPROX_RATES else None,
+        )
+        for bi, budget in enumerate(config.budget_grid)
+        for si, strategy in enumerate(config.strategies)
+    ]
 
 
 def _fmt(x: float | None) -> str:

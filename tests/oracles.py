@@ -275,7 +275,8 @@ def optimal_by_enumeration(params, chan) -> Allocation:
     best_rate, best = -math.inf, None
     for cand in enumerate_partitions(params.num_subchannels, params.num_links):
         powers = _water_filled_by_set(params, h, cand)
-        rate = _score([params], h[None], [0], [cand], powers[None])[0].total_rate
+        _, totals = _score([params], h[None], [0], [cand], powers[None])
+        rate = totals[0]
         if rate > best_rate:
             best_rate, best = rate, (cand, powers)
     return Allocation(*best, OPTIMAL)

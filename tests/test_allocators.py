@@ -397,6 +397,48 @@ class TestExactSumRate:
         assert all(r >= 0 for r in report.per_link_rate)
 
 
+# K = 8 (`wide`) is the first K at which numpy's `sum(axis=1)` over a row of
+# link rates can differ from adding the links one at a time.
+SCORE_DIMS = [(2, 4), (3, 7), (4, 8), (8, 32), (9, 20)]
+
+
+class TestArrayScorer:
+    """`exact_sum_rates` scores many cells, each on its own trial's gains,
+    bit for bit as each cell alone and as the per-link formula in set and
+    link order."""
+
+    @pytest.mark.parametrize("num_links,num_subchannels", SCORE_DIMS)
+    def test_cells_score_as_alone(self, num_links, num_subchannels):
+        rng = np.random.default_rng([53, num_links, num_subchannels])
+        for _ in range(5):
+            points, cells = random_batch(rng, num_links, num_subchannels)
+            points = [
+                replace(params, total_bandwidth=float(rng.uniform(0.5, 50.0) * num_subchannels))
+                for params in points
+            ]
+            chans = [sample_realization(points[0], trial_rng(53, t)) for t in range(3)]
+            gains = np.stack([chan.normalized_gains for chan in chans])
+            trials = rng.integers(len(chans), size=len(points)).tolist()
+            allocs = make_allocs(cells)
+            per_link, totals = allocators.exact_sum_rates(points, gains, trials, allocs)
+            assert per_link.shape == (len(points), num_links)
+            assert totals.shape == (len(points),)
+            for c, (params, alloc) in enumerate(zip(points, allocs)):
+                h = gains[trials[c]]
+                expected = []
+                for k, subset in enumerate(alloc.subchannels_of_link):
+                    link_sum = 0.0
+                    for n in subset:
+                        link_sum += math.log1p(alloc.powers[k, n] * h[k, n]) / math.log(2.0)
+                    expected.append(params.subchannel_bandwidth * link_sum)
+                fold = 0.0
+                for rate in expected:
+                    fold += rate
+                report = exact_sum_rate(params, chans[trials[c]], alloc)
+                assert per_link[c].tolist() == expected == list(report.per_link_rate)
+                assert totals[c] == fold == report.total_rate
+
+
 class TestLowSnr:
     def test_hand_traced_example(self):
         params = unit_params()

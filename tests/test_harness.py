@@ -770,9 +770,12 @@ class TestCliMain:
             raise AssertionError(f"{stage} ran before --out was checked")
 
         monkeypatch.setattr(harness, stage, must_not_run)
-        # A missing directory, a path that names an existing directory, and
-        # an empty path (whose dirname "" would read as the writable ".").
-        for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
+        not_a_directory = tmp_path / "bad.cfg"
+        not_a_directory.write_text("trials = 5\n")
+        # A missing directory, a path that names an existing directory, an
+        # empty path (whose dirname "" would read as the writable "."), and
+        # a path under a regular file, which is writable but no directory.
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, "", not_a_directory / "x"):
             assert cli.main([*command, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
