@@ -11,34 +11,35 @@ splits each link's budget over its set:
 - max_select: greedy strongest-gain walk, then `water_fill` or `equal_split`.
 
 The table `STRATEGIES` says this once: for each tag it names the selection
-and the power rule. A selection runs over a chunk of trials and a budget
-grid at once, as a function (points, gains, partition_guard) of the
-budget points and the chunk's (T, K, N) gain stack, and returns one
-list of K sets per (trial, point) cell, trial-major: `high_snr` and
-`max_select` read each trial's channel alone and repeat one result per
-point; `low_snr` checks every cell's P*H for overflow in one multiply and
-solves one assignment per trial and distinct budget ratio, since scaling
-all budgets by one factor leaves the best assignment unchanged
-(`_low_snr_sets`); `high_snr` solves one capacity-q assignment per trial
-and takes its sets (`_high_snr_sets`); and `optimal` water-fills one rate
-table for every cell of the chunk, in bounded pieces, and searches each
-cell's partitions. Both Hungarian selections solve with the one
+and the power rule. A selection (params, budgets, gains, partition_guard)
+runs over one params (K, N, the quota and B/N), a (B, K) budget grid and
+a chunk's (T, K, N) gain stack, and returns one list of K sets per
+(trial, point) cell, trial-major: `high_snr` and `max_select` read each
+trial's channel alone and repeat one result per point; `low_snr` checks
+every cell's P*H for overflow in one multiply and solves one assignment
+per trial and distinct budget ratio, since scaling all budgets by one
+factor leaves the best assignment unchanged (`_low_snr_sets`); `high_snr`
+solves one capacity-q assignment per trial and takes its sets
+(`_high_snr_sets`); and `optimal` water-fills one rate table for every
+cell of the chunk, in bounded pieces, and searches each cell's
+partitions. Both Hungarian selections solve with the one
 augmenting-path loop, `assignment.solve_capacitated`, on lists of costs:
 `low_snr` at capacity 1 on -(P / max P)*H, `high_snr` at capacity q on
 -ln H.
 `allocate(tag, params, chan)` is the one entry point that runs a strategy
-on one instance: it dispatches through the table on a one-point grid of
-one trial. The low_snr selection lists each link's assigned sub-channel
-first, which is where `concentrate` puts the budget and what an instance
-dump prints as its assignment.
+on one instance: it dispatches through the table on the one-point grid
+`[params.power_budgets]` of one trial. The low_snr selection lists each
+link's assigned sub-channel first, which is where `concentrate` puts the
+budget and what an instance dump prints as its assignment.
 All strategies are scored with the same exact sum-rate formula; their
 regime approximations only drive the selections.
 `power_selections` and `exact_sum_rates` power and score the selections of
 C cells at once, as a sweep does for one strategy over every (trial,
-budget) cell of a chunk of trials: cell c reads its trial's gains from a
-(T, K, N) stack of realizations by index, never from a per-cell copy; the
-scores are a (C, K) array of link rates and (C,) totals. `allocate` and
-`exact_sum_rate` (row 0, as a `RateReport`) are the one-cell case. Before
+budget) cell of a chunk of trials: cell c reads row c of (C, K) budgets
+and its trial's gains from a (T, K, N) stack by index, never from a
+per-cell copy; the scores are a (C, K) array of link rates and (C,)
+totals. `allocate` and `exact_sum_rate` (row 0, as a `RateReport`) are
+the one-cell case. Before
 scoring, `validate_allocations` checks the C cells in one array check over
 their (C, K, q) sets and (C, K, N) powers; only when a cell fails does it
 run the one-cell `validate_allocation` on each cell in turn, so the first
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -175,10 +176,10 @@ def validate_allocation(params: ChannelParams, alloc: Allocation) -> None:
             raise ValidationError(f"link {k}: power sum {total!r} exceeds budget {budget!r}")
 
 
-def validate_allocations(points, allocs) -> tuple[np.ndarray, np.ndarray]:
-    """Check C allocations at once, allocation c under the params
-    `points[c]`, for every invariant `validate_allocation` checks, and
-    return their (C, K, q) sets and (C, K, N) powers as arrays.
+def validate_allocations(params: ChannelParams, budgets, allocs) -> tuple[np.ndarray, np.ndarray]:
+    """Check C allocations at once, allocation c under `params` at the
+    budgets `budgets[c]`, for every invariant `validate_allocation` checks,
+    and return their (C, K, q) sets and (C, K, N) powers as arrays.
 
     One array check covers all cells (`_cells_pass`). If any cell fails
     it, every cell goes through `validate_allocation` in order, so the
@@ -189,23 +190,21 @@ def validate_allocations(points, allocs) -> tuple[np.ndarray, np.ndarray]:
         powers = np.stack([alloc.powers for alloc in allocs])
     except ValueError:  # ragged sets, or powers of more than one shape
         sets = powers = None
-    if sets is None or not _cells_pass(points, sets, powers):
-        for params, alloc in zip(points, allocs):
-            validate_allocation(params, alloc)
+    if sets is None or not _cells_pass(params, budgets, sets, powers):
+        for row, alloc in zip(budgets.tolist(), allocs):
+            validate_allocation(replace(params, power_budgets=row), alloc)
     return sets, powers
 
 
-def _cells_pass(points, sets: np.ndarray, powers: np.ndarray) -> bool:
+def _cells_pass(params: ChannelParams, budgets, sets: np.ndarray, powers: np.ndarray) -> bool:
     """True if every cell c, with sets `sets[c]` and powers `powers[c]`,
-    passes `validate_allocation` under `points[c]`: set count and quota,
-    index range, sub-channels disjoint across links, power shape, finite
-    and non-negative powers, none outside the sets, and each link's sum,
-    the same `powers[k].sum()` float, within the same slack of its budget.
-    Every cell must share the first cell's K and N."""
-    cells = len(points)
-    k_links, n_sub = points[0].num_links, points[0].num_subchannels
-    if {(params.num_links, params.num_subchannels) for params in points} != {(k_links, n_sub)}:
-        return False
+    passes `validate_allocation` under `params` with the budgets
+    `budgets[c]`: set count and quota, index range, sub-channels disjoint
+    across links, power shape, finite and non-negative powers, none outside
+    the sets, and each link's sum, the same `powers[k].sum()` float, within
+    the same slack of its budget."""
+    cells = len(budgets)
+    k_links, n_sub = params.num_links, params.num_subchannels
     if sets.shape != (cells, k_links, n_sub // k_links) or powers.shape != (cells, k_links, n_sub):
         return False
     if not ((sets >= 0) & (sets < n_sub)).all():
@@ -217,7 +216,6 @@ def _cells_pass(points, sets: np.ndarray, powers: np.ndarray) -> bool:
         return False
     if not np.isfinite(powers).all() or (powers < 0).any() or powers.any(where=~assigned):
         return False
-    budgets = np.array([params.power_budgets for params in points])
     return not (powers.sum(axis=2) > budgets + _BUDGET_SLACK * np.maximum(1.0, budgets)).any()
 
 
@@ -237,36 +235,35 @@ def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
     return sums
 
 
-def _score(points, gains: np.ndarray, trials, sets, powers: np.ndarray):
+def _score(params: ChannelParams, budgets, gains: np.ndarray, trials, sets, powers: np.ndarray):
     """Exact (C, K) link rates and (C,) totals of C cells: cell c scores its
     K equal-sized sets `sets[c]` with the powers `powers[c]` of a (C, K, N)
-    array on the gains `gains[trials[c]]` of a (T, K, N) stack, under the
-    params `points[c]`. One `_link_sums` call sums every link over its set
-    in set order; a link's rate is (B/N) times its sum, and the totals add
-    the link columns from 0.0 in index order (`sum(axis=1)` regroups them
-    from K = 8 on), so every caller gets bit-identical scores."""
+    array on the gains `gains[trials[c]]` of a (T, K, N) stack, at the
+    budgets `budgets[c]`. One `_link_sums` call sums every link over its
+    set in set order; a link's rate is (B/N) times its sum, and the totals
+    add the link columns from 0.0 in index order (`sum(axis=1)` regroups
+    them from K = 8 on), so every caller gets bit-identical scores."""
     sets = np.asarray(sets)
     cells, k_links, quota = sets.shape
     cell, link = np.arange(cells)[:, None, None], np.arange(k_links)[None, :, None]
     trial = np.asarray(trials)[:, None, None]
     with np.errstate(over="ignore"):
         snr = powers[cell, link, sets] * gains[trial, link, sets]
-    budgets = [budget for params in points for budget in params.power_budgets]
-    sums = np.reshape(_link_sums(snr.ravel().tolist(), quota, budgets), (cells, k_links))
-    per_link = np.array([params.subchannel_bandwidth for params in points])[:, None] * sums
+    sums = np.reshape(_link_sums(snr.ravel().tolist(), quota, budgets.ravel()), (cells, k_links))
+    per_link = params.subchannel_bandwidth * sums
     totals = np.zeros(cells)
     for rates in per_link.T:
         totals += rates
     return per_link, totals
 
 
-def exact_sum_rates(points, gains: np.ndarray, trials, allocs):
-    """Score C allocations with the exact objective, allocation c under the
-    params `points[c]` on the normalized gains `gains[trials[c]]` of a
+def exact_sum_rates(params: ChannelParams, budgets, gains: np.ndarray, trials, allocs):
+    """Score C allocations with the exact objective, allocation c at the
+    budgets `budgets[c]` on the normalized gains `gains[trials[c]]` of a
     (T, K, N) stack of realizations: one `validate_allocations` call checks
     them all first, then `_score` returns their link rates and totals."""
-    sets, powers = validate_allocations(points, allocs)
-    return _score(points, gains, trials, sets, powers)
+    sets, powers = validate_allocations(params, budgets, allocs)
+    return _score(params, budgets, gains, trials, sets, powers)
 
 
 def exact_sum_rate(
@@ -278,7 +275,8 @@ def exact_sum_rate(
     report carries each link's rate and their total. The allocation is
     validated first. This is row 0 of `exact_sum_rates` for one allocation.
     """
-    per_link, totals = exact_sum_rates([params], chan.normalized_gains[None], [0], [alloc])
+    gains, budgets = chan.normalized_gains[None], np.array([params.power_budgets])
+    per_link, totals = exact_sum_rates(params, budgets, gains, [0], [alloc])
     return RateReport(tuple(per_link[0].tolist()), totals.item())
 
 
@@ -338,23 +336,6 @@ def _apply_power(
     return powers
 
 
-def _low_snr_values(points, gains: np.ndarray) -> np.ndarray:
-    """The read-only (T, B, K, N) P*H values of every point of a budget
-    grid on every trial of a (T, K, N) stack of gains, from one multiply;
-    the first (trial, point) with an overflowing product raises."""
-    budgets = np.array([params.power_budgets for params in points])[:, :, None]
-    with np.errstate(over="ignore"):
-        values = budgets * gains[:, None]
-    overflows = np.isinf(values).any(axis=(2, 3))
-    if overflows.any():
-        params = points[int(np.argmax(overflows)) % len(points)]
-        raise ValidationError(
-            f"power budget {max(params.power_budgets):g} W times a normalized gain overflows"
-        )
-    values.setflags(write=False)
-    return values
-
-
 def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
     """high_snr's costs -ln H as lists for `solve_capacitated`, +inf on
     zero gains. ln is `math.log` over `h.tolist()`, so its bits do not
@@ -362,7 +343,7 @@ def _high_snr_costs(h: np.ndarray) -> list[list[float]]:
     return [[-math.log(g) if g > 0 else math.inf for g in row] for row in h.tolist()]
 
 
-def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
+def _low_snr_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
     """At each point, one sub-channel per link from the assignment
     maximizing the sum of P_k * H over links, listed first in its set. The
     remaining quota slots are padded round-robin over links in index order,
@@ -376,14 +357,20 @@ def _low_snr_sets(points, gains: np.ndarray, partition_guard: int):
     padding: a grid of uniform budgets solves -H once per trial, plus once
     for budget 0. Where two assignments' P*H sums tie to within rounding,
     the columns may differ from those of a solve of -P*H itself. The P*H
-    overflow check runs first, over every (trial, point) in one multiply.
+    overflow check runs first, over every (trial, point) in one multiply
+    of the budgets by each link's largest gain: rounding is monotone, so
+    that overflows exactly where some P_k * H does.
     """
-    quota = points[0].quota
-    _low_snr_values(points, gains)
+    quota = params.quota
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(budgets * gains.max(axis=2)[:, None]).any(axis=2)
+    if overflows.any():
+        top = budgets[int(np.argmax(overflows)) % len(budgets)].max()
+        raise ValidationError(f"power budget {top:g} W times a normalized gain overflows")
     ratios = []
-    for params in points:
-        top = max(params.power_budgets)
-        ratios.append(tuple(p / top if top > 0 else 0.0 for p in params.power_budgets))
+    for row in budgets.tolist():
+        top = max(row)
+        ratios.append(tuple(p / top if top > 0 else 0.0 for p in row))
     scales = {ratio: np.array(ratio)[:, None] for ratio in ratios}
     selections = []
     for h in gains:
@@ -423,7 +410,7 @@ def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> lis
     return sets
 
 
-def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
+def _high_snr_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
     """Each link's quota of sub-channels, sorted, from the assignment on
     ln H that gives every link quota distinct ones with the largest sum;
     zero-gain cells are forbidden. The channel alone decides it, so every
@@ -436,7 +423,7 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
     give with probability zero), the sets are whichever optimum that solve
     reaches, pinned by `tests/golden/assignment_capacity_columns.txt`.
     """
-    quota = points[0].quota
+    quota = params.quota
     selections = []
     for h, usable_counts in zip(gains, (gains > 0).sum(axis=2).tolist()):
         short = [k for k, count in enumerate(usable_counts) if count < quota]
@@ -446,7 +433,7 @@ def _high_snr_sets(points, gains: np.ndarray, partition_guard: int):
                 f"link {k} has only {usable_counts[k]} usable sub-channels; quota is {quota}"
             )
         owner, _, _ = solve_capacitated(_high_snr_costs(h), quota)
-        selections += [_owned_sets(owner, len(h))] * len(points)
+        selections += [_owned_sets(owner, len(h))] * len(budgets)
     return selections
 
 
@@ -454,6 +441,15 @@ def partition_count(num_subchannels: int, num_links: int) -> int:
     """Number of ordered partitions into quota-sized disjoint link sets."""
     quota = num_subchannels // num_links
     return math.prod(math.comb(num_subchannels - k * quota, quota) for k in range(num_links))
+
+
+def count_text(count: int) -> str:
+    """A count in decimal or, when it has too many digits for `str`, a true
+    lower bound: count >= 2^(bits - 1) and 0.301029995 < log10(2)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"more than 10^{(count.bit_length() - 1) * 301029995 // 10**9}"
 
 
 @lru_cache(maxsize=8)
@@ -489,10 +485,11 @@ def _partition_levels(num_subchannels: int, num_links: int):
     return subsets, columns, tuple(picks)
 
 
-def _rate_tables(points, gains: np.ndarray, columns: np.ndarray):
+def _rate_tables(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray):
     """Each trial's (B, K, C) water-filled link rates, in trial order, for
     a (T, K, N) stack of gains: entry [b, k, i] is link k's rate on the
-    quota set `columns[i]` at the budgets of `points[b]`, the same float
+    quota set `columns[i]` at the budget `budgets[b, k]` of a (B, K)
+    array, the same float
     the scorer gives that link in every partition that hands it that set.
     The chunk's T * B * K * C sets form one table, water-filled in pieces
     of at most `_TABLE_CHUNK` elements (one set if a set is larger), each
@@ -502,12 +499,12 @@ def _rate_tables(points, gains: np.ndarray, columns: np.ndarray):
     held at once."""
     trials, k_links, n_sub = gains.shape
     n_sets, quota = columns.shape
-    budgets = np.array([params.power_budgets for params in points]).ravel()  # b * K + k
+    table_shape = (-1, *budgets.shape, n_sets)
+    budgets = budgets.ravel()  # b * K + k
     per_trial = budgets.size * n_sets
     rows = trials * per_trial
     step = max(1, _TABLE_CHUNK // quota)
     links = gains.reshape(-1, n_sub)  # row t * K + k
-    bandwidths = np.array([params.subchannel_bandwidth for params in points])[:, None, None]
     sums: list[float] = []
     for start in range(0, rows, step):
         row = np.arange(start, min(start + step, rows))
@@ -520,11 +517,11 @@ def _rate_tables(points, gains: np.ndarray, columns: np.ndarray):
         sums += _link_sums(snr.ravel().tolist(), quota, link_budgets)
         done = len(sums) // per_trial * per_trial
         if done:
-            yield from bandwidths * np.array(sums[:done]).reshape(-1, len(points), k_links, n_sets)
+            yield from params.subchannel_bandwidth * np.array(sums[:done]).reshape(table_shape)
             del sums[:done]
 
 
-def _optimal_sets(points, gains: np.ndarray, partition_guard: int):
+def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
     """At each point, the partition with the best water-filled rate:
     exhaustive search over K * C(N, floor(N/K)) link rates from one rate
     table for every point of every trial of a (T, K, N) stack of gains.
@@ -533,17 +530,16 @@ def _optimal_sets(points, gains: np.ndarray, partition_guard: int):
     (trial, point) over `_partition_levels`, cached per (N, K); the
     structure and the fold each hold about one integer or float per
     partition."""
-    n_sub = points[0].num_subchannels
-    k_links = points[0].num_links
+    n_sub, k_links = params.num_subchannels, params.num_links
     count = partition_count(n_sub, k_links)
     if count > partition_guard:
         raise GuardError(
-            f"instance too large: {count} candidate partitions exceed the guard "
+            f"instance too large: {count_text(count)} candidate partitions exceed the guard "
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
     selections = []
-    for table in _rate_tables(points, gains, columns):
+    for table in _rate_tables(params, budgets, gains, columns):
         for rates in table:
             # Partition totals add the link rates in index order, as the
             # scorer does, with partitions in enumeration order; argmax
@@ -560,14 +556,14 @@ def _optimal_sets(points, gains: np.ndarray, partition_guard: int):
     return selections
 
 
-def _max_select_sets(points, gains: np.ndarray, partition_guard: int):
+def _max_select_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
     """Greedy walk: repeatedly hand the globally strongest remaining gain to
     its link until every quota is filled. Only links with unfilled quota
     and still-unassigned sub-channels compete; ties break toward the lowest
     (link, sub-channel) pair. The channel alone decides it, so every point
     of a trial gets the same selection."""
     trials, k_links, n_sub = gains.shape
-    quota = points[0].quota
+    quota = params.quota
     # Stable argsort of each trial's flattened gains keeps ties in (link,
     # sub-channel) order, which makes the walk identical to repeated
     # global argmax.
@@ -585,7 +581,7 @@ def _max_select_sets(points, gains: np.ndarray, partition_guard: int):
                 unfilled -= 1
                 if unfilled == 0:
                     break
-        selections += [sets] * len(points)
+        selections += [sets] * len(budgets)
     return selections
 
 
@@ -593,12 +589,13 @@ def _max_select_sets(points, gains: np.ndarray, partition_guard: int):
 class Strategy:
     """One entry of `STRATEGIES`.
 
-    `select(points, gains, partition_guard)` takes a budget grid, a list of
-    params that differ only in their budgets, and the (T, K, N) normalized
-    gains of T trials, and returns one list of K sets per (trial, point)
-    cell, trial-major: cell t * B + b equals what it returns for point b
-    alone on trial t alone. If a trial fails, it raises the error of the
-    first failing trial, as that trial alone would. Only `optimal` reads
+    `select(params, budgets, gains, partition_guard)` takes one params
+    (K, N, the quota and B/N), a budget grid as a (B, K) array, one row of
+    link budgets per point, and the (T, K, N) normalized gains of T trials,
+    and returns one list of K sets per (trial, point) cell, trial-major:
+    cell t * B + b equals what it returns for row b alone on trial t alone.
+    If a trial fails, it raises the error of the first failing trial, as
+    that trial alone would. Only `optimal` reads
     the guard, before any other work. `power_rule` is None where the
     caller names the rule (max_select).
     """
@@ -635,30 +632,31 @@ def allocate(
     partition_guard: int = DEFAULT_PARTITION_GUARD,
     max_select_power_rule: str = DEFAULT_MAX_SELECT_POWER_RULE,
 ) -> Allocation:
-    """Run one strategy on one instance: `_selection` picks its sets and
-    `power_selections` powers them by the strategy's rule. Only `optimal`
-    reads `partition_guard` and only `max_select` uses
+    """Run one strategy on one instance: its selection picks the sets and
+    `power_selections` powers them by the strategy's rule (`_one_cell`).
+    Only `optimal` reads `partition_guard` and only `max_select` uses
     `max_select_power_rule`, but a bad guard or rule is rejected for every
     tag."""
-    sets = _selection(strategy, params, chan, partition_guard, max_select_power_rule)
-    gains = chan.normalized_gains[None]
-    return power_selections(strategy, [params], gains, [0], [sets], max_select_power_rule)[0]
+    return _one_cell(strategy, params, chan, partition_guard, max_select_power_rule)[1]
 
 
-def _selection(strategy, params, chan, partition_guard, max_select_power_rule) -> list:
-    """One instance's K sets, in selection order: the tag's `STRATEGIES`
-    selection on a one-point grid of one trial, after rejecting an unknown
-    tag, a guard below 1 or an unknown max_select power rule."""
+def _one_cell(strategy, params, chan, partition_guard, max_select_power_rule):
+    """One instance's K sets, in selection order, and its `Allocation`, on
+    the one-point grid `[params.power_budgets]` of one trial, after
+    rejecting an unknown tag, a guard below 1 or an unknown max_select
+    power rule."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_ORDER}")
     check_partition_guard(partition_guard)
     check_power_rule(max_select_power_rule)
-    return STRATEGIES[strategy].select([params], chan.normalized_gains[None], partition_guard)[0]
+    gains, budgets = chan.normalized_gains[None], np.array([params.power_budgets])
+    sets = STRATEGIES[strategy].select(params, budgets, gains, partition_guard)[0]
+    return sets, power_selections(strategy, budgets, gains, [0], [sets], max_select_power_rule)[0]
 
 
 def power_selections(
     strategy: str,
-    points,
+    budgets: np.ndarray,
     gains: np.ndarray,
     trials,
     selections,
@@ -666,11 +664,10 @@ def power_selections(
 ) -> list[Allocation]:
     """Power C selections of one strategy, each a list of K sets, by its
     rule: one `_apply_power` call for all of them, selection c at the
-    budgets of the params `points[c]` on the gains `gains[trials[c]]` of a
-    (T, K, N) stack of realizations; then package each cell's sets,
+    budgets `budgets[c]` of a (C, K) array on the gains `gains[trials[c]]`
+    of a (T, K, N) stack of realizations; then package each cell's sets,
     sorted."""
     rule = STRATEGIES[strategy].power_rule or max_select_power_rule
-    budgets = np.array([params.power_budgets for params in points])
     powers = _apply_power(rule, gains, trials, np.array(selections), budgets)
     return [
         Allocation(map(sorted, cell_sets), cell_powers, strategy)

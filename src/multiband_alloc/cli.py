@@ -71,6 +71,9 @@ FLAGS = {
     "maxsel_power": Flag((SWEEP, DUMP), str, DEFAULT_MAX_SELECT_POWER_RULE, "max_select power rule", POWER_RULES),
 }
 SWEEP_FLAGS = {name: flag for name, flag in FLAGS.items() if SWEEP in flag.commands}
+# Most points a budget grid may have: far more than any sweep needs, and far
+# less than a grid whose array alone would take gigabytes.
+MAX_GRID_POINTS = 10**6
 
 
 def parse_budget_grid(text: str) -> tuple[float, ...]:
@@ -93,6 +96,8 @@ def parse_budget_grid(text: str) -> tuple[float, ...]:
         raise ValidationError(f"bad budget grid {text!r}: {err}") from None
     if points < 1:
         raise ValidationError("budget grid needs at least one point")
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"budget grid has {points} points; at most {MAX_GRID_POINTS} allowed")
     # Before the one-point shortcut and the order check: NaN and inf
     # endpoints are neither skipped nor out of order.
     if not all(0.0 <= b < np.inf for b in (lo, hi)):

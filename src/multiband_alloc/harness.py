@@ -2,15 +2,16 @@
 
 A sweep evaluates every enabled strategy on the SAME seeded realizations at
 each budget point (paired comparison); aggregates land in a schema-stable,
-byte-deterministic CSV. The budget points are built once per sweep, and
-the trials run in contiguous chunks, each bounded by
-`allocators._TABLE_CHUNK` elements of trials x budgets x K x N. A chunk
-samples each trial's realization from its own (seed, trial) stream and
-runs each strategy once over all its (trial, budget) cells: one
-`allocators.STRATEGIES` selection call on the chunk's stack of gains
-returns every cell's sets, which are then powered in one
-`allocators.power_selections` call (one `water_fill` for the water-filled
-rules) and scored by one `allocators.exact_sum_rates` call into an array of
+byte-deterministic CSV. One `ChannelParams` supplies K, N, the quota and
+B/N; the budget grid is one (B, K) array of link budgets. The trials run
+in contiguous chunks, each bounded by `allocators._TABLE_CHUNK` elements
+of trials x budgets x K x N. A chunk samples each trial's realization
+from its own (seed, trial) stream and runs each strategy once over all
+its (trial, budget) cells: one `allocators.STRATEGIES` selection call on
+the grid and the chunk's stack of gains returns every cell's sets, which
+are then powered in one `allocators.power_selections` call (one
+`water_fill` for the water-filled rules) at the grid tiled once per trial
+and scored by one `allocators.exact_sum_rates` call into an array of
 totals, after one array check of all the cells' invariants
 (`allocators.validate_allocations`).
 A selection that fails raises its first failing trial's error. If any
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,10 +72,11 @@ BENCH_METHODS = ("hungarian", "optimal", "max_select")
 class SweepConfig:
     """One sum-rate-versus-budget experiment.
 
-    `budget_grid` budgets are applied uniformly to every link; realizations
-    depend only on (seed, trial), so all budget points and strategies share
-    them. `score_mode` "both" adds each regime strategy's own approximate
-    objective as an extra CSV column.
+    Each `budget_grid` budget is applied uniformly to every link, and a
+    sweep never reads `channel_params.power_budgets` (the CLI passes a
+    placeholder 1.0). Realizations depend only on (seed, trial), so all
+    budget points and strategies share them. `score_mode` "both" adds each
+    regime strategy's own approximate objective as an extra CSV column.
     """
 
     channel_params: ChannelParams
@@ -146,15 +148,16 @@ class SweepSamples:
 def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact and approximate rates of a chunk, a range of trials, as
     (B, S, T) arrays, T the chunk's trial count."""
-    (config, points), trials = args
-    n_b, n_s, n_t = len(points), len(config.strategies), len(trials)
+    config, trials = args
+    budgets = np.outer(config.budget_grid, np.ones(config.channel_params.num_links))
+    n_b, n_s, n_t = len(budgets), len(config.strategies), len(trials)
     exact = np.zeros((n_b, n_s, n_t))
     approx = np.full((n_b, n_s, n_t), np.nan) if config.score_mode == "both" else None
     try:
         chans = [sample_realization(config.channel_params, trial_rng(config.seed, t)) for t in trials]
         gains = np.stack([chan.normalized_gains for chan in chans])
         for si, strategy in enumerate(config.strategies):
-            cell_exact, cell_approx = _strategy_pass(config, strategy, points, chans, gains)
+            cell_exact, cell_approx = _strategy_pass(config, strategy, budgets, chans, gains)
             exact[:, si] = np.reshape(cell_exact, (n_t, n_b)).T
             if cell_approx is not None:
                 approx[:, si] = np.reshape(cell_approx, (n_t, n_b)).T
@@ -162,37 +165,40 @@ def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
         # The pass samples every trial of the chunk first and then runs
         # strategy-major, so the error it met need not be the first in the
         # per-cell order; the replay raises that one.
-        _replay_cells(config, points, trials)
+        _replay_cells(config, budgets, trials)
         raise
     return exact, approx
 
 
-def _strategy_pass(config: SweepConfig, strategy: str, points, chans, gains):
+def _strategy_pass(config: SweepConfig, strategy: str, budgets: np.ndarray, chans, gains):
     """One strategy's exact rates, and its approximate ones if the score
     mode is "both" and it has one (else None), on every cell of a chunk:
-    cell c is trial c // B at budget c % B. One selection call over the
-    chunk's (T, K, N) `gains` selects every cell, then one
-    `power_selections` call powers them and one `exact_sum_rates` call
-    validates them in one array check and scores them. Its per-cell
-    objects are freed on return, before the next strategy's pass."""
-    selections = STRATEGIES[strategy].select(points, gains, config.partition_guard)
-    cell_points = points * len(chans)
-    cell_trials = np.repeat(np.arange(len(chans)), len(points))
+    cell c is trial c // B at the budgets `budgets[c % B]`. One selection
+    call over the (B, K) grid and the chunk's (T, K, N) `gains` selects
+    every cell, then one `power_selections` call powers them and one
+    `exact_sum_rates` call validates them in one array check and scores
+    them. Its per-cell objects are freed on return, before the next
+    strategy's pass."""
+    params = config.channel_params
+    selections = STRATEGIES[strategy].select(params, budgets, gains, config.partition_guard)
+    cell_budgets = np.tile(budgets, (len(chans), 1))
+    cell_trials = np.repeat(np.arange(len(chans)), len(budgets))
     allocs = power_selections(
-        strategy, cell_points, gains, cell_trials, selections, config.max_select_power_rule
+        strategy, cell_budgets, gains, cell_trials, selections, config.max_select_power_rule
     )
-    _, exact = exact_sum_rates(cell_points, gains, cell_trials, allocs)
+    _, exact = exact_sum_rates(params, cell_budgets, gains, cell_trials, allocs)
     if config.score_mode != "both" or strategy not in APPROX_RATES:
         return exact, None
     rate = APPROX_RATES[strategy]
-    return exact, [rate(p, chans[t], a) for p, t, a in zip(cell_points, cell_trials, allocs)]
+    return exact, [rate(params, chans[t], a) for t, a in zip(cell_trials, allocs)]
 
 
-def _replay_cells(config: SweepConfig, points, trials) -> None:
+def _replay_cells(config: SweepConfig, budgets: np.ndarray, trials) -> None:
     """Run the cells of `trials` one at a time, in trial order, each trial
     sampled and then its cells budget-major then in strategy order, through
-    `allocate` and `exact_sum_rate`, so the first cell that fails raises
-    its error."""
+    `allocate` and `exact_sum_rate` under the params with that row of the
+    (B, K) `budgets`, so the first cell that fails raises its error."""
+    points = [replace(config.channel_params, power_budgets=row) for row in budgets.tolist()]
     for trial in trials:
         chan = sample_realization(config.channel_params, trial_rng(config.seed, trial))
         for point in points:
@@ -214,17 +220,15 @@ def collect_rates(config: SweepConfig) -> SweepSamples:
     trial), so the working set does not grow with the trial count. With
     `workers` > 1, W = min(workers, trials) processes run the chunks, each
     of at most ceil(trials / (4 W)) trials, so every worker gets about four
-    chunks; the results come back in trial order. Each job carries the
-    budget points, built once here as params with a uniform budget."""
+    chunks; the results come back in trial order."""
     params = config.channel_params
-    points = [params.with_uniform_budget(budget) for budget in config.budget_grid]
-    per_trial = len(points) * params.num_links * params.num_subchannels
+    per_trial = len(config.budget_grid) * params.num_links * params.num_subchannels
     size = max(1, allocators._TABLE_CHUNK // per_trial)
     workers = min(config.workers, config.trials)
     if workers > 1:
         size = min(size, math.ceil(config.trials / (4 * workers)))
     jobs = [
-        ((config, points), range(start, min(start + size, config.trials)))
+        (config, range(start, min(start + size, config.trials)))
         for start in range(0, config.trials, size)
     ]
     if workers == 1:
@@ -326,9 +330,7 @@ def dump_instance(
     and powers reproduce the printed rate.
     """
     chan = sample_realization(params, trial_rng(seed, 0))
-    gains = chan.normalized_gains[None]
-    sets = allocators._selection(strategy, params, chan, partition_guard, max_select_power_rule)
-    alloc = power_selections(strategy, [params], gains, [0], [sets], max_select_power_rule)[0]
+    sets, alloc = allocators._one_cell(strategy, params, chan, partition_guard, max_select_power_rule)
     report = exact_sum_rate(params, chan, alloc)
 
     lines = [
@@ -348,7 +350,7 @@ def dump_instance(
     lines += _matrix_lines("shadow_mask", chan.shadow_mask.astype(int), "d")
 
     if strategy == allocators.LOW_SNR:
-        values = allocators._low_snr_values([params], gains)[0, 0]
+        values = np.array(params.power_budgets)[:, None] * chan.normalized_gains
         lines += _matrix_lines("cost_matrix (maximize, P*H)", values)
         lines.append("assignment: " + " ".join(f"{k}->{s[0]}" for k, s in enumerate(sets)))
     elif strategy == allocators.HIGH_SNR:
@@ -451,6 +453,6 @@ def bench_rows_to_csv(rows: list[BenchRow]) -> str:
     lines = ["method,links,subchannels,reps,median_seconds,partition_count,status"]
     for r in rows:
         seconds = "" if r.median_seconds is None else format(r.median_seconds, ".6g")
-        count = "" if r.partition_count is None else str(r.partition_count)
+        count = "" if r.partition_count is None else allocators.count_text(r.partition_count)
         lines.append(f"{r.method},{r.num_links},{r.num_subchannels},{r.reps},{seconds},{count},{r.status}")
     return "\n".join(lines) + "\n"

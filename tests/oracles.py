@@ -275,7 +275,7 @@ def optimal_by_enumeration(params, chan) -> Allocation:
     best_rate, best = -math.inf, None
     for cand in enumerate_partitions(params.num_subchannels, params.num_links):
         powers = _water_filled_by_set(params, h, cand)
-        _, totals = _score([params], h[None], [0], [cand], powers[None])
+        _, totals = _score(params, np.array([params.power_budgets]), h[None], [0], [cand], powers[None])
         rate = totals[0]
         if rate > best_rate:
             best_rate, best = rate, (cand, powers)

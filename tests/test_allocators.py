@@ -59,6 +59,12 @@ def inject(params, gains):
     return realization_from_squared_gains(params, np.asarray(gains, dtype=float))
 
 
+def as_grid(points):
+    """The one params and the (B, K) budget array of `points`, params that
+    differ only in their budgets."""
+    return points[0], np.array([point.power_budgets for point in points])
+
+
 class TestAllocationType:
     def test_normalizes_fields(self):
         alloc = Allocation(
@@ -112,7 +118,7 @@ class TestValidateAllocation:
         # In a batch the bad cell is the third of four; the others are valid.
         good = self.make(((0, 1), (2, 3)), [[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
         with pytest.raises(ValidationError, match=message):
-            allocators.validate_allocations([params] * 4, [good, good, bad, good])
+            allocators.validate_allocations(*as_grid([params] * 4), [good, good, bad, good])
 
     def test_budget_slack_scales_with_budget(self):
         # At a 3.16e7 W budget a water-filled sum lands one ulp (3.7e-9 W)
@@ -149,7 +155,7 @@ def first_cell_error(points, allocs):
 def batch_error(points, allocs):
     """The message `validate_allocations` raises on the cells, or None."""
     try:
-        allocators.validate_allocations(points, allocs)
+        allocators.validate_allocations(*as_grid(points), allocs)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -305,7 +311,7 @@ class TestBatchedValidation:
         monkeypatch.setattr(allocators, "validate_allocation", lambda *a: calls.append(1) or original(*a))
         for _ in range(5):
             points, cells = random_batch(rng, num_links, num_subchannels)
-            sets, powers = allocators.validate_allocations(points, make_allocs(cells))
+            sets, powers = allocators.validate_allocations(*as_grid(points), make_allocs(cells))
             assert np.array_equal(sets, [cell_sets for cell_sets, _ in cells])
             assert np.array_equal(powers, [cell_powers for _, cell_powers in cells])
         assert calls == []
@@ -343,8 +349,8 @@ class TestBatchedValidation:
                 assert batch_error(points[first : first + 1], allocs[first : first + 1]) == expected
 
     def test_cell_checked_against_its_own_dims(self):
-        # Cell 1's sets and powers fit cell 0's N = 4, not its own N = 5.
-        points = [unit_params(2, 4), unit_params(2, 5)]
+        # The cells' sets and powers fit N = 4, not the params' N = 5.
+        points = [unit_params(2, 5)] * 2
         alloc = Allocation(((0, 1), (2, 3)), np.zeros((2, 4)), OPTIMAL)
         expected = "powers must have shape (2, 5), got (2, 4)"
         assert first_cell_error(points, [alloc, alloc]) == expected
@@ -412,15 +418,14 @@ class TestArrayScorer:
         rng = np.random.default_rng([53, num_links, num_subchannels])
         for _ in range(5):
             points, cells = random_batch(rng, num_links, num_subchannels)
-            points = [
-                replace(params, total_bandwidth=float(rng.uniform(0.5, 50.0) * num_subchannels))
-                for params in points
-            ]
+            # One bandwidth per batch, as a sweep has; it varies across batches.
+            bandwidth = float(rng.uniform(0.5, 50.0) * num_subchannels)
+            points = [replace(params, total_bandwidth=bandwidth) for params in points]
             chans = [sample_realization(points[0], trial_rng(53, t)) for t in range(3)]
             gains = np.stack([chan.normalized_gains for chan in chans])
             trials = rng.integers(len(chans), size=len(points)).tolist()
             allocs = make_allocs(cells)
-            per_link, totals = allocators.exact_sum_rates(points, gains, trials, allocs)
+            per_link, totals = allocators.exact_sum_rates(*as_grid(points), gains, trials, allocs)
             assert per_link.shape == (len(points), num_links)
             assert totals.shape == (len(points),)
             for c, (params, alloc) in enumerate(zip(points, allocs)):
@@ -443,7 +448,7 @@ class TestLowSnr:
     def test_hand_traced_example(self):
         params = unit_params()
         chan = inject(params, [[4.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 1.0]])
-        values = allocators._low_snr_values([params], chan.normalized_gains[None])[0, 0]
+        values = np.array(params.power_budgets)[:, None] * chan.normalized_gains
         columns = assigned_columns(minimizing_lists(values, "maximize"))
         assert selection_value(values, columns) == 6.0
         alloc = allocate(LOW_SNR, params, chan)
@@ -463,11 +468,12 @@ class TestLowSnr:
         assert alloc.subchannels_of_link == ((0, 1, 2, 3),)
 
     def test_budget_scales_cost_matrix(self):
+        # Unit budgets give sub-channel 1 to link 1 (1 + 4 > 3 + 1); budgets
+        # (2, 0.5) give it to link 0 (2 * 3 + 0.5 * 1 > 2 * 1 + 0.5 * 4).
+        gains = [[1.0, 3.0, 1.0, 1.0], [1.0, 4.0, 1.0, 1.0]]
+        assert allocate(LOW_SNR, unit_params(), inject(unit_params(), gains)).powers[1, 1] == 1.0
         params = unit_params(budgets=(2.0, 0.5))
-        chan = inject(params, [[1.0, 3.0, 1.0, 1.0], [1.0, 1.0, 4.0, 1.0]])
-        values = allocators._low_snr_values([params], chan.normalized_gains[None])[0, 0]
-        assert values[0, 1] == 6.0
-        assert values[1, 2] == 2.0
+        assert allocate(LOW_SNR, params, inject(params, gains)).powers[0, 1] == 2.0
 
     def test_all_zero_row_still_allocates(self):
         params = unit_params()
@@ -558,6 +564,17 @@ class TestPartitionEnumeration:
         for cand in enumerate_partitions(5, 2):
             flat = [n for s in cand for n in s]
             assert len(flat) == 4
+
+    def test_count_text(self):
+        # `str` prints at most 4,300 digits; such counts keep their text.
+        for count in (0, 6, 10**4299, 10**4300 - 1, partition_count(16, 2)):
+            assert allocators.count_text(count) == str(count)
+        # Longer ones print a true lower bound within two powers of ten.
+        for count in (10**4300, 10**4300 + 1, 2**20000, 2**20000 - 1, partition_count(20000, 2)):
+            text = allocators.count_text(count)
+            assert text.startswith("more than 10^")
+            exponent = int(text.removeprefix("more than 10^"))
+            assert 10**exponent < count < 10 ** (exponent + 2)
 
 
 class TestOptimal:
@@ -815,7 +832,7 @@ def selection_outcome(select, points, gains):
     `gains` in comparable form, or the type and message of the error it
     raised."""
     try:
-        selections = select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+        selections = select(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
     except AllocationError as exc:
         return type(exc), str(exc)
     return [tuple(tuple(s) for s in sets) for sets in selections]
@@ -859,7 +876,7 @@ class TestGridSelection:
         points = [params.with_uniform_budget(b) for b in (1.0, 1e308)]
         for tag in (LOW_SNR, OPTIMAL):
             with pytest.raises(ValidationError, match=r"power budget 1e\+308 W"):
-                allocators.STRATEGIES[tag].select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+                allocators.STRATEGIES[tag].select(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
 
 
 class TestChunkSelection:
@@ -933,10 +950,10 @@ class TestChunkSelection:
         select = allocators.STRATEGIES[tag].select
         for trial in (1, 2):
             with pytest.raises(ValidationError) as alone:
-                select(points, gains[trial : trial + 1], allocators.DEFAULT_PARTITION_GUARD)
+                select(*as_grid(points), gains[trial : trial + 1], allocators.DEFAULT_PARTITION_GUARD)
             assert ("1e+300" if trial == 1 else "1e+290") in str(alone.value)
         with pytest.raises(ValidationError) as stacked:
-            select(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+            select(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
         assert str(stacked.value) == "power budget 1e+300 W times a normalized gain overflows"
 
     def test_infeasible_names_the_first_failing_trial(self):
@@ -946,5 +963,5 @@ class TestChunkSelection:
         gains[1, 0, 1:] = 0.0  # link 0 keeps one usable sub-channel
         gains[2, 1, :3] = 0.0  # link 1 keeps one usable sub-channel
         with pytest.raises(InfeasibleError) as stacked:
-            allocators._high_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+            allocators._high_snr_sets(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
         assert str(stacked.value) == "link 0 has only 1 usable sub-channels; quota is 2"

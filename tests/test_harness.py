@@ -607,6 +607,12 @@ class TestScalingBench:
         with pytest.raises(ValidationError, match=r"^partition_guard must be >= 1$"):
             scaling_bench([(2, 4)], methods=("max_select",), optimal_guard=0)
 
+    def test_partition_count_too_long_to_print(self):
+        # C(100000, 50000) has 30,101 digits, more than `str` prints.
+        count = allocators.partition_count(100000, 2)
+        rows = [BenchRow("optimal", 2, 100000, 1, None, count, "skipped")]
+        assert bench_rows_to_csv(rows).splitlines()[1] == "optimal,2,100000,1,,more than 10^30100,skipped"
+
     def test_csv_blank_for_skipped(self):
         rows = [BenchRow("optimal", 2, 8, 1, None, 70, "skipped")]
         text = bench_rows_to_csv(rows)
@@ -641,6 +647,19 @@ class TestBudgetGridParsing:
     def test_rejects_bad_grids(self, text):
         with pytest.raises(ValidationError):
             cli.parse_budget_grid(text)
+
+    @pytest.mark.parametrize("spacing", ["", "lin"])
+    @pytest.mark.parametrize("points", [cli.MAX_GRID_POINTS + 1, 10**11])
+    def test_point_count_bounded_before_the_grid_is_built(self, monkeypatch, points, spacing):
+        # 10**11 log-spaced points would ask numpy for 745 GiB.
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli.np, "geomspace", no_grid)
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        with pytest.raises(ValidationError) as exc:
+            cli.parse_budget_grid(f"1:2:{points}{spacing}")
+        assert str(exc.value) == f"budget grid has {points} points; at most 1000000 allowed"
 
 
 class TestStrategyAndDimsParsing:
@@ -808,6 +827,36 @@ class TestCliMain:
     def test_guard_below_one_exit_code(self, capsys, command, guard):
         assert cli.main([*command, "--guard", guard]) == 2
         assert capsys.readouterr() == ("", "error: partition_guard must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--trials", "1", "--strategies", "opt"],
+            ["dump", "--strategy", "opt"],
+        ],
+        ids=["sweep", "dump"],
+    )
+    def test_guard_on_a_count_too_long_to_print(self, capsys, command):
+        # C(20000, 10000) partitions: 6,019 digits, more than `str` prints.
+        assert cli.main([*command, "--links", "2", "--subchannels", "20000"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "error: instance too large: more than 10^6018 candidate partitions exceed "
+            "the guard of 1000000 (K=2, N=20000)\n",
+        )
+
+    def test_bench_skips_a_count_too_long_to_print(self, capsys):
+        assert cli.main(["bench", "--dims", "2:100000", "--reps", "1", "--methods", "optimal"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1] == "optimal,2,100000,1,,more than 10^30100,skipped"
+
+    def test_too_many_grid_points_exit_code(self, capsys):
+        assert cli.main(["sweep", "--budgets", "1:2:100000000000"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: budget grid has 100000000000 points; at most 1000000 allowed\n",
+        )
 
     def test_dump_guard(self, capsys):
         # K=2, N=4 has 6 partitions.

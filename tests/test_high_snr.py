@@ -102,8 +102,8 @@ def ln_value(chan, sets):
 
 
 def selected_sets(params, chan):
-    gains = chan.normalized_gains[None]
-    return allocators._high_snr_sets([params], gains, allocators.DEFAULT_PARTITION_GUARD)[0]
+    gains, budgets = chan.normalized_gains[None], np.array([params.power_budgets])
+    return allocators._high_snr_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)[0]
 
 
 def owned_sets(owner, rows):
@@ -329,7 +329,7 @@ class TestOneSolve:
         def select(params, h):
             calls.clear()
             guard = allocators.DEFAULT_PARTITION_GUARD
-            return allocators._high_snr_sets([params] * 3, h[None], guard)
+            return allocators._high_snr_sets(params, np.ones((3, params.num_links)), h[None], guard)
 
         monkeypatch.setattr(allocators, "solve_capacitated", recording)
         for kind in KINDS:

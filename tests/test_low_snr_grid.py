@@ -25,6 +25,7 @@ from multiband_alloc.channel import (
     sample_realization,
     trial_rng,
 )
+from multiband_alloc.errors import ValidationError
 from oracles import assigned_columns, minimizing_lists
 
 GRIDS = {
@@ -94,9 +95,15 @@ def solves(monkeypatch):
     return calls
 
 
+def low_snr_sets(points, gains):
+    """`_low_snr_sets` on the (B, K) budgets of `points`, params that differ
+    only in their budgets, and a (T, K, N) stack of gains."""
+    budgets = np.array([point.power_budgets for point in points])
+    return allocators._low_snr_sets(points[0], budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
+
+
 def grid_outcome(points, chan):
-    gains = chan.normalized_gains[None]
-    return allocators._low_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+    return low_snr_sets(points, chan.normalized_gains[None])
 
 
 def check_grid(points, chan, solves):
@@ -181,7 +188,7 @@ class TestRatioSolves:
         points = [replace(params, power_budgets=b) for b in [*budgets, (0, 0, 0)]]
         chans = [sample_realization(params, trial_rng(59, t)) for t in range(3)]
         gains = np.stack([chan.normalized_gains for chan in chans])
-        outcome = allocators._low_snr_sets(points, gains, allocators.DEFAULT_PARTITION_GUARD)
+        outcome = low_snr_sets(points, gains)
         ratios = [(1 / 3, 2 / 3, 1.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]
         assert solves == [
             (-(np.array(ratio)[:, None] * chan.normalized_gains)).tolist()
@@ -189,6 +196,64 @@ class TestRatioSolves:
             for ratio in ratios
         ]
         assert outcome == [grid_outcome([point], chan)[0] for chan in chans for point in points]
+
+
+def first_overflow(budgets, gains):
+    """The first (trial, point) whose full P*H product, every
+    `budgets[b, k] * gains[t, k, n]`, has an overflow, or None."""
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(budgets[None, :, :, None] * gains[:, None]).any(axis=(2, 3))
+    return divmod(int(np.argmax(overflows)), len(budgets)) if overflows.any() else None
+
+
+def overflow_message(budgets, gains):
+    """The message `_low_snr_sets` raises on the grid `budgets`, or None."""
+    params = regime_params(gains.shape[1], gains.shape[2])
+    try:
+        allocators._low_snr_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestOverflowCheck:
+    """`_low_snr_sets` checks each budget against its link's largest gain
+    only, not every P*H product: rounding is monotone, so near the
+    overflow edge it raises on the same first (trial, point) as the full
+    product, with the same message."""
+
+    def test_reduced_check_matches_the_full_product(self):
+        rng = np.random.default_rng(61)
+        eps = np.finfo(float).eps
+        trials, points, num_links, num_subchannels = 3, 4, 3, 4
+        outcomes = set()
+        for _ in range(300):
+            # Each link's gains, on every trial, within a few ulps of each
+            # other, and about a fifth of the budgets within a few ulps of
+            # the largest float over one of their link's gains.
+            base = 2.0 + rng.exponential(size=(1, num_links, 1)) * 10.0 ** rng.uniform(0, 3)
+            steps = rng.integers(0, 4, size=(trials, num_links, num_subchannels))
+            steps += rng.integers(0, 8, size=(trials, 1, 1))
+            gains = base * (1.0 + steps * eps)
+            trial = rng.integers(trials, size=(points, num_links))
+            column = rng.integers(num_subchannels, size=(points, num_links))
+            edge = np.finfo(float).max / gains[trial, np.arange(num_links), column]
+            budgets = edge * (1.0 + rng.integers(-4, 3, size=edge.shape) * eps)
+            budgets[rng.random(budgets.shape) < 0.8] = 1.0
+            first = first_overflow(budgets, gains)
+            outcomes.add(first is None)
+            if first is None:
+                assert overflow_message(budgets, gains) is None
+                continue
+            t, b = first
+            expected = f"power budget {budgets[b].max():g} W times a normalized gain overflows"
+            assert overflow_message(budgets, gains) == expected
+            # No earlier trial overflows, no earlier point of trial t does,
+            # and point b of trial t does.
+            assert overflow_message(budgets, gains[:t]) is None
+            assert overflow_message(budgets[:b], gains[t : t + 1]) is None
+            assert overflow_message(budgets[b : b + 1], gains[t : t + 1]) == expected
+        assert outcomes == {True, False}
 
 
 class TestFallback:
