@@ -16,13 +16,18 @@ runs over one params (K, N, the quota and B/N), a (B, K) budget grid and
 a chunk's (T, K, N) gain stack, and returns one list of K sets per
 (trial, point) cell, trial-major: `high_snr` and `max_select` read each
 trial's channel alone and repeat one result per point; `low_snr` checks
-every cell's P*H for overflow in one multiply and solves one assignment
-per trial and distinct budget ratio, since scaling all budgets by one
-factor leaves the best assignment unchanged (`_low_snr_sets`); `high_snr`
+every cell for overflow in one multiply (each P_k times its link's largest
+gain), solves one assignment per trial and distinct budget ratio, since
+scaling all budgets by one factor leaves the best assignment unchanged,
+and pads the sets by walking each link's gains in sorted order
+(`_low_snr_sets`); `high_snr`
 solves one capacity-q assignment per trial and takes its sets
 (`_high_snr_sets`); and `optimal` water-fills one rate table for every
-cell of the chunk, in bounded pieces, and searches each cell's
-partitions. Both Hungarian selections solve with the one
+cell of the chunk, in bounded pieces, and searches the partitions of a
+bounded group of cells in one array fold (`_optimal_sets`). The scorer
+and the rate table take their logs with one `math.log1p` pass over an
+array of products and add each link's terms with array adds
+(`_link_sums`). Both Hungarian selections solve with the one
 augmenting-path loop, `assignment.solve_capacitated`, on lists of costs:
 `low_snr` at capacity 1 on -(P / max P)*H, `high_snr` at capacity q on
 -ln H.
@@ -49,7 +54,6 @@ failing cell raises with that check's message.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -219,18 +223,22 @@ def _cells_pass(params: ChannelParams, budgets, sets: np.ndarray, powers: np.nda
     return not (powers.sum(axis=2) > budgets + _BUDGET_SLACK * np.maximum(1.0, budgets)).any()
 
 
-def _link_sums(snr: list[float], size: int, budgets) -> list[float]:
+def _link_sums(snr: np.ndarray, size: int, budgets) -> np.ndarray:
     """Sum of log2(1 + p*H) over each consecutive run of `size` entries of
-    `snr`, a flat list of p*H products. A run is one link's set; its terms
-    add from 0.0 in set order. The products are Python floats, so one that
-    overflowed is inf, not a numpy warning; the first run whose sum is not
+    `snr`, an array of p*H products read flat. A run is one link's set; its
+    terms are `math.log1p` over the products as Python floats, the same libm
+    values as a per-element loop (numpy's `log1p` may differ in the last
+    bit), divided by ln 2 in one array division, and they add from 0.0 in
+    set order, one array add per position. The first run whose sum is not
     finite raises, naming `budgets[i]`, the budget of run i's link."""
-    terms = [math.log1p(x) / _LN2 for x in snr]
-    sums = [0.0] * (len(terms) // size)
-    for j in range(size):
-        sums = list(map(operator.add, sums, terms[j::size]))
-    if not all(map(math.isfinite, sums)):
-        i = [math.isfinite(s) for s in sums].index(False)
+    flat = snr.ravel()
+    terms = (np.fromiter(map(math.log1p, flat.tolist()), float, flat.size) / _LN2).reshape(-1, size)
+    sums = np.zeros(len(terms))
+    for column in terms.T:
+        sums += column
+    finite = np.isfinite(sums)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise ValidationError(f"power budget {budgets[i]:g} W times a normalized gain overflows")
     return sums
 
@@ -249,7 +257,7 @@ def _score(params: ChannelParams, budgets, gains: np.ndarray, trials, sets, powe
     trial = np.asarray(trials)[:, None, None]
     with np.errstate(over="ignore"):
         snr = powers[cell, link, sets] * gains[trial, link, sets]
-    sums = np.reshape(_link_sums(snr.ravel().tolist(), quota, budgets.ravel()), (cells, k_links))
+    sums = _link_sums(snr, quota, budgets.ravel()).reshape(cells, k_links)
     per_link = params.subchannel_bandwidth * sums
     totals = np.zeros(cells)
     for rates in per_link.T:
@@ -396,17 +404,24 @@ def _owned_sets(owner: list[int], num_links: int) -> list[list[int]]:
 
 def _pad_round_robin(h: np.ndarray, columns: tuple[int, ...], quota: int) -> list[list[int]]:
     """Link k's set: columns[k], then quota - 1 round-robin picks of its
-    highest-gain sub-channel left free (ties to the lowest index: `max`
-    keeps the first maximum of the free sub-channels in index order)."""
-    rows = h.tolist()
+    highest-gain sub-channel left free, ties to the lowest index. Each link
+    walks its sub-channels by descending gain, ties in index order (a stable
+    argsort of -H), with one pointer, skipping those already taken."""
+    order = np.argsort(-h, axis=1, kind="stable").tolist()
     sets = [[c] for c in columns]
-    taken = set(columns)
-    free = [n for n in range(len(rows[0])) if n not in taken]
+    taken = [False] * len(order[0])
+    for c in columns:
+        taken[c] = True
+    at = [0] * len(columns)
     for _ in range(quota - 1):
-        for link_sets, row in zip(sets, rows):
-            pick = max(free, key=row.__getitem__)
+        for k, (link_sets, link_order) in enumerate(zip(sets, order)):
+            i = at[k]
+            while taken[link_order[i]]:
+                i += 1
+            pick = link_order[i]
             link_sets.append(pick)
-            free.remove(pick)
+            taken[pick] = True
+            at[k] = i + 1
     return sets
 
 
@@ -437,8 +452,11 @@ def _high_snr_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_
     return selections
 
 
+@lru_cache(maxsize=8)
 def partition_count(num_subchannels: int, num_links: int) -> int:
-    """Number of ordered partitions into quota-sized disjoint link sets."""
+    """Number of ordered partitions into quota-sized disjoint link sets,
+    cached per (N, K): at N = 100,000 one count takes about 0.15 s, and
+    `bench` reports the count that `optimal`'s guard then checks."""
     quota = num_subchannels // num_links
     return math.prod(math.comb(num_subchannels - k * quota, quota) for k in range(num_links))
 
@@ -463,6 +481,10 @@ def _partition_levels(num_subchannels: int, num_links: int):
     each quota set of the sub-channels the prefix leaves free, lexicographic
     over them. Partition i is continuation i % width of prefix i // width
     of the last level, and so on down.
+
+    `columns` is read-only. The picks are row-major and left writeable,
+    because `np.take` copies an index array it may not write to; no caller
+    writes to them.
     """
     quota = num_subchannels // num_links
     subsets = tuple(combinations(range(num_subchannels), quota))
@@ -479,33 +501,31 @@ def _partition_levels(num_subchannels: int, num_links: int):
         for i in range(quota):
             term = [math.comb(num_subchannels - 1 - n, quota - i) for n in range(num_subchannels)]
             pick = pick - np.array(term)[free[:, chosen[:, i]]]
-        pick.setflags(write=False)
-        picks.append(pick)
+        picks.append(np.ascontiguousarray(pick))
     columns.setflags(write=False)
     return subsets, columns, tuple(picks)
 
 
 def _rate_tables(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray):
-    """Each trial's (B, K, C) water-filled link rates, in trial order, for
-    a (T, K, N) stack of gains: entry [b, k, i] is link k's rate on the
-    quota set `columns[i]` at the budget `budgets[b, k]` of a (B, K)
-    array, the same float
-    the scorer gives that link in every partition that hands it that set.
-    The chunk's T * B * K * C sets form one table, water-filled in pieces
-    of at most `_TABLE_CHUNK` elements (one set if a set is larger), each
-    one `water_fill` call and one `_link_sums` pass over flat lists; a
-    piece may span trials, and every trial it completes is yielded before
-    the next piece, so no more than one trial's rates and one piece's are
-    held at once."""
+    """The water-filled link rates of every (trial, point) cell of a
+    (T, K, N) stack of gains, trial-major, as (cells, K, C) blocks: entry
+    [c, k, i] of cell c = t * B + b is link k's rate on the quota set
+    `columns[i]` at the budget `budgets[b, k]` of a (B, K) array, the same
+    float the scorer gives that link in every partition that hands it that
+    set. The chunk's T * B * K * C sets form one table, water-filled in
+    pieces of at most `_TABLE_CHUNK` elements (one set if a set is larger),
+    each one `water_fill` call and one `_link_sums` call; a piece may span
+    cells and trials, and every cell it completes is yielded in one block
+    before the next piece, so no more than one piece's rates and the part
+    of one cell before it are held at once."""
     trials, k_links, n_sub = gains.shape
     n_sets, quota = columns.shape
-    table_shape = (-1, *budgets.shape, n_sets)
     budgets = budgets.ravel()  # b * K + k
-    per_trial = budgets.size * n_sets
-    rows = trials * per_trial
+    per_cell = k_links * n_sets
+    rows = trials * budgets.size * n_sets
     step = max(1, _TABLE_CHUNK // quota)
     links = gains.reshape(-1, n_sub)  # row t * K + k
-    sums: list[float] = []
+    sums = np.empty(0)
     for start in range(0, rows, step):
         row = np.arange(start, min(start + step, rows))
         cell_link = row // n_sets  # (t * B + b) * K + k
@@ -514,11 +534,35 @@ def _rate_tables(params: ChannelParams, budgets, gains: np.ndarray, columns: np.
         link_gains = links[link[:, None], columns[row % n_sets]]
         with np.errstate(over="ignore"):
             snr = water_fill(link_gains, link_budgets).powers * link_gains
-        sums += _link_sums(snr.ravel().tolist(), quota, link_budgets)
-        done = len(sums) // per_trial * per_trial
+        sums = np.concatenate([sums, _link_sums(snr, quota, link_budgets)])
+        done = len(sums) // per_cell * per_cell
         if done:
-            yield from params.subchannel_bandwidth * np.array(sums[:done]).reshape(table_shape)
-            del sums[:done]
+            yield params.subchannel_bandwidth * sums[:done].reshape(-1, k_links, n_sets)
+            sums = sums[done:]
+
+
+def _best_partitions(rates: np.ndarray, subsets, picks) -> list[list[tuple[int, ...]]]:
+    """The first partition with the highest total rate for each row of
+    `rates`, a (G, K, C) array of link rates per quota set, as K sets from
+    `subsets`. Partition totals add the link rates in index order, as the
+    scorer does, with partitions in enumeration order over `picks`; argmax
+    keeps the first maximum of each row, and array `divmod` decodes it one
+    level at a time. The fold runs on (partition, row) arrays: each level
+    gathers its link's rates into one new array and adds the totals into it
+    in place (rate + total, the same float as total + rate)."""
+    by_set = np.ascontiguousarray(rates.transpose(1, 2, 0))  # (K, C, G)
+    totals = by_set[0]
+    for k, pick in enumerate(picks, start=1):
+        level = by_set[k].take(pick, axis=0)
+        level += totals[:, None]
+        totals = level.reshape(-1, len(rates))
+    best = np.argmax(totals, axis=0)
+    chosen = []
+    for pick in reversed(picks):
+        best, j = np.divmod(best, pick.shape[1])
+        chosen.append(pick[best, j])
+    chosen.append(best)
+    return [[subsets[i] for i in row] for row in np.stack(chosen[::-1], axis=1).tolist()]
 
 
 def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
@@ -526,10 +570,13 @@ def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_g
     exhaustive search over K * C(N, floor(N/K)) link rates from one rate
     table for every point of every trial of a (T, K, N) stack of gains.
     The first partition with the highest rate wins, in enumeration order.
-    The search folds the links into one array of partition totals per
-    (trial, point) over `_partition_levels`, cached per (N, K); the
-    structure and the fold each hold about one integer or float per
-    partition."""
+    The search folds the links into partition totals over
+    `_partition_levels`, cached per (N, K), for a group of (trial, point)
+    cells of one block of the table at once (`_best_partitions`). A group
+    holds at most max(1, `_TABLE_CHUNK` // count) cells, so the fold holds
+    about `_TABLE_CHUNK` floats, or one cell's totals when a cell has more
+    partitions than that; groups may span trials or split a trial's
+    points."""
     n_sub, k_links = params.num_subchannels, params.num_links
     count = partition_count(n_sub, k_links)
     if count > partition_guard:
@@ -538,21 +585,11 @@ def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_g
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
+    group = max(1, _TABLE_CHUNK // count)
     selections = []
     for table in _rate_tables(params, budgets, gains, columns):
-        for rates in table:
-            # Partition totals add the link rates in index order, as the
-            # scorer does, with partitions in enumeration order; argmax
-            # keeps the first maximum.
-            totals = rates[0]
-            for k, pick in enumerate(picks, start=1):
-                totals = (totals[:, None] + rates[k, pick]).ravel()
-            i = int(np.argmax(totals))
-            sets = []
-            for pick in reversed(picks):
-                i, j = divmod(i, pick.shape[1])
-                sets.insert(0, subsets[pick[i, j]])
-            selections.append([subsets[i], *sets])
+        for start in range(0, len(table), group):
+            selections += _best_partitions(table[start : start + group], subsets, picks)
     return selections
 
 

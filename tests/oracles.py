@@ -15,15 +15,27 @@ which the package's array `water_fill` must match bit for bit;
 and `optimal_by_enumeration` water-fills (through `water_fill_by_set`) and
 scores each one; `equal_split` and `concentrate_on_best` are
 the simpler power rules the water-filling dominance checks compare with.
+Three are the loops that array code in the package replaced:
+`link_sums_by_list` is the scorer's per-element log-sum over Python lists,
+`pad_round_robin_by_scan` is low_snr's padding as a scan of the free
+sub-channels per pick, and `optimal_sets_by_row` folds `optimal`'s partition
+totals one (trial, point) cell at a time over the package's rate table.
 None is used by the package itself.
 """
 
 import math
+import operator
 from itertools import combinations
 
 import numpy as np
 
-from multiband_alloc.allocators import OPTIMAL, Allocation, _score
+from multiband_alloc.allocators import (
+    OPTIMAL,
+    Allocation,
+    _partition_levels,
+    _rate_tables,
+    _score,
+)
 from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
 from multiband_alloc.power import WaterFillResult
@@ -299,3 +311,56 @@ def concentrate_on_best(gains, budget: float) -> np.ndarray:
     powers = np.zeros(g.size)
     powers[int(np.argmax(g))] = budget
     return powers
+
+
+def link_sums_by_list(snr: list[float], size: int, budgets) -> list[float]:
+    """Sum of log2(1 + x) over each consecutive run of `size` entries of the
+    list `snr`, element by element: `math.log1p(x) / ln 2` per entry, added
+    from 0.0 in run order. The first run whose sum is not finite raises,
+    naming `budgets[i]`."""
+    ln2 = math.log(2.0)
+    terms = [math.log1p(x) / ln2 for x in snr]
+    sums = [0.0] * (len(terms) // size)
+    for j in range(size):
+        sums = list(map(operator.add, sums, terms[j::size]))
+    if not all(map(math.isfinite, sums)):
+        i = [math.isfinite(s) for s in sums].index(False)
+        raise ValidationError(f"power budget {budgets[i]:g} W times a normalized gain overflows")
+    return sums
+
+
+def pad_round_robin_by_scan(h, columns, quota: int) -> list[list[int]]:
+    """Link k's set: columns[k], then quota - 1 round-robin picks, each the
+    first maximum over the free sub-channels in index order of link k's
+    gains `h[k]`."""
+    rows = np.asarray(h).tolist()
+    sets = [[c] for c in columns]
+    taken = set(columns)
+    free = [n for n in range(len(rows[0])) if n not in taken]
+    for _ in range(quota - 1):
+        for link_sets, row in zip(sets, rows):
+            pick = max(free, key=row.__getitem__)
+            link_sets.append(pick)
+            free.remove(pick)
+    return sets
+
+
+def optimal_sets_by_row(params, budgets, gains) -> list[list[tuple[int, ...]]]:
+    """`optimal`'s selection for every (trial, point) cell of a (T, K, N)
+    stack of gains at a (B, K) budget grid, trial-major, folding the
+    partition totals of one cell at a time over the package's rate table:
+    link rates added in index order, the first maximum wins."""
+    subsets, columns, picks = _partition_levels(params.num_subchannels, params.num_links)
+    selections = []
+    for table in _rate_tables(params, budgets, gains, columns):
+        for rates in table:
+            totals = rates[0]
+            for k, pick in enumerate(picks, start=1):
+                totals = (totals[:, None] + rates[k, pick]).ravel()
+            i = int(np.argmax(totals))
+            sets = []
+            for pick in reversed(picks):
+                i, j = divmod(i, pick.shape[1])
+                sets.insert(0, subsets[pick[i, j]])
+            selections.append([subsets[i], *sets])
+    return selections

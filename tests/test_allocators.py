@@ -1,6 +1,8 @@
 """Strategy-level tests: hand-traced instances, enumeration oracles, fuzzing."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +34,11 @@ from multiband_alloc.power import water_fill
 from oracles import (
     assigned_columns,
     enumerate_partitions,
+    link_sums_by_list,
     minimizing_lists,
     optimal_by_enumeration,
+    optimal_sets_by_row,
+    pad_round_robin_by_scan,
     selection_value,
 )
 
@@ -444,6 +449,61 @@ class TestArrayScorer:
                 assert totals[c] == fold == report.total_rate
 
 
+class TestLinkSums:
+    """`_link_sums` takes libm's `log1p` of every product and adds each run
+    in set order with array operations; it must give the bits of the
+    per-element list formula (`link_sums_by_list`), and on a run that is
+    not finite the same error, naming that run's budget."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_matches_list_formula(self, size):
+        rng = np.random.default_rng([71, size])
+        for _ in range(50):
+            runs = int(rng.integers(1, 40))
+            snr = rng.exponential(size=runs * size) * 10.0 ** rng.uniform(-12, 12, runs * size)
+            kind = rng.integers(0, 5, snr.size)
+            snr[kind == 0] = 0.0
+            # Subnormal products, the smallest of them included.
+            snr[kind == 1] = rng.uniform(0.0, 1.0, np.count_nonzero(kind == 1)) * 2.2e-308
+            snr[kind == 2] = 5e-324
+            budgets = rng.uniform(0.1, 10.0, runs)
+            got = allocators._link_sums(snr, size, budgets)
+            want = link_sums_by_list(snr.tolist(), size, budgets)
+            assert got.tobytes() == np.array(want).tobytes()
+            # Any shape is read flat, as the scorer's (C, K, q) products are.
+            assert allocators._link_sums(snr.reshape(runs, size), size, budgets).tobytes() == got.tobytes()
+
+    def test_first_non_finite_run_names_its_budget(self):
+        rng = np.random.default_rng(72)
+        raised = 0
+        for _ in range(60):
+            size, runs = int(rng.integers(1, 5)), int(rng.integers(2, 30))
+            powers = rng.uniform(0.0, 1.0, runs * size)
+            gains = rng.exponential(size=runs * size)
+            # Products that overflow to inf, as a budget of 1e300 times a
+            # gain above 1e8 does.
+            hot = rng.random(runs * size) < 0.05
+            powers[hot] = 1e300
+            gains[hot] = 1e10 + gains[hot]
+            with np.errstate(over="ignore"):
+                snr = powers * gains
+            budgets = 1.5 * np.arange(1, runs + 1)
+            finite = np.isfinite(snr.reshape(runs, size)).all(axis=1)
+            if finite.all():
+                got = allocators._link_sums(snr, size, budgets)
+                assert got.tobytes() == np.array(link_sums_by_list(snr.tolist(), size, budgets)).tobytes()
+                continue
+            raised += 1
+            first = budgets[int(np.argmin(finite))]
+            with pytest.raises(ValidationError) as want:
+                link_sums_by_list(snr.tolist(), size, budgets)
+            with pytest.raises(ValidationError) as got:
+                allocators._link_sums(snr, size, budgets)
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"power budget {first:g} W times a normalized gain overflows"
+        assert raised > 10
+
+
 class TestLowSnr:
     def test_hand_traced_example(self):
         params = unit_params()
@@ -481,6 +541,30 @@ class TestLowSnr:
         alloc = allocate(LOW_SNR, params, chan)
         validate_allocation(params, alloc)
         assert exact_sum_rate(params, chan, alloc).per_link_rate[0] == 0.0
+
+
+class TestPadRoundRobin:
+    """low_snr's padding walks each link's stable descending-gain order
+    with one pointer; it must pick what a scan of the free sub-channels
+    picks (`pad_round_robin_by_scan`), ties to the lowest index."""
+
+    @pytest.mark.parametrize("num_links,num_subchannels", [(2, 4), (3, 7), (4, 8), (3, 12), (8, 32)])
+    def test_matches_scan(self, num_links, num_subchannels):
+        rng = np.random.default_rng([81, num_links, num_subchannels])
+        quota = num_subchannels // num_links
+        for draw in range(200):
+            if draw % 4 == 3:
+                h = rng.exponential(size=(num_links, num_subchannels))
+            else:
+                # Tie-heavy integer gains.
+                h = rng.integers(0, 3, size=(num_links, num_subchannels)).astype(float)
+            if draw % 3 == 0:
+                h[rng.integers(num_links)] = 0.0  # a zero-gain row
+            if draw % 50 == 0:
+                h[:] = 0.0
+            columns = tuple(rng.permutation(num_subchannels)[:num_links].tolist())
+            got = allocators._pad_round_robin(h, columns, quota)
+            assert got == pad_round_robin_by_scan(h, columns, quota)
 
 
 class TestHighSnr:
@@ -965,3 +1049,98 @@ class TestChunkSelection:
         with pytest.raises(InfeasibleError) as stacked:
             allocators._high_snr_sets(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
         assert str(stacked.value) == "link 0 has only 1 usable sub-channels; quota is 2"
+
+
+def fold_groups(monkeypatch):
+    """Record the number of rows of every group `_best_partitions` folds."""
+    sizes = []
+    original = allocators._best_partitions
+
+    def spy(rates, subsets, picks):
+        sizes.append(len(rates))
+        return original(rates, subsets, picks)
+
+    monkeypatch.setattr(allocators, "_best_partitions", spy)
+    return sizes
+
+
+class TestGroupedFold:
+    """`optimal` folds a group of (trial, point) cells of its rate table at
+    once, at most max(1, `_TABLE_CHUNK` // count) of them; every cell must
+    get what it gets alone, whatever the grouping."""
+
+    # Shapes whose cells each have more partitions than table elements, so
+    # a piece of the table completes more cells than a group holds.
+    @pytest.mark.parametrize("num_links,num_subchannels", [(4, 8), (3, 7)])
+    @pytest.mark.parametrize(
+        "rows", [None, 4, 20], ids=["one_row_splits_a_trial", "partial_trial", "several_trials"]
+    )
+    def test_stack_matches_allocate(self, monkeypatch, rows, num_links, num_subchannels):
+        count = partition_count(num_subchannels, num_links)
+        # None: a chunk bound below the count, so every group is one row
+        # and a trial's six points fold in six groups.
+        monkeypatch.setattr(allocators, "_TABLE_CHUNK", count // 2 if rows is None else count * rows)
+        sizes = fold_groups(monkeypatch)
+        points = grid_points(unit_params(num_links, num_subchannels))
+        chans = [chan for _, chan in grid_instances(num_links, num_subchannels)][:5]
+        gains = np.stack([chan.normalized_gains for chan in chans])
+        stacked = allocators._optimal_sets(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
+        cells = len(chans) * len(points)
+        assert len(stacked) == cells and sum(sizes) == cells
+        assert max(sizes) == (rows or 1)
+        expected = [
+            allocate(OPTIMAL, point, chan).subchannels_of_link for chan in chans for point in points
+        ]
+        assert [tuple(sets) for sets in stacked] == expected
+
+    @pytest.mark.parametrize("num_links,num_subchannels", [(4, 8), (3, 7)])
+    def test_all_equal_gains_pick_first_partition(self, monkeypatch, num_links, num_subchannels):
+        count = partition_count(num_subchannels, num_links)
+        monkeypatch.setattr(allocators, "_TABLE_CHUNK", count * 16)
+        sizes = fold_groups(monkeypatch)
+        points = grid_points(unit_params(num_links, num_subchannels))
+        gains = np.full((7, num_links, num_subchannels), 1.7)
+        stacked = allocators._optimal_sets(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
+        assert max(sizes) == 16
+        first = next(enumerate_partitions(num_subchannels, num_links))
+        assert [tuple(sets) for sets in stacked] == [first] * len(gains) * len(points)
+
+
+class TestOptimalFoldMemory:
+    """The grouped fold's memory peak stays within that of the fold one
+    cell at a time (`optimal_sets_by_row`) over the same rate table: at
+    K=5, N=10 a cell has 113,400 partitions, more than `_TABLE_CHUNK`, so
+    each group is one cell; at K=4, N=8 a group is 26 cells. The 1% covers
+    how differently the two grow their list of selections."""
+
+    @pytest.mark.parametrize("num_links,num_subchannels,trials", [(5, 10, 2), (4, 8, 30)])
+    def test_peak_within_one_row_fold(self, num_links, num_subchannels, trials):
+        params = replace(unit_params(num_links, num_subchannels), shadow_prob=0.3, shadow_attenuation=1e-3)
+        budgets = np.outer(np.geomspace(1e-3, 1e3, 7), np.ones(num_links))
+        gains = np.stack(
+            [sample_realization(params, trial_rng(5, t)).normalized_gains for t in range(trials)]
+        )
+
+        def grouped():
+            return allocators._optimal_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
+
+        def by_row():
+            return optimal_sets_by_row(params, budgets, gains)
+
+        # Warm up and keep the collector off while measuring, as
+        # `TestChunkMemory` in test_harness.py does.
+        assert grouped() == by_row()
+        gc.collect()
+        gc.disable()
+        peaks = []
+        try:
+            for run in (grouped, by_row):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert peaks[0] <= 1.01 * peaks[1]

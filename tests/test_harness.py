@@ -613,6 +613,16 @@ class TestScalingBench:
         rows = [BenchRow("optimal", 2, 100000, 1, None, count, "skipped")]
         assert bench_rows_to_csv(rows).splitlines()[1] == "optimal,2,100000,1,,more than 10^30100,skipped"
 
+    def test_partition_count_computed_once_per_dims(self):
+        # The row's count and `optimal`'s guard check share one computation,
+        # which takes about 0.15 s at N = 100,000.
+        allocators.partition_count.cache_clear()
+        rows = scaling_bench([(2, 200), (2, 200)], reps=1, methods=("optimal",), optimal_guard=10)
+        assert [row.status for row in rows] == ["skipped", "skipped"]
+        assert rows[0].partition_count == math.comb(200, 100)
+        info = allocators.partition_count.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     def test_csv_blank_for_skipped(self):
         rows = [BenchRow("optimal", 2, 8, 1, None, 70, "skipped")]
         text = bench_rows_to_csv(rows)
