@@ -7,7 +7,7 @@ the normalized gains used by every allocation strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class ChannelParams:
     def noise_per_subchannel(self) -> float:
         """Noise power in one sub-channel, N0 * B/N in W."""
         return self.noise_psd * self.subchannel_bandwidth
-
-    def with_uniform_budget(self, budget: float) -> "ChannelParams":
-        """Copy of the params with the same budget applied to all links."""
-        return replace(self, power_budgets=(float(budget),) * self.num_links)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ are then powered in one `allocators.power_selections` call (one
 and scored by one `allocators.exact_sum_rates` call into an array of
 totals, after one array check of all the cells' invariants
 (`allocators.validate_allocations`).
-A selection that fails raises its first failing trial's error. If any
-cell fails, the chunk's trials are replayed cell by cell, in trial order,
-budget-major then in strategy order, so the sweep raises the error of the
-first failing cell. `run_sweep` reduces the sweep's (B, S, T) rates over
-their trial axis once per statistic but the median, which
-`statistics.median` takes row by row.
+If any cell of a chunk fails, the chunk reruns that same pass one cell
+at a time, a one-trial, one-budget chunk per cell, in trial order and
+budget-major, so the sweep raises the error of the first failing cell in
+(trial, budget, strategy) order. `run_sweep` reduces the sweep's
+(B, S, T) rates over their trial axis once per statistic but the median,
+which `statistics.median` takes row by row.
 
 An instance dump takes one selection from `allocators.STRATEGIES` and
 renders the two Hungarian strategies' solved matrix and assignment from
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,11 +145,12 @@ class SweepSamples:
     approx: np.ndarray | None
 
 
-def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact and approximate rates of a chunk, a range of trials, as
-    (B, S, T) arrays, T the chunk's trial count."""
-    config, trials = args
-    budgets = np.outer(config.budget_grid, np.ones(config.channel_params.num_links))
+def _chunk_rates(config: SweepConfig, budgets: np.ndarray, trials) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact and approximate rates of a chunk, the (B, K) `budgets` over a
+    range of trials, as (B, S, T) arrays, T the chunk's trial count. A
+    chunk of more than one cell that fails reruns each of its cells as a
+    one-cell chunk, trial-major then budget-major, before it re-raises, so
+    the first failing cell in per-cell order raises its own error."""
     n_b, n_s, n_t = len(budgets), len(config.strategies), len(trials)
     exact = np.zeros((n_b, n_s, n_t))
     approx = np.full((n_b, n_s, n_t), np.nan) if config.score_mode == "both" else None
@@ -162,10 +163,12 @@ def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
             if cell_approx is not None:
                 approx[:, si] = np.reshape(cell_approx, (n_t, n_b)).T
     except AllocationError:
-        # The pass samples every trial of the chunk first and then runs
-        # strategy-major, so the error it met need not be the first in the
-        # per-cell order; the replay raises that one.
-        _replay_cells(config, budgets, trials)
+        # The pass samples every trial first and then runs strategy-major,
+        # so the error it met need not be the first in per-cell order.
+        if n_b * n_t > 1:
+            for t in trials:
+                for b in range(n_b):
+                    _chunk_rates(config, budgets[b : b + 1], range(t, t + 1))
         raise
     return exact, approx
 
@@ -193,26 +196,6 @@ def _strategy_pass(config: SweepConfig, strategy: str, budgets: np.ndarray, chan
     return exact, [rate(params, chans[t], a) for t, a in zip(cell_trials, allocs)]
 
 
-def _replay_cells(config: SweepConfig, budgets: np.ndarray, trials) -> None:
-    """Run the cells of `trials` one at a time, in trial order, each trial
-    sampled and then its cells budget-major then in strategy order, through
-    `allocate` and `exact_sum_rate` under the params with that row of the
-    (B, K) `budgets`, so the first cell that fails raises its error."""
-    points = [replace(config.channel_params, power_budgets=row) for row in budgets.tolist()]
-    for trial in trials:
-        chan = sample_realization(config.channel_params, trial_rng(config.seed, trial))
-        for point in points:
-            for strategy in config.strategies:
-                alloc = allocate(
-                    strategy,
-                    point,
-                    chan,
-                    partition_guard=config.partition_guard,
-                    max_select_power_rule=config.max_select_power_rule,
-                )
-                exact_sum_rate(point, chan, alloc)
-
-
 def collect_rates(config: SweepConfig) -> SweepSamples:
     """Evaluate all (budget, strategy, trial) cells, in contiguous chunks of
     trials taken in trial order. A chunk of T trials holds at most
@@ -227,18 +210,17 @@ def collect_rates(config: SweepConfig) -> SweepSamples:
     workers = min(config.workers, config.trials)
     if workers > 1:
         size = min(size, math.ceil(config.trials / (4 * workers)))
-    jobs = [
-        (config, range(start, min(start + size, config.trials)))
-        for start in range(0, config.trials, size)
-    ]
+    budgets = np.outer(config.budget_grid, np.ones(params.num_links))
+    chunks = [range(start, min(start + size, config.trials)) for start in range(0, config.trials, size)]
     if workers == 1:
-        results = [_chunk_worker(job) for job in jobs]
+        results = [_chunk_rates(config, budgets, trials) for trials in chunks]
     else:
         # Imported here: serial sweeps, the default, skip the cost.
         from concurrent.futures import ProcessPoolExecutor
 
+        n = len(chunks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, jobs))
+            results = list(pool.map(_chunk_rates, [config] * n, [budgets] * n, chunks))
     exact = np.concatenate([r[0] for r in results], axis=2)
     approx = np.concatenate([r[1] for r in results], axis=2) if config.score_mode == "both" else None
     return SweepSamples(

@@ -906,7 +906,7 @@ def grid_instances(num_links, num_subchannels):
 def grid_points(params):
     """The budget grid of the grid-versus-point checks: five uniform
     budgets, 0 included, and one that differs by link."""
-    points = [params.with_uniform_budget(b) for b in (0.0, 1e-3, 0.1, 1.0, 1e3)]
+    points = [replace(params, power_budgets=(b,) * params.num_links) for b in (0.0, 1e-3, 0.1, 1.0, 1e3)]
     points.append(replace(params, power_budgets=tuple(0.5 * (k + 1) for k in range(params.num_links))))
     return points
 
@@ -957,7 +957,7 @@ class TestGridSelection:
     def test_overflow_names_the_first_failing_point(self):
         params = unit_params()
         gains = inject(params, np.full((2, 4), 4.0)).normalized_gains[None]
-        points = [params.with_uniform_budget(b) for b in (1.0, 1e308)]
+        points = [replace(params, power_budgets=(b,) * params.num_links) for b in (1.0, 1e308)]
         for tag in (LOW_SNR, OPTIMAL):
             with pytest.raises(ValidationError, match=r"power budget 1e\+308 W"):
                 allocators.STRATEGIES[tag].select(*as_grid(points), gains, allocators.DEFAULT_PARTITION_GUARD)
@@ -1029,7 +1029,7 @@ class TestChunkSelection:
         # Trial 1 overflows only at budget 1e300, trial 2 already at 1e290,
         # the earlier point: the stack must name trial 1's.
         params = unit_params()
-        points = [params.with_uniform_budget(b) for b in (1.0, 1e290, 1e300)]
+        points = [replace(params, power_budgets=(b,) * params.num_links) for b in (1.0, 1e290, 1e300)]
         gains = np.stack([np.full((2, 4), scale) for scale in (1.0, 1e9, 1e19)])
         select = allocators.STRATEGIES[tag].select
         for trial in (1, 2):
@@ -1042,7 +1042,7 @@ class TestChunkSelection:
 
     def test_infeasible_names_the_first_failing_trial(self):
         params = unit_params()
-        points = [params.with_uniform_budget(b) for b in (0.1, 10.0)]
+        points = [replace(params, power_budgets=(b,) * params.num_links) for b in (0.1, 10.0)]
         gains = np.ones((3, 2, 4))
         gains[1, 0, 1:] = 0.0  # link 0 keeps one usable sub-channel
         gains[2, 1, :3] = 0.0  # link 1 keeps one usable sub-channel

@@ -45,11 +45,6 @@ class TestChannelParams:
         assert p.power_budgets == (1.0, 2.0)
         assert isinstance(p.power_budgets, tuple)
 
-    def test_with_uniform_budget(self):
-        p = make_params().with_uniform_budget(3.0)
-        assert p.power_budgets == (3.0, 3.0)
-        assert p.num_subchannels == 4
-
     @pytest.mark.parametrize(
         "overrides",
         [

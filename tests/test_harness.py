@@ -131,23 +131,27 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, *iterables):
                 # Run the chunks last first: the results must still come back in trial order.
-                jobs = list(jobs)
-                chunks.append([list(trials) for _, trials in jobs])
-                done = {i: fn(jobs[i]) for i in reversed(range(len(jobs)))}
+                jobs = list(zip(*iterables))
+                chunks.append([list(trials) for _, _, trials in jobs])
+                done = {i: fn(*jobs[i]) for i in reversed(range(len(jobs)))}
                 return [done[i] for i in range(len(jobs))]
 
         # Patched at both names harness could bind, so no real pool starts.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool, raising=False)
+        seen = spy_chunks(monkeypatch)
         # (trials, workers, pool size, chunk size = ceil(trials / (4 * pool size)))
         for trials, workers, pool_size, chunksize in [(2, 64, 2, 1), (9, 2, 2, 2), (25, 3, 3, 3)]:
+            seen.clear()
             pooled = sweep_rows_to_csv(run_sweep(small_config(trials=trials, workers=workers)))
             assert started.pop() == pool_size
             split = chunks.pop()
             assert max(len(chunk) for chunk in split) == chunksize
             assert [trial for chunk in split for trial in chunk] == list(range(trials))
+            # One call per chunk, last first: a feasible sweep reruns no cell.
+            assert seen == [len(chunk) for chunk in reversed(split)]
             assert pooled == sweep_rows_to_csv(run_sweep(small_config(trials=trials)))
 
     def test_serial_sweep_imports_no_process_pool(self):
@@ -271,8 +275,11 @@ class TestRunSweep:
             # order, finds link 0 short of usable sub-channels.
             ("1e308:1e308:1", 2, "error: power budget 1e+308 W times a normalized gain overflows\n"),
             ("1e-3:1e-3:1", 3, "error: link 0 has only 1 usable sub-channels; quota is 2\n"),
+            # Budget-major order: high_snr fails at 1e300 before low_snr's
+            # P*H overflows at 1e308, which the strategy-major pass meets first.
+            ("1e300:1e308:2log", 3, "error: link 0 has only 1 usable sub-channels; quota is 2\n"),
         ],
-        ids=["overflow", "infeasible"],
+        ids=["overflow", "infeasible", "infeasible_before_overflow"],
     )
     def test_errors_raise_in_cell_order(self, monkeypatch, capsys, budgets, code, message):
         def short_link(params, rng):
@@ -288,6 +295,24 @@ class TestRunSweep:
         args = ["sweep", "--seed", "3", "--budgets", "1e300:1e308:3log", "--trials", "20"]
         assert cli.main(args) == 2
         assert capsys.readouterr().err == "error: power budget 1e+308 W times a normalized gain overflows\n"
+
+    @pytest.mark.parametrize(
+        "trials_per_chunk,workers",
+        [(None, 1), (None, 2), (1, 1), (3, 1)],
+        ids=["serial", "workers2", "chunk1", "chunk3"],
+    )
+    def test_guard_raises_before_a_later_overflow(self, monkeypatch, capsys, trials_per_chunk, workers):
+        # low_snr's P*H overflows at budget 1e308 in a later trial, and the
+        # strategy-major pass meets it first; in per-cell order optimal's
+        # guard trips at trial 0, budget 1e300.
+        args = ["sweep", "--seed", "3", "--budgets", "1e300:1e308:3log", "--trials", "20"]
+        args += ["--strategies", "low,opt", "--links", "4", "--subchannels", "8", "--guard", "10"]
+        if trials_per_chunk is not None:
+            # A trial holds B x K x N = 3 x 4 x 8 elements.
+            monkeypatch.setattr(allocators, "_TABLE_CHUNK", trials_per_chunk * 3 * 4 * 8)
+        assert cli.main(args + ["--workers", str(workers)]) == 4
+        message = "error: instance too large: 2520 candidate partitions exceed the guard of 10 (K=4, N=8)\n"
+        assert capsys.readouterr().err == message
 
     def test_collect_rates_shapes(self):
         samples = collect_rates(small_config(trials=5))
@@ -328,7 +353,7 @@ def rates_cell_by_cell(config):
     for t in range(config.trials):
         chan = harness.sample_realization(params, harness.trial_rng(config.seed, t))
         for b, budget in enumerate(config.budget_grid):
-            point = params.with_uniform_budget(budget)
+            point = dataclasses.replace(params, power_budgets=(budget,) * params.num_links)
             for s, tag in enumerate(config.strategies):
                 alloc = allocators.allocate(
                     tag,
@@ -352,8 +377,17 @@ SWEEPS = [
 SWEEP_IDS = ["k8_n32", "k4_n8_score_both", "k3_n7_equal_split", "k2_n4_shadowed"]
 
 
-def no_replay(*args):
-    raise AssertionError("a feasible sweep replayed a chunk cell by cell")
+def spy_chunks(monkeypatch):
+    """Patch `harness._chunk_rates` with a spy in this process; the list it
+    returns gets the trial count of every call."""
+    seen, chunk_rates = [], harness._chunk_rates
+
+    def spy(config, budgets, trials):
+        seen.append(len(trials))
+        return chunk_rates(config, budgets, trials)
+
+    monkeypatch.setattr(harness, "_chunk_rates", spy)
+    return seen
 
 
 def chunk_trials(monkeypatch, config, trials_per_chunk):
@@ -371,8 +405,10 @@ class TestBatchedTrialsMatchCells:
 
     @pytest.mark.parametrize("config", SWEEPS, ids=SWEEP_IDS)
     def test_every_cell_matches_allocate(self, monkeypatch, config):
-        monkeypatch.setattr(harness, "_replay_cells", no_replay)
+        seen = spy_chunks(monkeypatch)
         samples = collect_rates(config)
+        # Each sweep fits one chunk, and a feasible sweep reruns no cell.
+        assert seen == [config.trials]
         exact, approx = rates_cell_by_cell(config)
         assert samples.exact.tobytes() == exact.tobytes()
         if config.score_mode == "both":
@@ -386,12 +422,12 @@ class TestBatchedTrialsMatchCells:
     )
     def test_chunk_layout_changes_no_cell(self, monkeypatch, config, trials_per_chunk, workers, chunks):
         config = dataclasses.replace(config, trials=5, workers=workers)
-        monkeypatch.setattr(harness, "_replay_cells", no_replay)
         seen = []
         if trials_per_chunk is not None:
+            # The pool cannot pickle a spy; the fake pool of
+            # `test_pool_capped_at_trial_count` counts the pooled calls.
             chunk_trials(monkeypatch, config, trials_per_chunk)
-            worker = harness._chunk_worker
-            monkeypatch.setattr(harness, "_chunk_worker", lambda job: seen.append(len(job[1])) or worker(job))
+            seen = spy_chunks(monkeypatch)
         samples = collect_rates(config)
         assert seen == (chunks or [])
         exact, approx = rates_cell_by_cell(config)

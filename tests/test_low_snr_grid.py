@@ -117,7 +117,7 @@ def check_grid(points, chan, solves):
 
 
 def uniform_points(params, grid):
-    return [params.with_uniform_budget(b) for b in grid]
+    return [replace(params, power_budgets=(b,) * params.num_links) for b in grid]
 
 
 def assignment_value(point, chan, sets):
@@ -174,7 +174,7 @@ class TestSeededDraws:
         chan = sample_realization(params, trial_rng(47, 0))
         points = uniform_points(params, (0.0, 1e-3, 1.0))
         points.append(replace(params, power_budgets=(1.0, 2.0, 3.0)))
-        points.append(params.with_uniform_budget(1e3))
+        points.append(replace(params, power_budgets=(1e3,) * params.num_links))
         assert check_grid(points, chan, solves) == 3
 
 
@@ -325,7 +325,7 @@ class TestFallback:
         # 0.05 + 0.06), and a solve of -P*H gives link 0 column 0; the two
         # are worth the same up to rounding.
         params, chan = inject([[4.0, 5.0], [6.0, 7.0]], 2)
-        point = params.with_uniform_budget(0.01)
+        point = replace(params, power_budgets=(0.01,) * params.num_links)
         assert [s[0] for s in grid_outcome([point], chan)[0]] == [1, 0]
         assert [s[0] for s in per_point([point], chan)[0]] == [0, 1]
         assert check_near_optimal([point], chan, solves) == 1
