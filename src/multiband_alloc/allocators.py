@@ -22,9 +22,9 @@ scaling all budgets by one factor leaves the best assignment unchanged,
 and pads the sets by walking each link's gains in sorted order
 (`_low_snr_sets`); `high_snr`
 solves one capacity-q assignment per trial and takes its sets
-(`_high_snr_sets`); and `optimal` water-fills one rate table for every
-cell of the chunk, in bounded pieces, and searches the partitions of a
-bounded group of cells in one array fold (`_optimal_sets`). The scorer
+(`_high_snr_sets`); and `optimal` takes the cells in bounded groups,
+trial-major, water-fills one rate table per group (`_rate_table`) and
+searches the group's partitions in one array fold (`_optimal_sets`). The scorer
 and the rate table take their logs with one `math.log1p` pass over an
 array of products and add each link's terms with array adds
 (`_link_sums`). Both Hungarian selections solve with the one
@@ -506,39 +506,29 @@ def _partition_levels(num_subchannels: int, num_links: int):
     return subsets, columns, tuple(picks)
 
 
-def _rate_tables(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray):
-    """The water-filled link rates of every (trial, point) cell of a
-    (T, K, N) stack of gains, trial-major, as (cells, K, C) blocks: entry
-    [c, k, i] of cell c = t * B + b is link k's rate on the quota set
-    `columns[i]` at the budget `budgets[b, k]` of a (B, K) array, the same
-    float the scorer gives that link in every partition that hands it that
-    set. The chunk's T * B * K * C sets form one table, water-filled in
-    pieces of at most `_TABLE_CHUNK` elements (one set if a set is larger),
-    each one `water_fill` call and one `_link_sums` call; a piece may span
-    cells and trials, and every cell it completes is yielded in one block
-    before the next piece, so no more than one piece's rates and the part
-    of one cell before it are held at once."""
-    trials, k_links, n_sub = gains.shape
+def _rate_table(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray):
+    """The water-filled link rates of G cells as a (G, K, C) array: entry
+    [g, k, i] is link k's rate on the quota set `columns[i]` at the budget
+    `budgets[g, k]` of a (G, K) array on the gains `gains[g]` of a
+    (G, K, N) array, the same float the scorer gives that link in every
+    partition that hands it that set. The G * K * C sets are water-filled
+    in pieces of at most `_TABLE_CHUNK` elements (one set if a set is
+    larger), each one `water_fill` call and one `_link_sums` call; both
+    work on each set alone, so how the sets split into pieces changes no
+    rate."""
     n_sets, quota = columns.shape
-    budgets = budgets.ravel()  # b * K + k
-    per_cell = k_links * n_sets
-    rows = trials * budgets.size * n_sets
+    links = gains.reshape(-1, gains.shape[2])  # row g * K + k
+    link_budgets = budgets.ravel()
+    rows = len(links) * n_sets  # row (g * K + k) * C + i
     step = max(1, _TABLE_CHUNK // quota)
-    links = gains.reshape(-1, n_sub)  # row t * K + k
-    sums = np.empty(0)
+    sums = []
     for start in range(0, rows, step):
-        row = np.arange(start, min(start + step, rows))
-        cell_link = row // n_sets  # (t * B + b) * K + k
-        link_budgets = budgets[cell_link % budgets.size]
-        link = cell_link // budgets.size * k_links + cell_link % k_links
-        link_gains = links[link[:, None], columns[row % n_sets]]
+        link, i = np.divmod(np.arange(start, min(start + step, rows)), n_sets)
+        piece_gains, piece_budgets = links[link[:, None], columns[i]], link_budgets[link]
         with np.errstate(over="ignore"):
-            snr = water_fill(link_gains, link_budgets).powers * link_gains
-        sums = np.concatenate([sums, _link_sums(snr, quota, link_budgets)])
-        done = len(sums) // per_cell * per_cell
-        if done:
-            yield params.subchannel_bandwidth * sums[:done].reshape(-1, k_links, n_sets)
-            sums = sums[done:]
+            snr = water_fill(piece_gains, piece_budgets).powers * piece_gains
+        sums.append(_link_sums(snr, quota, piece_budgets))
+    return params.subchannel_bandwidth * np.concatenate(sums).reshape(len(gains), -1, n_sets)
 
 
 def _best_partitions(rates: np.ndarray, subsets, picks) -> list[list[tuple[int, ...]]]:
@@ -567,16 +557,16 @@ def _best_partitions(rates: np.ndarray, subsets, picks) -> list[list[tuple[int, 
 
 def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_guard: int):
     """At each point, the partition with the best water-filled rate:
-    exhaustive search over K * C(N, floor(N/K)) link rates from one rate
-    table for every point of every trial of a (T, K, N) stack of gains.
-    The first partition with the highest rate wins, in enumeration order.
-    The search folds the links into partition totals over
-    `_partition_levels`, cached per (N, K), for a group of (trial, point)
-    cells of one block of the table at once (`_best_partitions`). A group
-    holds at most max(1, `_TABLE_CHUNK` // count) cells, so the fold holds
-    about `_TABLE_CHUNK` floats, or one cell's totals when a cell has more
-    partitions than that; groups may span trials or split a trial's
-    points."""
+    exhaustive search over K * C(N, floor(N/K)) link rates for every point
+    of every trial of a (T, K, N) stack of gains. The first partition with
+    the highest rate wins, in enumeration order. The (trial, point) cells
+    go in groups, trial-major, of at most max(1, `_TABLE_CHUNK` //
+    max(count, K * C * q)) cells, C = C(N, q) quota sets of q. Each group
+    water-fills one rate table (`_rate_table`) and folds its links into
+    partition totals over `_partition_levels`, cached per (N, K), in one
+    array fold (`_best_partitions`), so the table, its gathered gains and
+    the totals each hold about `_TABLE_CHUNK` floats, or one cell's worth
+    when a cell has more, whatever the number of trials."""
     n_sub, k_links = params.num_subchannels, params.num_links
     count = partition_count(n_sub, k_links)
     if count > partition_guard:
@@ -585,11 +575,13 @@ def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_g
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
-    group = max(1, _TABLE_CHUNK // count)
+    group = max(1, _TABLE_CHUNK // max(count, k_links * columns.size))
+    cells = len(gains) * len(budgets)
     selections = []
-    for table in _rate_tables(params, budgets, gains, columns):
-        for start in range(0, len(table), group):
-            selections += _best_partitions(table[start : start + group], subsets, picks)
+    for start in range(0, cells, group):
+        cell = np.arange(start, min(start + group, cells))
+        rates = _rate_table(params, budgets[cell % len(budgets)], gains[cell // len(budgets)], columns)
+        selections += _best_partitions(rates, subsets, picks)
     return selections
 
 

@@ -29,12 +29,14 @@ from itertools import combinations
 
 import numpy as np
 
+from multiband_alloc import allocators
 from multiband_alloc.allocators import (
     OPTIMAL,
     Allocation,
     _partition_levels,
-    _rate_tables,
+    _rate_table,
     _score,
+    partition_count,
 )
 from multiband_alloc.assignment import solve_capacitated
 from multiband_alloc.errors import GuardError, InfeasibleError, ValidationError
@@ -348,11 +350,17 @@ def pad_round_robin_by_scan(h, columns, quota: int) -> list[list[int]]:
 def optimal_sets_by_row(params, budgets, gains) -> list[list[tuple[int, ...]]]:
     """`optimal`'s selection for every (trial, point) cell of a (T, K, N)
     stack of gains at a (B, K) budget grid, trial-major, folding the
-    partition totals of one cell at a time over the package's rate table:
-    link rates added in index order, the first maximum wins."""
+    partition totals of one cell at a time over the package's rate table,
+    built for the same groups of cells as `optimal` builds it: link rates
+    added in index order, the first maximum wins."""
     subsets, columns, picks = _partition_levels(params.num_subchannels, params.num_links)
+    count = partition_count(params.num_subchannels, params.num_links)
+    group = max(1, allocators._TABLE_CHUNK // max(count, params.num_links * columns.size))
+    cells = len(gains) * len(budgets)
     selections = []
-    for table in _rate_tables(params, budgets, gains, columns):
+    for start in range(0, cells, group):
+        cell = np.arange(start, min(start + group, cells))
+        table = _rate_table(params, budgets[cell % len(budgets)], gains[cell // len(budgets)], columns)
         for rates in table:
             totals = rates[0]
             for k, pick in enumerate(picks, start=1):

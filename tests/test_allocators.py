@@ -976,9 +976,9 @@ class TestChunkSelection:
             (LOW_SNR, None),
             (HIGH_SNR, None),
             (OPTIMAL, None),
-            (OPTIMAL, 0.0),
-            (OPTIMAL, 0.55),
-            (OPTIMAL, 2.5),
+            (OPTIMAL, "set"),
+            (OPTIMAL, "split"),
+            (OPTIMAL, "span"),
             (MAX_SELECT, None),
         ],
         ids=[
@@ -995,12 +995,16 @@ class TestChunkSelection:
         draws = [chan.normalized_gains for _, chan in grid_instances(num_links, num_subchannels)]
         points = grid_points(unit_params(num_links, num_subchannels))
         if chunk is not None:
-            # Pieces of `chunk` trials' table rows (at least one row): one
-            # row each, a little over half a trial's rows, so every trial
-            # spans two or three pieces, or two and a half trials' rows.
+            # One cell's table holds K * C(N, q) sets of q elements. "set":
+            # one set per piece; "split": a little over half a cell's table
+            # per piece, so every cell's table is water-filled in two pieces;
+            # "span": groups of 15 cells, two and a half trials' points, so
+            # most groups span trials.
             quota = num_subchannels // num_links
-            rows = len(points) * num_links * math.comb(num_subchannels, quota)
-            monkeypatch.setattr(allocators, "_TABLE_CHUNK", quota * max(1, int(chunk * rows)))
+            table = num_links * math.comb(num_subchannels, quota) * quota
+            per_cell = max(partition_count(num_subchannels, num_links), table)
+            bound = {"set": quota, "split": int(0.55 * table), "span": 15 * per_cell}[chunk]
+            monkeypatch.setattr(allocators, "_TABLE_CHUNK", bound)
         solves = []
         original_solve = allocators.solve_capacitated
         monkeypatch.setattr(
@@ -1065,12 +1069,13 @@ def fold_groups(monkeypatch):
 
 
 class TestGroupedFold:
-    """`optimal` folds a group of (trial, point) cells of its rate table at
-    once, at most max(1, `_TABLE_CHUNK` // count) of them; every cell must
-    get what it gets alone, whatever the grouping."""
+    """`optimal` builds the rate table of a group of (trial, point) cells
+    and folds it at once, at most max(1, `_TABLE_CHUNK` // max(count,
+    K * C(N, q) * q)) of them; every cell must get what it gets alone,
+    whatever the grouping."""
 
     # Shapes whose cells each have more partitions than table elements, so
-    # a piece of the table completes more cells than a group holds.
+    # the partition count alone sets the group size.
     @pytest.mark.parametrize("num_links,num_subchannels", [(4, 8), (3, 7)])
     @pytest.mark.parametrize(
         "rows", [None, 4, 20], ids=["one_row_splits_a_trial", "partial_trial", "several_trials"]
@@ -1105,13 +1110,36 @@ class TestGroupedFold:
         first = next(enumerate_partitions(num_subchannels, num_links))
         assert [tuple(sets) for sets in stacked] == [first] * len(gains) * len(points)
 
+    @pytest.mark.parametrize(
+        "num_links,num_subchannels,trials", [(4, 8, 1), (2, 4, 10)], ids=["exact", "regime"]
+    )
+    def test_one_water_fill_and_one_fold_per_batch(self, monkeypatch, num_links, num_subchannels, trials):
+        # The shapes of perfbench's `exact` and `regime` batches at 7
+        # budgets: each is one group, so `optimal` water-fills and folds
+        # it once.
+        sizes = fold_groups(monkeypatch)
+        fills = []
+        original = allocators.water_fill
+        monkeypatch.setattr(allocators, "water_fill", lambda *a: fills.append(1) or original(*a))
+        params = replace(unit_params(num_links, num_subchannels), shadow_prob=0.3, shadow_attenuation=1e-3)
+        budgets = np.outer(np.geomspace(1e-3, 1e3, 7), np.ones(num_links))
+        gains = np.stack(
+            [sample_realization(params, trial_rng(11, t)).normalized_gains for t in range(trials)]
+        )
+        allocators._optimal_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
+        assert len(fills) == 1 and sizes == [7 * trials]
+
 
 class TestOptimalFoldMemory:
-    """The grouped fold's memory peak stays within that of the fold one
-    cell at a time (`optimal_sets_by_row`) over the same rate table: at
-    K=5, N=10 a cell has 113,400 partitions, more than `_TABLE_CHUNK`, so
-    each group is one cell; at K=4, N=8 a group is 26 cells. The 1% covers
-    how differently the two grow their list of selections."""
+    """`optimal` holds one group's work at a time: its rate table, built as
+    the one-cell fold (`optimal_sets_by_row`) builds it, or the fold of its
+    cells. At K=5, N=10 a cell has 113,400 partitions, more than
+    `_TABLE_CHUNK`, so each group is one cell and the grouped fold's peak
+    stays within the one-cell fold's. At K=4, N=8 a group is 26 cells
+    whose fold (65,520 totals) outweighs their table (2,912 link rates), so
+    the peak is that of the first group's, however many trials follow.
+    Peaks are net of what the call still holds when it returns, its list
+    of selections; the 1% covers the rest."""
 
     @pytest.mark.parametrize("num_links,num_subchannels,trials", [(5, 10, 2), (4, 8, 30)])
     def test_peak_within_one_row_fold(self, num_links, num_subchannels, trials):
@@ -1120,9 +1148,13 @@ class TestOptimalFoldMemory:
         gains = np.stack(
             [sample_realization(params, trial_rng(5, t)).normalized_gains for t in range(trials)]
         )
+        quota = num_subchannels // num_links
+        table = num_links * math.comb(num_subchannels, quota) * quota
+        group = max(1, allocators._TABLE_CHUNK // max(partition_count(num_subchannels, num_links), table))
+        first_group = gains[: -(-group // len(budgets))]  # the trials that fill one group
 
-        def grouped():
-            return allocators._optimal_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
+        def grouped(stack=gains):
+            return allocators._optimal_sets(params, budgets, stack, allocators.DEFAULT_PARTITION_GUARD)
 
         def by_row():
             return optimal_sets_by_row(params, budgets, gains)
@@ -1134,13 +1166,37 @@ class TestOptimalFoldMemory:
         gc.disable()
         peaks = []
         try:
-            for run in (grouped, by_row):
+            for run in (grouped, by_row, lambda: grouped(first_group)):
                 tracemalloc.start()
                 try:
-                    run()
+                    selections = run()
+                    held, peak = tracemalloc.get_traced_memory()
+                    peaks.append(peak - held)
+                    del selections
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert peaks[0] <= 1.01 * max(peaks[1], peaks[2])
+
+    def test_peak_does_not_grow_with_trials(self):
+        # K=4, N=8 at 7 budgets: 4 trials fill one group of 26 cells and
+        # start a second; 292 trials, one sweep chunk's worth, fill 79.
+        params = replace(unit_params(4, 8), shadow_prob=0.3, shadow_attenuation=1e-3)
+        budgets = np.outer(np.geomspace(1e-3, 1e3, 7), np.ones(4))
+        gains = np.stack([sample_realization(params, trial_rng(5, t)).normalized_gains for t in range(292)])
+        allocators._optimal_sets(params, budgets, gains[:4], allocators.DEFAULT_PARTITION_GUARD)
+        gc.collect()
+        gc.disable()
+        peaks = []
+        try:
+            for stack in (gains[:4], gains):
+                tracemalloc.start()
+                try:
+                    allocators._optimal_sets(params, budgets, stack, allocators.DEFAULT_PARTITION_GUARD)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
         finally:
             gc.enable()
-        assert peaks[0] <= 1.01 * peaks[1]
+        assert peaks[1] <= 1.5 * peaks[0]
