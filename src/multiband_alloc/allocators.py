@@ -506,19 +506,29 @@ def _partition_levels(num_subchannels: int, num_links: int):
     return subsets, columns, tuple(picks)
 
 
-def _rate_table(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray):
-    """The water-filled link rates of G cells as a (G, K, C) array: entry
+def _cell_groups(cells: int, count: int, table: int):
+    """The (trial, point) cells 0 .. cells - 1 of a selection, trial-major,
+    as index arrays of at most max(1, `_TABLE_CHUNK` // max(count, table))
+    cells, for count partitions and a rate table of table = K * C(N, q) * q
+    elements per cell."""
+    group = max(1, _TABLE_CHUNK // max(count, table))
+    return (np.arange(start, min(start + group, cells)) for start in range(0, cells, group))
+
+
+def _rate_table(params: ChannelParams, budgets, gains: np.ndarray, columns: np.ndarray, cells):
+    """The water-filled link rates of G (trial, point) cells as a (G, K, C)
+    array: `cells` holds trial-major indices into T x B, and entry
     [g, k, i] is link k's rate on the quota set `columns[i]` at the budget
-    `budgets[g, k]` of a (G, K) array on the gains `gains[g]` of a
-    (G, K, N) array, the same float the scorer gives that link in every
-    partition that hands it that set. The G * K * C sets are water-filled
-    in pieces of at most `_TABLE_CHUNK` elements (one set if a set is
-    larger), each one `water_fill` call and one `_link_sums` call; both
-    work on each set alone, so how the sets split into pieces changes no
-    rate."""
+    `budgets[cells[g] % B, k]` of a (B, K) array on the gains
+    `gains[cells[g] // B]` of a (T, K, N) array, the same float the scorer
+    gives that link in every partition that hands it that set. The
+    G * K * C sets are water-filled in pieces of at most `_TABLE_CHUNK`
+    elements (one set if a set is larger), each one `water_fill` call and
+    one `_link_sums` call; both work on each set alone, so how the sets
+    split into pieces changes no rate."""
     n_sets, quota = columns.shape
-    links = gains.reshape(-1, gains.shape[2])  # row g * K + k
-    link_budgets = budgets.ravel()
+    links = gains[cells // len(budgets)].reshape(-1, gains.shape[2])  # row g * K + k
+    link_budgets = budgets[cells % len(budgets)].ravel()
     rows = len(links) * n_sets  # row (g * K + k) * C + i
     step = max(1, _TABLE_CHUNK // quota)
     sums = []
@@ -528,7 +538,7 @@ def _rate_table(params: ChannelParams, budgets, gains: np.ndarray, columns: np.n
         with np.errstate(over="ignore"):
             snr = water_fill(piece_gains, piece_budgets).powers * piece_gains
         sums.append(_link_sums(snr, quota, piece_budgets))
-    return params.subchannel_bandwidth * np.concatenate(sums).reshape(len(gains), -1, n_sets)
+    return params.subchannel_bandwidth * np.concatenate(sums).reshape(len(cells), -1, n_sets)
 
 
 def _best_partitions(rates: np.ndarray, subsets, picks) -> list[list[tuple[int, ...]]]:
@@ -560,8 +570,7 @@ def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_g
     exhaustive search over K * C(N, floor(N/K)) link rates for every point
     of every trial of a (T, K, N) stack of gains. The first partition with
     the highest rate wins, in enumeration order. The (trial, point) cells
-    go in groups, trial-major, of at most max(1, `_TABLE_CHUNK` //
-    max(count, K * C * q)) cells, C = C(N, q) quota sets of q. Each group
+    go in bounded groups, trial-major (`_cell_groups`). Each group
     water-fills one rate table (`_rate_table`) and folds its links into
     partition totals over `_partition_levels`, cached per (N, K), in one
     array fold (`_best_partitions`), so the table, its gathered gains and
@@ -575,13 +584,9 @@ def _optimal_sets(params: ChannelParams, budgets, gains: np.ndarray, partition_g
             f"of {partition_guard} (K={k_links}, N={n_sub})"
         )
     subsets, columns, picks = _partition_levels(n_sub, k_links)
-    group = max(1, _TABLE_CHUNK // max(count, k_links * columns.size))
-    cells = len(gains) * len(budgets)
     selections = []
-    for start in range(0, cells, group):
-        cell = np.arange(start, min(start + group, cells))
-        rates = _rate_table(params, budgets[cell % len(budgets)], gains[cell // len(budgets)], columns)
-        selections += _best_partitions(rates, subsets, picks)
+    for cells in _cell_groups(len(gains) * len(budgets), count, k_links * columns.size):
+        selections += _best_partitions(_rate_table(params, budgets, gains, columns, cells), subsets, picks)
     return selections
 
 

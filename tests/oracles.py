@@ -29,10 +29,10 @@ from itertools import combinations
 
 import numpy as np
 
-from multiband_alloc import allocators
 from multiband_alloc.allocators import (
     OPTIMAL,
     Allocation,
+    _cell_groups,
     _partition_levels,
     _rate_table,
     _score,
@@ -355,12 +355,9 @@ def optimal_sets_by_row(params, budgets, gains) -> list[list[tuple[int, ...]]]:
     added in index order, the first maximum wins."""
     subsets, columns, picks = _partition_levels(params.num_subchannels, params.num_links)
     count = partition_count(params.num_subchannels, params.num_links)
-    group = max(1, allocators._TABLE_CHUNK // max(count, params.num_links * columns.size))
-    cells = len(gains) * len(budgets)
     selections = []
-    for start in range(0, cells, group):
-        cell = np.arange(start, min(start + group, cells))
-        table = _rate_table(params, budgets[cell % len(budgets)], gains[cell // len(budgets)], columns)
+    for cells in _cell_groups(len(gains) * len(budgets), count, params.num_links * columns.size):
+        table = _rate_table(params, budgets, gains, columns, cells)
         for rates in table:
             totals = rates[0]
             for k, pick in enumerate(picks, start=1):

@@ -1005,6 +1005,10 @@ class TestChunkSelection:
             per_cell = max(partition_count(num_subchannels, num_links), table)
             bound = {"set": quota, "split": int(0.55 * table), "span": 15 * per_cell}[chunk]
             monkeypatch.setattr(allocators, "_TABLE_CHUNK", bound)
+        sizes = fold_groups(monkeypatch)
+        fills = []
+        original_fill = allocators.water_fill
+        monkeypatch.setattr(allocators, "water_fill", lambda *a: fills.append(1) or original_fill(*a))
         solves = []
         original_solve = allocators.solve_capacitated
         monkeypatch.setattr(
@@ -1016,8 +1020,10 @@ class TestChunkSelection:
         stacks = [np.stack([draws[(i + j) % len(draws)] for j in range(trials)]) for i in starts]
         for gains in stacks:
             solves.clear()
+            sizes.clear()
+            fills.clear()
             stacked = selection_outcome(select, points, gains)
-            stacked_solves = len(solves)
+            stacked_solves, groups, pieces = len(solves), list(sizes), len(fills)
             solves.clear()
             alone = [selection_outcome(select, points, g[None]) for g in gains]
             errors = [o for o in alone if isinstance(o, tuple)]
@@ -1027,6 +1033,10 @@ class TestChunkSelection:
                 assert stacked == [cell for o in alone for cell in o]
                 # The stack solves what its trials alone solve.
                 assert stacked_solves == len(solves)
+                if chunk == "split":
+                    assert pieces == 2 * len(groups) and max(groups) == 1
+                if chunk == "span" and trials > 1:
+                    assert max(groups) > len(points)  # a group spans trials
 
     @pytest.mark.parametrize("tag", [LOW_SNR, OPTIMAL])
     def test_overflow_names_the_first_failing_trial(self, tag):
@@ -1131,15 +1141,16 @@ class TestGroupedFold:
 
 
 class TestOptimalFoldMemory:
-    """`optimal` holds one group's work at a time: its rate table, built as
-    the one-cell fold (`optimal_sets_by_row`) builds it, or the fold of its
-    cells. At K=5, N=10 a cell has 113,400 partitions, more than
-    `_TABLE_CHUNK`, so each group is one cell and the grouped fold's peak
-    stays within the one-cell fold's. At K=4, N=8 a group is 26 cells
-    whose fold (65,520 totals) outweighs their table (2,912 link rates), so
-    the peak is that of the first group's, however many trials follow.
-    Peaks are net of what the call still holds when it returns, its list
-    of selections; the 1% covers the rest."""
+    """The grouped fold's memory peak stays within that of the fold one
+    cell at a time (`optimal_sets_by_row`) over the same rate table, plus
+    the totals of the other cells of a group: a group of G cells of count
+    partitions each folds about twice G * count floats where the one-cell
+    fold holds twice count, and G * count is at most `_TABLE_CHUNK`, so
+    the group adds at most twice `_TABLE_CHUNK` - count floats of 8 B. At
+    K=5, N=10 a cell has 113,400 partitions, more than `_TABLE_CHUNK`, so
+    each group is one cell and nothing is added; at K=4, N=8 a group is
+    26 cells. The 1% covers how differently the two grow their list of
+    selections."""
 
     @pytest.mark.parametrize("num_links,num_subchannels,trials", [(5, 10, 2), (4, 8, 30)])
     def test_peak_within_one_row_fold(self, num_links, num_subchannels, trials):
@@ -1148,13 +1159,11 @@ class TestOptimalFoldMemory:
         gains = np.stack(
             [sample_realization(params, trial_rng(5, t)).normalized_gains for t in range(trials)]
         )
-        quota = num_subchannels // num_links
-        table = num_links * math.comb(num_subchannels, quota) * quota
-        group = max(1, allocators._TABLE_CHUNK // max(partition_count(num_subchannels, num_links), table))
-        first_group = gains[: -(-group // len(budgets))]  # the trials that fill one group
+        count = partition_count(num_subchannels, num_links)
+        group_totals = 2 * 8 * max(0, allocators._TABLE_CHUNK - count)
 
-        def grouped(stack=gains):
-            return allocators._optimal_sets(params, budgets, stack, allocators.DEFAULT_PARTITION_GUARD)
+        def grouped():
+            return allocators._optimal_sets(params, budgets, gains, allocators.DEFAULT_PARTITION_GUARD)
 
         def by_row():
             return optimal_sets_by_row(params, budgets, gains)
@@ -1166,18 +1175,16 @@ class TestOptimalFoldMemory:
         gc.disable()
         peaks = []
         try:
-            for run in (grouped, by_row, lambda: grouped(first_group)):
+            for run in (grouped, by_row):
                 tracemalloc.start()
                 try:
-                    selections = run()
-                    held, peak = tracemalloc.get_traced_memory()
-                    peaks.append(peak - held)
-                    del selections
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
         finally:
             gc.enable()
-        assert peaks[0] <= 1.01 * max(peaks[1], peaks[2])
+        assert peaks[0] <= 1.01 * peaks[1] + group_totals
 
     def test_peak_does_not_grow_with_trials(self):
         # K=4, N=8 at 7 budgets: 4 trials fill one group of 26 cells and
